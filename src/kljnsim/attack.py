@@ -11,7 +11,6 @@ rho = rho_a - rho_b: positive means Alice holds the lower resistor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +130,3 @@ def attack_summary(outcome: AttackOutcome) -> dict:
         "n_bits": outcome.n_bits,
         "binomial_std": outcome.binomial_std,
     }
-
-
-def write_attack_summary(outcome: AttackOutcome, path) -> None:
-    with open(path, "w") as f:
-        json.dump(attack_summary(outcome), f, indent=2, sort_keys=True)
-        f.write("\n")

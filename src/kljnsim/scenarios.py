@@ -152,7 +152,6 @@ class ScenarioResult:
     n_secure: int
     n_inference_errors: int
     outcome: AttackOutcome | None = None
-    measurements: list[BepMeasurement] | None = None
 
     def summary_dict(self) -> dict:
         return {
@@ -174,7 +173,6 @@ class ScenarioResult:
 
 def run_scenario(
     config: ScenarioConfig,
-    keep_measurements: bool = False,
     dump_waveforms: str | None = None,
     dump_netlist: str | None = None,
 ) -> ScenarioResult:
@@ -228,7 +226,6 @@ def run_scenario(
         n_secure=n_secure,
         n_inference_errors=n_inferr,
         outcome=outcome,
-        measurements=measurements if keep_measurements else None,
     )
 
     if dump_waveforms:

@@ -3,18 +3,23 @@
 Modified nodal analysis with fixed-step trapezoidal integration.  The
 system matrix is constant for a fixed step, so it is factorized once;
 reactive elements are replaced by their trapezoidal companion models
-(conductance plus history current source).
+(conductance plus history current source).  Every matrix is built from
+one branch-node incidence matrix D: the step system and the t = 0
+system differ only in which branches contribute conductances and which
+become voltage constraints.
 
 Because the whole per-step update is linear and time invariant, the
 solver also precomputes an exact state-space map for a block of
-``stride`` internal steps.  Stepping block by block gives bitwise the
-same decimated output as plain stepping at a fraction of the cost; the
-plain path is kept as the reference implementation.
+``stride`` internal steps.  Stepping block by block gives the same
+decimated output as plain stepping up to round-off (the tests hold it
+to 1e-13 absolute) at a fraction of the cost; the plain path is kept as
+the reference implementation.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +47,12 @@ class SolverConfig:
 
     internal_step_s: float
     tolerance: float = 1e-9
-    method: str = "trapezoidal"
 
     def __post_init__(self):
         if self.internal_step_s <= 0:
             raise ValueError("internal_step_s must be positive")
         if not (0 < self.tolerance <= 1e-6):
             raise ValueError("tolerance must be in (0, 1e-6]")
-        if self.method != "trapezoidal":
-            raise ValueError("only the trapezoidal method is supported")
 
 
 @dataclass
@@ -85,22 +87,44 @@ class TransientSolver:
     def _build(self) -> None:
         nl = self.netlist
         dt = self.dt
+        branches = nl.branches
 
-        nodes = [n for n in nl.nodes() if n != nl.ground]
-        self._node_index = {n: i for i, n in enumerate(nodes)}
-        self._node_index[nl.ground] = -1
+        self._nodes = [n for n in nl.nodes() if n != nl.ground]
+        col = {n: i for i, n in enumerate(self._nodes)}
+        n_nodes = len(self._nodes)
 
-        self._vsrc = [br for br in nl.branches if br.kind in ("V", "E")]
-        n_nodes = len(nodes)
-        n_u = n_nodes + len(self._vsrc)
-        self.n_unknowns = n_u
-        self._cur_index = {
-            br.name: n_nodes + j for j, br in enumerate(self._vsrc)
-        }
+        def incidence(pairs) -> np.ndarray:
+            # +1 on the first node, -1 on the second, ground dropped.
+            D = np.zeros((len(pairs), n_nodes))
+            for k, (a, b) in enumerate(pairs):
+                if a in col:
+                    D[k, col[a]] += 1.0
+                if b in col:
+                    D[k, col[b]] -= 1.0
+            return D
 
-        caps = [br for br in nl.branches if br.kind == "C"]
-        inds = [br for br in nl.branches if br.kind == "L"]
-        self._caps, self._inds = caps, inds
+        kind = np.array([br.kind for br in branches])
+        self._value = np.array([br.value for br in branches], dtype=np.float64)
+        self._D = incidence([(br.a, br.b) for br in branches])
+        # E rows of the constraint block subtract gain x the sensed pair.
+        self._K = self._value[:, None] * incidence(
+            [(br.ctrl_a, br.ctrl_b) if br.kind == "E" else (None, None) for br in branches]
+        )
+        self._res = np.flatnonzero(kind == "R")
+        self._caps = np.flatnonzero(kind == "C")
+        self._inds = np.flatnonzero(kind == "L")
+        self._cons = np.flatnonzero((kind == "V") | (kind == "E"))
+        for k in self._res:
+            if self._value[k] <= 0:
+                raise ValueError(f"resistor {branches[k].name!r} must have positive value")
+
+        self._sources = [br for br in branches if br.kind == "V"]
+        self.source_names = [br.name for br in self._sources]
+        # Unknown holding each source's current; the t = 0 system keeps
+        # the same V/E rows first, so the index serves both systems.
+        self._src_rows = n_nodes + np.flatnonzero(kind[self._cons] == "V")
+
+        caps, inds = self._caps, self._inds
         nc, nl_ = len(caps), len(inds)
         # State layout: [cap v, cap i, ind i, ind v].
         self.n_states = 2 * nc + 2 * nl_
@@ -109,156 +133,108 @@ class TransientSolver:
         self._sl_li = slice(2 * nc, 2 * nc + nl_)
         self._sl_lv = slice(2 * nc + nl_, 2 * nc + 2 * nl_)
 
-        M = np.zeros((n_u, n_u))
-        E_s = np.zeros((n_u, self.n_states))
-        self._sources = [br for br in nl.branches if br.kind == "V"]
-        self.source_names = [br.name for br in self._sources]
-        E_u = np.zeros((n_u, len(self._sources)))
-
-        def idx(node: str) -> int:
-            return self._node_index[node]
-
-        def stamp_g(a: str, b: str, g: float) -> None:
-            ia, ib = idx(a), idx(b)
-            if ia >= 0:
-                M[ia, ia] += g
-            if ib >= 0:
-                M[ib, ib] += g
-            if ia >= 0 and ib >= 0:
-                M[ia, ib] -= g
-                M[ib, ia] -= g
-
-        def add_rhs_pair(col_target: np.ndarray, a: str, b: str, coeff: float) -> None:
-            ia, ib = idx(a), idx(b)
-            if ia >= 0:
-                col_target[ia] += coeff
-            if ib >= 0:
-                col_target[ib] -= coeff
-
-        self._g_cap = np.array([2.0 * br.value / dt for br in caps])
-        self._g_ind = np.array([dt / (2.0 * br.value) for br in inds])
-
-        for br in nl.branches:
-            if br.kind == "R":
-                if br.value <= 0:
-                    raise ValueError(f"resistor {br.name!r} must have positive value")
-                stamp_g(br.a, br.b, 1.0 / br.value)
-        for j, br in enumerate(caps):
-            stamp_g(br.a, br.b, self._g_cap[j])
-            # rhs += (gC v + i) on the a side, opposite on b.
-            add_rhs_pair(E_s[:, self._sl_cv][:, j], br.a, br.b, self._g_cap[j])
-            add_rhs_pair(E_s[:, self._sl_ci][:, j], br.a, br.b, 1.0)
-        for j, br in enumerate(inds):
-            stamp_g(br.a, br.b, self._g_ind[j])
-            # rhs -= (i + gL v) on the a side, opposite on b.
-            add_rhs_pair(E_s[:, self._sl_li][:, j], br.a, br.b, -1.0)
-            add_rhs_pair(E_s[:, self._sl_lv][:, j], br.a, br.b, -self._g_ind[j])
-        for br in self._vsrc:
-            m = self._cur_index[br.name]
-            ia, ib = idx(br.a), idx(br.b)
-            if ia >= 0:
-                M[ia, m] += 1.0
-                M[m, ia] += 1.0
-            if ib >= 0:
-                M[ib, m] -= 1.0
-                M[m, ib] -= 1.0
-            if br.kind == "E":
-                ip = idx(br.ctrl_a) if br.ctrl_a is not None else -1
-                iq = idx(br.ctrl_b) if br.ctrl_b is not None else -1
-                if ip >= 0:
-                    M[m, ip] -= br.value
-                if iq >= 0:
-                    M[m, iq] += br.value
-        for j, br in enumerate(self._sources):
-            E_u[self._cur_index[br.name], j] = 1.0
-
-        # Structurally dangling unknowns make the matrix singular; name
-        # the node instead of failing inside LAPACK.
-        for n, i in self._node_index.items():
-            if i >= 0 and not np.any(M[i, :]):
-                raise SingularNetworkError(
-                    f"node {n!r} has no connection to the rest of the network", node=n
-                )
-        try:
-            self._lu = sla.lu_factor(M)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise SingularNetworkError(f"singular system matrix: {exc}") from exc
-
-        rng = np.random.default_rng(12345)
-        b = rng.standard_normal(n_u)
-        x = sla.lu_solve(self._lu, b)
-        self.factorization_residual = float(
-            np.max(np.abs(M @ x - b)) / max(np.max(np.abs(b)), 1e-300)
+        g_cap = 2.0 * self._value[caps] / dt
+        g_ind = dt / (2.0 * self._value[inds])
+        M = self._mna(
+            np.concatenate([self._res, caps, inds]),
+            np.concatenate([1.0 / self._value[self._res], g_cap, g_ind]),
+            self._cons,
         )
-        if self.factorization_residual > self.tolerance:
-            raise SingularNetworkError(
-                f"linear solve residual {self.factorization_residual:.2e} exceeds "
-                f"tolerance {self.tolerance:.2e} (near-singular matrix)"
-            )
+        lu, self.factorization_residual = self._factor(M, "step system")
+        self._lu0 = None
 
-        self._Vmap_s = sla.lu_solve(self._lu, E_s)
-        self._Vmap_u = sla.lu_solve(self._lu, E_u)
+        n_u = len(M)
+        Dx = np.zeros((len(branches), n_u))  # branch voltages from the unknowns
+        Dx[:, :n_nodes] = self._D
+        Dc, Dl = Dx[caps], Dx[inds]
+        # History sources: rhs += gC v + i for capacitors, -= i + gL v for
+        # inductors, on the branch's a side and opposite on b.
+        E_s = np.hstack([Dc.T * g_cap, Dc.T, -Dl.T, -Dl.T * g_ind])
+        E_u = np.zeros((n_u, len(self._sources)))
+        E_u[self._src_rows, np.arange(len(self._sources))] = 1.0
+        V_s = sla.lu_solve(lu, E_s)
+        V_u = sla.lu_solve(lu, E_u)
 
         # State update s' = P V' + Q s.
-        P = np.zeros((self.n_states, n_u))
+        P = np.vstack([Dc, g_cap[:, None] * Dc, g_ind[:, None] * Dl, Dl])
         Q = np.zeros((self.n_states, self.n_states))
+        Q[self._sl_ci, self._sl_cv] = -np.diag(g_cap)
+        Q[self._sl_ci, self._sl_ci] = -np.eye(nc)
+        Q[self._sl_li, self._sl_li] = np.eye(nl_)
+        Q[self._sl_li, self._sl_lv] = np.diag(g_ind)
+        self._A = P @ V_s + Q
+        self._B = P @ V_u
 
-        def drow(a: str, b: str) -> np.ndarray:
-            row = np.zeros(n_u)
-            ia, ib = idx(a), idx(b)
-            if ia >= 0:
-                row[ia] += 1.0
-            if ib >= 0:
-                row[ib] -= 1.0
-            return row
-
-        nc = len(caps)
-        for j, br in enumerate(caps):
-            d = drow(br.a, br.b)
-            P[j] = d
-            P[nc + j] = self._g_cap[j] * d
-            Q[nc + j, j] = -self._g_cap[j]
-            Q[nc + j, nc + j] = -1.0
-        off_i = self._sl_li.start
-        off_v = self._sl_lv.start
-        for j, br in enumerate(inds):
-            d = drow(br.a, br.b)
-            P[off_i + j] = self._g_ind[j] * d
-            Q[off_i + j, off_i + j] = 1.0
-            Q[off_i + j, off_v + j] = self._g_ind[j]
-            P[off_v + j] = d
-
-        self._A = P @ self._Vmap_s + Q
-        self._B = P @ self._Vmap_u
-
-        # Probe rows: y_k = Cv V_k + Cst s_k.
+        # Probe rows over [V, s]: y_k = Cv V_k + Cst s_k.  Column holding
+        # each branch current; resistor currents are D rows over R.
+        cur = np.full(len(branches), -1)
+        cur[self._cons] = np.arange(n_nodes, n_u)
+        cur[caps] = n_u + self._sl_ci.start + np.arange(nc)
+        cur[inds] = n_u + self._sl_li.start + np.arange(nl_)
+        row = {br.name: k for k, br in enumerate(branches)}
         self.probe_names = list(nl.probes)
-        Cv = np.zeros((len(self.probe_names), n_u))
-        Cst = np.zeros((len(self.probe_names), self.n_states))
-        branch_by_name = {br.name: br for br in nl.branches}
-        for i, pname in enumerate(self.probe_names):
-            kind, ref = nl.probes[pname]
-            if kind == "v":
-                j = idx(ref)
-                if j >= 0:
-                    Cv[i, j] = 1.0
+        Y = np.zeros((len(self.probe_names), n_u + self.n_states))
+        for i, (pkind, ref) in enumerate(nl.probes.values()):
+            if pkind == "v":
+                if ref in col:
+                    Y[i, col[ref]] = 1.0
+            elif kind[row[ref]] == "R":
+                Y[i, :n_u] = Dx[row[ref]] / self._value[row[ref]]
             else:
-                br = branch_by_name[ref]
-                if br.kind == "R":
-                    Cv[i] = drow(br.a, br.b) / br.value
-                elif br.kind in ("V", "E"):
-                    Cv[i, self._cur_index[br.name]] = 1.0
-                elif br.kind == "C":
-                    Cst[i, self._sl_ci.start + self._caps.index(br)] = 1.0
-                elif br.kind == "L":
-                    Cst[i, self._sl_li.start + self._inds.index(br)] = 1.0
+                Y[i, cur[row[ref]]] = 1.0
+        Cv, Cst = Y[:, :n_u], Y[:, n_u:]
 
         # y_k in terms of (s_{k-1}, u_k).
         Cy_V = Cv + Cst @ P
-        self._Ys0 = Cy_V @ self._Vmap_s + Cst @ Q
-        self._Yu0 = Cy_V @ self._Vmap_u
+        self._Ys0 = Cy_V @ V_s + Cst @ Q
+        self._Yu0 = Cy_V @ V_u
         self._block_cache: dict[int, tuple] = {}
-        self._lu0 = None
+
+    def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
+        """MNA matrix with conductances ``g`` on the branches ``cond`` and
+        one current unknown plus one voltage constraint per branch in
+        ``cons`` (branch indices into the netlist)."""
+        D = self._D
+        n = D.shape[1]
+        M = np.zeros((n + len(cons), n + len(cons)))
+        M[:n, :n] = D[cond].T @ (g[:, None] * D[cond])
+        M[:n, n:] = D[cons].T
+        M[n:, :n] = D[cons] - self._K[cons]
+        return M
+
+    def _factor(self, M: np.ndarray, system: str):
+        """LU factors of ``M`` and the residual of a random-RHS solve.
+
+        Raises ``SingularNetworkError`` naming ``system`` for a dangling
+        node, a zero pivot, or a residual above the tolerance.
+        """
+        # Structurally dangling unknowns make the matrix singular; name
+        # the node instead of failing inside LAPACK.
+        for i, n in enumerate(self._nodes):
+            if not np.any(M[i]):
+                raise SingularNetworkError(
+                    f"node {n!r} has no connection to the rest of the network "
+                    f"in the {system}",
+                    node=n,
+                )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            try:
+                lu = sla.lu_factor(M)
+            except (sla.LinAlgError, sla.LinAlgWarning, ValueError) as exc:
+                raise SingularNetworkError(f"singular {system}: {exc}") from exc
+
+        rng = np.random.default_rng(12345)
+        b = rng.standard_normal(len(M))
+        x = sla.lu_solve(lu, b)
+        residual = float(np.max(np.abs(M @ x - b)) / max(np.max(np.abs(b)), 1e-300))
+        # Written so that a NaN residual fails too.
+        if not residual <= self.tolerance:
+            raise SingularNetworkError(
+                f"{system}: linear solve residual {residual:.2e} exceeds "
+                f"tolerance {self.tolerance:.2e} (near-singular matrix)"
+            )
+        return lu, residual
 
     # ------------------------------------------------------------------
     # State handling
@@ -285,85 +261,25 @@ class TransientSolver:
         voltages at t = 0.  Without this, a source that is already
         nonzero at t = 0 is seen as ramping up over the first step.
         """
-        nc, nl_ = len(self._caps), len(self._inds)
-        if nc == 0 and nl_ == 0:
+        if self.n_states == 0:
             return
         if self._lu0 is None:
-            self._build_init_system()
-        lu0, n_u0, cap_cur = self._lu0, self._n_u0, self._cap_cur_index
+            M0 = self._mna(
+                self._res,
+                1.0 / self._value[self._res],
+                np.concatenate([self._cons, self._caps]),
+            )
+            self._lu0, _ = self._factor(M0, "instantaneous (t = 0) system")
 
-        rhs = np.zeros(n_u0)
-        u0 = np.asarray(u0, dtype=np.float64)
-        for j, br in enumerate(self._sources):
-            rhs[self._init_cur_index[br.name]] = u0[j]
-        cv = self.state[self._sl_cv]
-        for j, br in enumerate(self._caps):
-            rhs[cap_cur[j]] = cv[j]
-        li = self.state[self._sl_li]
-        for j, br in enumerate(self._inds):
-            ia, ib = self._node_index[br.a], self._node_index[br.b]
-            if ia >= 0:
-                rhs[ia] -= li[j]
-            if ib >= 0:
-                rhs[ib] += li[j]
-        sol = sla.lu_solve(lu0, rhs)
-        for j in range(nc):
-            self.state[self._sl_ci.start + j] = sol[cap_cur[j]]
-        for j, br in enumerate(self._inds):
-            ia, ib = self._node_index[br.a], self._node_index[br.b]
-            va = sol[ia] if ia >= 0 else 0.0
-            vb = sol[ib] if ib >= 0 else 0.0
-            self.state[self._sl_lv.start + j] = va - vb
-
-    def _build_init_system(self) -> None:
-        # Instantaneous (t = 0) system: caps act as voltage constraints
-        # with their own current unknowns, inductors as current sources.
-        nl = self.netlist
-        n_nodes = sum(1 for n in nl.nodes() if n != nl.ground)
-        vsrc_like = list(self._vsrc) + list(self._caps)
-        n_u0 = n_nodes + len(vsrc_like)
-        M0 = np.zeros((n_u0, n_u0))
-        cur = {br.name: n_nodes + j for j, br in enumerate(vsrc_like)}
-
-        def idx(node):
-            return self._node_index[node]
-
-        for br in nl.branches:
-            if br.kind == "R":
-                g = 1.0 / br.value
-                ia, ib = idx(br.a), idx(br.b)
-                if ia >= 0:
-                    M0[ia, ia] += g
-                if ib >= 0:
-                    M0[ib, ib] += g
-                if ia >= 0 and ib >= 0:
-                    M0[ia, ib] -= g
-                    M0[ib, ia] -= g
-        for br in vsrc_like:
-            m = cur[br.name]
-            ia, ib = idx(br.a), idx(br.b)
-            if ia >= 0:
-                M0[ia, m] += 1.0
-                M0[m, ia] += 1.0
-            if ib >= 0:
-                M0[ib, m] -= 1.0
-                M0[m, ib] -= 1.0
-            if br.kind == "E":
-                ip = idx(br.ctrl_a) if br.ctrl_a is not None else -1
-                iq = idx(br.ctrl_b) if br.ctrl_b is not None else -1
-                if ip >= 0:
-                    M0[m, ip] -= br.value
-                if iq >= 0:
-                    M0[m, iq] += br.value
-        try:
-            self._lu0 = sla.lu_factor(M0)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise SingularNetworkError(
-                f"singular instantaneous system at t=0: {exc}"
-            ) from exc
-        self._n_u0 = n_u0
-        self._init_cur_index = {br.name: cur[br.name] for br in self._vsrc}
-        self._cap_cur_index = [cur[br.name] for br in self._caps]
+        n_nodes = len(self._nodes)
+        n_fixed = n_nodes + len(self._cons)  # first capacitor current unknown
+        rhs = np.zeros(n_fixed + len(self._caps))
+        rhs[:n_nodes] = -self._D[self._inds].T @ self.state[self._sl_li]
+        rhs[self._src_rows] = np.asarray(u0, dtype=np.float64)
+        rhs[n_fixed:] = self.state[self._sl_cv]
+        sol = sla.lu_solve(self._lu0, rhs)
+        self.state[self._sl_ci] = sol[n_fixed:]
+        self.state[self._sl_lv] = self._D[self._inds] @ sol[:n_nodes]
 
     def assemble_inputs(self, n_steps: int, waveforms: dict[str, np.ndarray]) -> np.ndarray:
         """Input matrix for ``run``: driven sources from waveform samples,
@@ -381,14 +297,10 @@ class TransientSolver:
 
     def stored_energy(self) -> float:
         """Sum of C v^2 / 2 and L i^2 / 2 over all reactive branches."""
-        e = 0.0
-        cv = self.state[self._sl_cv]
-        for j, br in enumerate(self._caps):
-            e += 0.5 * br.value * cv[j] ** 2
-        li = self.state[self._sl_li]
-        for j, br in enumerate(self._inds):
-            e += 0.5 * br.value * li[j] ** 2
-        return e
+        cv, li = self.state[self._sl_cv], self.state[self._sl_li]
+        return 0.5 * float(
+            self._value[self._caps] @ cv**2 + self._value[self._inds] @ li**2
+        )
 
     # ------------------------------------------------------------------
     # Stepping
@@ -423,9 +335,7 @@ class TransientSolver:
                 y_coeff = y_coeff @ A
             acc = A @ acc
 
-        A_blk = np.eye(ns)
-        for _ in range(stride):
-            A_blk = A @ A_blk
+        A_blk = np.linalg.matrix_power(A, stride)
         Y_s = y_coeff  # Ys0 A^(stride-1)
 
         maps = (A_blk, S_blk, Y_s, Y_u)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from kljnsim.network import Branch, Netlist, build_distributed, rg58
+from kljnsim.network import (
+    Branch,
+    Netlist,
+    apply_capacitor_killer,
+    build_distributed,
+    build_lumped,
+    rg58,
+)
 from kljnsim.noise import NoiseSpec, Waveform, generate
 from kljnsim.solver import (
     SingularNetworkError,
@@ -25,6 +32,21 @@ def rc_netlist(r=900.0, c=100e-9):
     )
 
 
+def rl_netlist(r=100.0, l=1e-3):
+    return Netlist(
+        branches=(
+            Branch("V", "u", "s", "0", source_ref="u"),
+            Branch("R", "r", "s", "x", r),
+            Branch("L", "l", "x", "0", l),
+        ),
+        probes={"i": ("i", "l")},
+    )
+
+
+def killer_ladder():
+    return apply_capacitor_killer(build_distributed(1000.0, 9000.0, rg58(100.0)), "alice")
+
+
 def divider_netlist():
     return Netlist(
         branches=(
@@ -40,10 +62,6 @@ class TestSolverConfig:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(internal_step_s=1e-6, tolerance=1e-3)
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            SolverConfig(internal_step_s=1e-6, method="euler")
 
 
 class TestAnalyticOracles:
@@ -72,6 +90,22 @@ class TestAnalyticOracles:
         t = res.probes["v"].times()
         exact = 1.0 - np.exp(-t / tau)
         assert np.max(np.abs(res.probes["v"].samples - exact)) < 1e-3
+
+    def test_rl_step_response_point1_percent(self):
+        r, l = 100.0, 1e-3
+        tau = l / r
+        dt = tau / 100.0
+        n = 1000
+        res = transient_solve(
+            rl_netlist(r, l),
+            {"u": Waveform(np.ones(n), dt)},
+            SolverConfig(internal_step_s=dt),
+            duration_s=n * dt,
+            t_s=dt,
+        )
+        t = res.probes["i"].times()
+        exact = 1.0 - np.exp(-t / tau)
+        assert np.max(np.abs(r * res.probes["i"].samples - exact)) < 1e-3
 
     def test_all_sources_zero(self):
         res = transient_solve(
@@ -151,12 +185,21 @@ class TestDiscretization:
         nrmsd = np.sqrt(np.mean((u32 - u64) ** 2)) / np.sqrt(np.mean(u64**2))
         assert nrmsd < 1e-3
 
-    def test_block_path_matches_plain(self):
-        net = build_distributed(1000.0, 9000.0, rg58(100.0))
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal((640, 3))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_distributed(1000.0, 9000.0, rg58(100.0)),
+            lambda: build_lumped(1000.0, 9000.0, rg58(1000.0)),
+            killer_ladder,
+        ],
+        ids=["ladder", "lumped", "killer_ladder"],
+    )
+    def test_block_path_matches_plain(self, build):
+        net = build()
         a = TransientSolver(net, 31.25e-6)
         b = TransientSolver(net, 31.25e-6)
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((640, len(a.source_names)))
         ya = a.run(base, record_stride=32, use_blocks=False)
         yb = b.run(base, record_stride=32, use_blocks=True)
         np.testing.assert_allclose(ya, yb, atol=1e-13)
@@ -247,6 +290,28 @@ class TestCapacitorKiller:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            killer_ladder,
+            lambda: apply_capacitor_killer(build_lumped(1000.0, 9000.0, rg58(1000.0)), "bob"),
+        ],
+        ids=["killer_ladder", "killer_lumped"],
+    )
+    def test_singular_t0_system_named(self, build):
+        # the shunt capacitor at the tap and the follower are two voltage
+        # constraints on one loop, so the t = 0 system is singular
+        dt = 31.25e-6
+        ones = Waveform(np.ones(64), dt)
+        with pytest.raises(SingularNetworkError, match=r"t = 0"):
+            transient_solve(
+                build(),
+                {"ua": ones, "ub": ones},
+                SolverConfig(internal_step_s=dt),
+                duration_s=64 * dt,
+                t_s=32 * dt,
+            )
+
     def test_floating_node_named(self):
         nl = Netlist(
             branches=(
