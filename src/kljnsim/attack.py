@@ -21,7 +21,9 @@ from .protocol import _EVE_TIE, BepMeasurement, derive_seed
 
 @dataclass
 class AttackOutcome:
-    """Per-bit statistics and the aggregate success probability."""
+    """Per-bit statistics and the aggregate success probability over the
+    scored (secure) bits; ``n_bits`` counts them and ``bit_indices``, when
+    known, gives each one's index in the exchange."""
 
     rho_a: np.ndarray
     rho_b: np.ndarray
@@ -33,6 +35,7 @@ class AttackOutcome:
     epsilon: float
     binomial_std: float
     n_bits: int
+    bit_indices: np.ndarray | None = None
 
 
 def time_derivative(w: Waveform) -> Waveform:
@@ -81,21 +84,27 @@ def success_rate(q_list) -> dict[str, float]:
 def run_attack(
     measurements: list[BepMeasurement], tie_seed_base: int = 0
 ) -> AttackOutcome:
-    """Score Eve's per-bit guesses against the true arrangements."""
-    n = len(measurements)
-    if n == 0:
-        raise ValueError("no measurements supplied")
+    """Score Eve's per-bit guesses against the true arrangements.
+
+    Only secure (LH/HL) bits are scored: the parties discard LL and HH
+    bits, so there is no key bit for Eve to guess.  Ties are broken with
+    a coin seeded by the bit's index.
+    """
+    scored = [m for m in measurements if m.alice_choice != m.bob_choice]
+    if not scored:
+        raise ValueError("no secure bits to score")
+    n = len(scored)
     rho_a = np.empty(n)
     rho_b = np.empty(n)
     guesses: list[str] = []
     truths: list[str] = []
-    for k, m in enumerate(measurements):
+    for k, m in enumerate(scored):
         rho_a[k] = cross_correlation(m.i_cha, time_derivative(m.u_cha))
         rho_b[k] = cross_correlation(m.i_chb, time_derivative(m.u_chb))
         truths.append(m.arrangement)
     rho = rho_a - rho_b
-    for k in range(n):
-        tie_seed = derive_seed(tie_seed_base, 1 + k, _EVE_TIE)
+    for k, m in enumerate(scored):
+        tie_seed = derive_seed(tie_seed_base, 1 + m.bit_index, _EVE_TIE)
         guesses.append(eve_decide(float(rho[k]), tie_seed))
     q = np.array([int(g == t) for g, t in zip(guesses, truths)])
     agg = success_rate(q)
@@ -110,15 +119,17 @@ def run_attack(
         epsilon=agg["epsilon"],
         binomial_std=agg["binomial_std"],
         n_bits=n,
+        bit_indices=np.array([m.bit_index for m in scored]),
     )
 
 
 def write_attack_csv(outcome: AttackOutcome, path) -> None:
     with open(path, "w") as f:
         f.write("bit,rho_a,rho_b,rho,guess,q\n")
-        for k in range(outcome.n_bits):
+        bits = range(outcome.n_bits) if outcome.bit_indices is None else outcome.bit_indices
+        for k, bit in enumerate(bits):
             f.write(
-                f"{k},{outcome.rho_a[k]:.9g},{outcome.rho_b[k]:.9g},"
+                f"{bit},{outcome.rho_a[k]:.9g},{outcome.rho_b[k]:.9g},"
                 f"{outcome.rho[k]:.9g},{outcome.guesses[k]},{outcome.q[k]}\n"
             )
 

@@ -34,9 +34,10 @@ from .scenarios import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                        help="master seed (default %(default)s)")
+def _add_common(parser: argparse.ArgumentParser, seed: int | None = DEFAULT_MASTER_SEED) -> None:
+    parser.add_argument("--seed", type=int, default=seed,
+                        help="master seed (default %(default)s)" if seed is not None
+                        else "master seed (default: the config file's)")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory for result files")
     parser.add_argument("--dump-waveforms", type=str, default=None,
@@ -79,7 +80,7 @@ def _cmd_compare_models(args) -> int:
 
 def _cmd_run(args) -> int:
     config = ScenarioConfig.parse(Path(args.config).read_text())
-    if args.seed != DEFAULT_MASTER_SEED:
+    if args.seed is not None:
         config = ScenarioConfig.from_dict({**config.to_dict(), "master_seed": args.seed})
     if args.out:
         config = ScenarioConfig.from_dict({**config.to_dict(), "output_dir": args.out})
@@ -140,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_compare_models)
 
     p = sub.add_parser("run", help="run one scenario from a JSON config")
-    _add_common(p)
+    _add_common(p, seed=None)
     p.add_argument("--config", type=str, required=True, help="scenario JSON path")
     p.set_defaults(func=_cmd_run)
 

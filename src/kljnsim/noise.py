@@ -10,6 +10,7 @@ validate them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,6 +120,27 @@ def rms_ratio(r_low: float, r_high: float) -> float:
     return math.sqrt(r_low / r_high)
 
 
+def _window(spec: NoiseSpec) -> tuple[int, int, int]:
+    """(n, n_pad, k_max): kept samples, synthesis window, in-band lines."""
+    n = spec.n_samples
+    dt = spec.sample_interval_s
+    n_pad = max(n, int(math.ceil(_MIN_INBAND_BINS / (spec.bandwidth_hz * dt))))
+    n_pad = sp_fft.next_fast_len(n_pad, real=True)
+
+    # Highest retained bin: k / (n_pad * dt) <= bandwidth.
+    k_max = int(math.floor(spec.bandwidth_hz * n_pad * dt))
+    k_max = min(k_max, n_pad // 2 - 1)
+    if k_max < 1:
+        raise ValueError("window too short to hold any in-band spectral line")
+    return n, n_pad, k_max
+
+
+def _lines(seed: int, k_max: int) -> np.ndarray:
+    """The unit complex Gaussian coefficients of bins 1..k_max."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
+
+
 def generate(spec: NoiseSpec) -> Waveform:
     """Synthesize one realization of band-limited Gaussian white noise.
 
@@ -132,28 +154,84 @@ def generate(spec: NoiseSpec) -> Waveform:
     Deterministic for a given seed; the realization shape is independent
     of ``rms_volts`` (scaling the rms scales the samples linearly).
     """
-    n = spec.n_samples
-    dt = spec.sample_interval_s
-    n_pad = max(n, int(math.ceil(_MIN_INBAND_BINS / (spec.bandwidth_hz * dt))))
-    n_pad = sp_fft.next_fast_len(n_pad, real=True)
-
-    # Highest retained bin: k / (n_pad * dt) <= bandwidth.
-    k_max = int(math.floor(spec.bandwidth_hz * n_pad * dt))
-    k_max = min(k_max, n_pad // 2 - 1)
-    if k_max < 1:
-        raise ValueError("window too short to hold any in-band spectral line")
-
-    rng = np.random.default_rng(spec.seed)
-    coeffs = rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
-
+    n, n_pad, k_max = _window(spec)
     spectrum = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
     # Per-sample variance of irfft with k_max populated bins of
     # per-component variance s^2 is (4 / n_pad^2) * k_max * s^2.
     scale = spec.rms_volts * n_pad / (2.0 * math.sqrt(k_max))
-    spectrum[1 : k_max + 1] = coeffs * scale
+    spectrum[1 : k_max + 1] = _lines(spec.seed, k_max) * scale
 
     samples = sp_fft.irfft(spectrum, n=n_pad)[:n]
-    return Waveform(samples=samples, sample_interval_s=dt)
+    return Waveform(samples=samples, sample_interval_s=spec.sample_interval_s)
+
+
+@functools.lru_cache(maxsize=4)
+def _block_basis(n_pad: int, k_max: int, block: int):
+    """Tables for evaluating a padded realization block by block.
+
+    Returns ``basis`` (2 k_max, block), whose rows alternate
+    cos(theta k p) and -sin(theta k p) with theta = 2 pi / n_pad, and
+    ``turns``, e^(2 pi i m / M) for m < M, the phases a block start can
+    take: e^(i theta k q block) = turns[(k q block / g) mod M] with
+    g = gcd(block, n_pad) and M = n_pad / g.  Phases are reduced in
+    integers, so they stay exact for long windows.
+    """
+    k = np.arange(1, k_max + 1)
+    basis = np.empty((k_max, 2, block))
+    rot = np.exp(2j * math.pi / n_pad * ((k[:, None] * np.arange(block)) % n_pad))
+    basis[:, 0] = rot.real
+    basis[:, 1] = -rot.imag
+    basis = basis.reshape(2 * k_max, block)
+    M = n_pad // math.gcd(block, n_pad)
+    turns = np.exp(2j * math.pi / M * np.arange(M))
+    for table in (basis, turns):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return basis, turns
+
+
+def generate_blocks(specs: list[NoiseSpec], block: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The realizations ``generate`` gives for ``specs``, cut in blocks.
+
+    The specs must differ only in seed and rms.  Returns ``out`` of shape
+    (len(specs), n_blocks, block) with ``out[i, q, p]`` = sample
+    ``q * block + p`` of ``generate(specs[i])``; entries past the last
+    sample are padding.  ``out`` may be any view with unit stride along
+    its last axis.
+
+    A short request keeps only the first n samples of its padded window,
+    so instead of one inverse transform of n_pad points per realization,
+    these samples are evaluated directly from the ~_MIN_INBAND_BINS
+    in-band lines: the lines modulated to each block start, then one GEMM
+    against a basis of ``block`` samples.  Requests longer than a quarter
+    of their window go through ``generate``, where the transform is the
+    cheaper of the two.
+    """
+    n, n_pad, k_max = _window(specs[0])
+    key = (n, specs[0].sample_interval_s, specs[0].bandwidth_hz)
+    if any((s.n_samples, s.sample_interval_s, s.bandwidth_hz) != key for s in specs):
+        raise ValueError("specs must share bandwidth, duration and sample interval")
+    n_blocks = -(-n // block)
+    if out is None:
+        out = np.empty((len(specs), n_blocks, block))
+    if out.shape != (len(specs), n_blocks, block):
+        raise ValueError(f"out must have shape {(len(specs), n_blocks, block)}")
+
+    if 4 * n > n_pad:
+        for i, spec in enumerate(specs):
+            out[i] = np.resize(generate(spec).samples, (n_blocks, block))
+        return out
+
+    # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t).
+    basis, turns = _block_basis(n_pad, k_max, block)
+    M = len(turns)
+    step = np.arange(1, k_max + 1) * (block * M // n_pad)
+    phase = turns[np.arange(n_blocks)[:, None] * step % M]  # e^(i theta k q block)
+    mod = np.empty_like(phase)  # the lines seen from each block start
+    for i, spec in enumerate(specs):
+        lines = _lines(spec.seed, k_max) * (spec.rms_volts / math.sqrt(k_max))
+        np.multiply(phase, lines, out=mod)
+        np.matmul(mod.view(np.float64), basis, out=out[i])
+    return out
 
 
 @dataclass(frozen=True)

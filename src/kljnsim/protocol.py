@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
-from .noise import NoiseSpec, Waveform, generate, rms_for_resistor
-from .solver import SolverConfig, TransientSolver
+from .noise import NoiseSpec, Waveform, generate_blocks, rms_for_resistor
+from .solver import DivergenceError, SolverConfig, TransientSolver
 
 LOW, HIGH = "L", "H"
 
@@ -35,6 +35,10 @@ DEFAULT_OVERSAMPLE = 32
 # Sub-stream purposes when deriving per-bit seeds from a master seed.
 _NOISE_ALICE, _NOISE_BOB, _COIN_ALICE, _COIN_BOB, _EVE_TIE = range(5)
 _WARMUP_SLOT = 0  # bit i uses slot 1 + i
+
+# Bits are stepped in chunks of about this many internal steps (at least
+# one bit), which bounds the chunk's input buffer.
+_CHUNK_STEPS = 2**15
 
 
 def derive_seed(*keys: int) -> int:
@@ -223,8 +227,19 @@ class KeyExchangeSession:
     """Continuous timeline of bit exchanges over one netlist family.
 
     ``netlist_builder(r_alice, r_bob)`` must return netlists with an
-    identical branch layout for every resistor pair so the reactive
-    state can carry across arrangement switches.
+    identical branch layout and identical reactive elements for every
+    resistor pair, so the reactive state can carry across arrangement
+    switches.
+
+    Bits run in chunks of about ``_CHUNK_STEPS`` internal steps.  Within a
+    bit the network is linear and time invariant, so a bit's probes are
+    its zero-state response plus the free response to its start state.
+    A chunk groups its bits by arrangement, runs each group's zero-state
+    responses as one GEMM recurrence with the bits as columns
+    (``TransientSolver.propagate``), hands the state from bit to bit with
+    one matvec each, and adds the free responses with one GEMM per group
+    (``TransientSolver.handoff_maps``).  The first bit of a chunk starts
+    from the session state, so a one-bit run needs no handoff maps.
     """
 
     def __init__(
@@ -247,7 +262,9 @@ class KeyExchangeSession:
             raise ValueError("t_s must be an integer multiple of the internal step")
         self.master_seed = master_seed
         self._solvers: dict[tuple[str, str], TransientSolver] = {}
-        self._state: np.ndarray | None = None
+        # Session state in history coordinates (TransientSolver._history),
+        # shared by every arrangement's solver; None until the first run.
+        self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
 
     def _solver_for(self, alice_choice: str, bob_choice: str) -> TransientSolver:
@@ -260,48 +277,112 @@ class KeyExchangeSession:
             solver = TransientSolver(
                 netlist, self.solver_config.internal_step_s, self.solver_config.tolerance
             )
+            for other in self._solvers.values():
+                if not np.array_equal(other.history_weights, solver.history_weights):
+                    raise ValueError(
+                        "netlist_builder changed the reactive elements between "
+                        "resistor pairs; the state cannot carry across them"
+                    )
             self._solvers[key] = solver
-        if self._state is not None:
-            solver.set_state(self._state)
-        else:
-            solver.reset_state()
         return solver
 
-    def _noise_block(
-        self, slot: int, purpose: int, choice: str, n_units: int
-    ) -> np.ndarray:
-        rms = self.config.generator_rms(choice)
-        spec = NoiseSpec(
-            bandwidth_hz=self.config.bandwidth_hz,
-            rms_volts=rms,
-            duration_s=n_units * self.config.t_s,
-            sample_interval_s=self.solver_config.internal_step_s,
-            seed=derive_seed(self.master_seed, slot, purpose),
-        )
-        return generate(spec).samples
-
-    def _advance(
+    def _inputs(
         self,
         solver: TransientSolver,
-        ua: np.ndarray,
-        ub: np.ndarray,
+        slots: list[int],
+        arrangement: tuple[str, str],
         n_units: int,
+        noise_overrides: dict[str, Waveform] | None,
     ) -> np.ndarray:
-        n_steps = n_units * self.oversample
-        u = solver.assemble_inputs(n_steps, {"ua": ua, "ub": ub})
-        recs = solver.run(u, record_stride=self.oversample)
-        self._state = solver.get_state()
-        self._time_units += n_units
-        return recs
+        """Inputs of ``propagate`` for one bit per slot, all with one
+        arrangement: each party's noise is synthesized straight into its
+        rows, other sources hold their constant value."""
+        S = self.oversample
+        u = np.empty((len(slots), n_units, len(solver.source_names), S))
+        const = solver.assemble_inputs(1, {})[0]
+        parties = {"ua": ("alice", _NOISE_ALICE, arrangement[0]),
+                   "ub": ("bob", _NOISE_BOB, arrangement[1])}
+        for j, name in enumerate(solver.source_names):
+            if name not in parties:
+                u[:, :, j] = const[j]
+                continue
+            party, purpose, choice = parties[name]
+            if noise_overrides and party in noise_overrides:
+                w = noise_overrides[party].samples
+                if w.size < S * n_units:
+                    raise ValueError(f"waveform for source {name!r} too short")
+                u[0, :, j] = w[: S * n_units].reshape(n_units, S)
+                continue
+            specs = [
+                NoiseSpec(
+                    bandwidth_hz=self.config.bandwidth_hz,
+                    rms_volts=self.config.generator_rms(choice),
+                    duration_s=n_units * self.config.t_s,
+                    sample_interval_s=self.solver_config.internal_step_s,
+                    seed=derive_seed(self.master_seed, slot, purpose),
+                )
+                for slot in slots
+            ]
+            generate_blocks(specs, S, out=u[:, :, j])
+        return u.reshape(len(slots), n_units, -1)
+
+    def _exchange(
+        self,
+        slots: list[int],
+        arrangements: list[tuple[str, str]],
+        n_units: int,
+        noise_overrides: dict[str, Waveform] | None = None,
+    ) -> tuple[np.ndarray, list[str]]:
+        """Run consecutive periods of ``n_units`` measurement intervals,
+        one per noise slot, and advance the session.
+
+        Returns the probes, (len(slots), n_probes, n_units), and the probe
+        names.
+        """
+        S = self.oversample
+        groups: dict[tuple[str, str], list[int]] = {}
+        for k, arrangement in enumerate(arrangements):
+            groups.setdefault(arrangement, []).append(k)
+        solvers = {a: self._solver_for(*a) for a in groups}
+        first = solvers[arrangements[0]]
+        m = len(first.history_weights)
+        h = np.zeros(m) if self._hist is None else self._hist
+
+        # Zero-state responses, one GEMM recurrence per arrangement with
+        # the bits as rows; bit 0 starts from h.
+        y = np.empty((len(slots), len(first.probe_names), n_units))
+        z = np.empty((len(slots), m))
+        for a, idx in groups.items():
+            u = self._inputs(solvers[a], [slots[k] for k in idx], a, n_units, noise_overrides)
+            h0 = np.zeros((len(idx), m))
+            if idx[0] == 0:
+                h0[0] = h
+            y[idx], z[idx], _ = solvers[a].propagate(h0, u, S)
+
+        # Hand the state from bit to bit, then add the free responses.
+        starts = np.empty((len(slots), m))
+        h = z[0]
+        for k in range(1, len(slots)):
+            starts[k] = h
+            A_R, _ = solvers[arrangements[k]].handoff_maps(S, n_units)
+            h = A_R @ h + z[k]
+        for a, idx in groups.items():
+            later = [k for k in idx if k > 0]
+            if later:
+                _, O = solvers[a].handoff_maps(S, n_units)
+                y[later] += np.tensordot(starts[later], O, 1)
+
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
+            raise DivergenceError("non-finite values during integration")
+        self._hist = h
+        self._time_units += len(slots) * n_units
+        return y, first.probe_names
 
     def run_warmup(self, n_units: int, arrangement: tuple[str, str] = (LOW, HIGH)) -> None:
         """Discarded settling interval before the first measured bit."""
         if n_units <= 0:
             return
-        solver = self._solver_for(*arrangement)
-        ua = self._noise_block(_WARMUP_SLOT, _NOISE_ALICE, arrangement[0], n_units)
-        ub = self._noise_block(_WARMUP_SLOT, _NOISE_BOB, arrangement[1], n_units)
-        self._advance(solver, ua, ub, n_units)
+        self._exchange([_WARMUP_SLOT], [arrangement], n_units)
 
     def draw_arrangement(self, bit_index: int) -> tuple[str, str]:
         """Per-party fair coins (random mode) or the fixed LH pattern."""
@@ -312,6 +393,37 @@ class KeyExchangeSession:
         b = derive_seed(self.master_seed, slot, _COIN_BOB) & 1
         return (HIGH if a else LOW, HIGH if b else LOW)
 
+    def _measure(
+        self,
+        bits: list[int],
+        arrangements: list[tuple[str, str]],
+        noise_overrides: dict[str, Waveform] | None = None,
+    ) -> list[BepMeasurement]:
+        cfg = self.config
+        t_start = self._time_units * cfg.t_s
+        y, names = self._exchange(
+            [1 + i for i in bits], arrangements, cfg.bep_units, noise_overrides
+        )
+        col = [names.index(p) for p in ("u_cha", "i_cha", "u_chb", "i_chb")]
+        out = []
+        for k, (i, (alice_choice, bob_choice)) in enumerate(zip(bits, arrangements)):
+            t0 = t_start + (k * cfg.bep_units + 1) * cfg.t_s
+            u_cha, i_cha, u_chb, i_chb = (
+                Waveform(y[k, c], sample_interval_s=cfg.t_s, start_time_s=t0) for c in col
+            )
+            out.append(BepMeasurement(
+                bit_index=i,
+                alice_choice=alice_choice,
+                bob_choice=bob_choice,
+                mean_sq_u=float(np.mean(u_cha.samples**2)),
+                mean_sq_i=float(np.mean(i_cha.samples**2)),
+                u_cha=u_cha,
+                i_cha=i_cha,
+                u_chb=u_chb,
+                i_chb=i_chb,
+            ))
+        return out
+
     def run_bit(
         self,
         bit_index: int,
@@ -319,49 +431,21 @@ class KeyExchangeSession:
         noise_overrides: dict[str, Waveform] | None = None,
     ) -> BepMeasurement:
         """Exchange one bit and record what the parties and Eve can see."""
-        cfg = self.config
         if arrangement is None:
             arrangement = self.draw_arrangement(bit_index)
-        alice_choice, bob_choice = arrangement
-        solver = self._solver_for(alice_choice, bob_choice)
-
-        slot = 1 + bit_index
-        if noise_overrides and "alice" in noise_overrides:
-            ua = noise_overrides["alice"].samples
-        else:
-            ua = self._noise_block(slot, _NOISE_ALICE, alice_choice, cfg.bep_units)
-        if noise_overrides and "bob" in noise_overrides:
-            ub = noise_overrides["bob"].samples
-        else:
-            ub = self._noise_block(slot, _NOISE_BOB, bob_choice, cfg.bep_units)
-
-        t_start = self._time_units * cfg.t_s
-        recs = self._advance(solver, ua, ub, cfg.bep_units)
-
-        cols = {name: recs[:, i] for i, name in enumerate(solver.probe_names)}
-        u_cha = cols["u_cha"]
-        i_cha = cols["i_cha"]
-
-        def wf(x: np.ndarray) -> Waveform:
-            return Waveform(x, sample_interval_s=cfg.t_s, start_time_s=t_start + cfg.t_s)
-
-        return BepMeasurement(
-            bit_index=bit_index,
-            alice_choice=alice_choice,
-            bob_choice=bob_choice,
-            mean_sq_u=float(np.mean(u_cha**2)),
-            mean_sq_i=float(np.mean(i_cha**2)),
-            u_cha=wf(u_cha),
-            i_cha=wf(i_cha),
-            u_chb=wf(cols["u_chb"]),
-            i_chb=wf(cols["i_chb"]),
-        )
+        return self._measure([bit_index], [arrangement], noise_overrides)[0]
 
     def run_bits(
         self, n_bits: int, warmup_units: int = 0
     ) -> list[BepMeasurement]:
+        """Warm up, then exchange bits 0 .. n_bits - 1 in chunks."""
         self.run_warmup(warmup_units, self.draw_arrangement(0))
-        return [self.run_bit(i) for i in range(n_bits)]
+        per_chunk = max(1, _CHUNK_STEPS // (self.config.bep_units * self.oversample))
+        out: list[BepMeasurement] = []
+        for start in range(0, n_bits, per_chunk):
+            bits = list(range(start, min(start + per_chunk, n_bits)))
+            out += self._measure(bits, [self.draw_arrangement(i) for i in bits])
+        return out
 
 
 def run_bep(

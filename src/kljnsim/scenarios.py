@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,6 +85,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
         return cls(
             protocol=ProtocolConfig(**d["protocol"]),
             cable=CableSpec(**d["cable"]),
@@ -189,25 +193,42 @@ def run_scenario(
         nl = builder(config.protocol.r_low, config.protocol.r_high)
         Path(dump_netlist).write_text(nl.to_text())
 
+    rounds = config.defense.xor_rounds if config.defense.kind in ("xor", "both") else 0
+    if config.n_bits < 2**rounds:
+        raise ValueError(f"{config.n_bits} bits cannot support {rounds} XOR rounds")
     session = KeyExchangeSession(
         builder, config.protocol, config.solver, master_seed=config.master_seed
     )
+    # Attack and XOR rounds see the secure bits only; count them before
+    # simulating.
+    if config.protocol.arrangement == "fixed_lh":
+        n_secure = config.n_bits
+    else:
+        n_secure = sum(
+            classify_exchange(*session.draw_arrangement(i)) == "secure"
+            for i in range(config.n_bits)
+        )
+    if n_secure == 0:
+        raise ValueError(f"no secure bits among {config.n_bits}")
+    supported = min(rounds, n_secure.bit_length() - 1)
+    if supported < rounds:
+        warnings.warn(
+            f"{n_secure} secure bits support {supported} of {rounds} XOR rounds; "
+            "the rest are reported as NaN",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
     warmup = default_warmup_units(config.protocol, config.cable)
     measurements = session.run_bits(config.n_bits, warmup_units=warmup)
 
     outcome = run_attack(measurements, tie_seed_base=config.master_seed)
-
-    rounds = config.defense.xor_rounds if config.defense.kind in ("xor", "both") else 0
-    amplification = (
-        empirical_amplification(outcome, rounds) if rounds else []
-    )
+    amplification = empirical_amplification(outcome, supported) if supported else []
+    amplification += [math.nan] * (rounds - supported)
 
     levels = expected_levels(config.protocol)
-    n_secure = 0
     n_inferr = 0
     for m in measurements:
-        if classify_exchange(m.alice_choice, m.bob_choice) == "secure":
-            n_secure += 1
         inferred_by_alice = infer_remote_resistance(
             config.protocol.resistance(m.alice_choice), m.mean_sq_u, m.mean_sq_i, levels
         )

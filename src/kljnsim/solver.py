@@ -9,11 +9,15 @@ system differ only in which branches contribute conductances and which
 become voltage constraints.
 
 Because the whole per-step update is linear and time invariant, the
-solver also precomputes an exact state-space map for a block of
-``stride`` internal steps.  Stepping block by block gives the same
-decimated output as plain stepping up to round-off (the tests hold it
-to 1e-13 absolute) at a fraction of the cost; the plain path is kept as
-the reference implementation.
+solver also precomputes an exact map for one record of ``stride``
+internal steps.  The state enters each step only through one history
+source per reactive element, so the maps act on those coordinates, half
+the state.  ``propagate`` steps many independent runs record by record
+with two GEMMs per record; ``handoff_maps`` gives a run's response to its
+start state.  This gives the same decimated output as plain stepping up
+to round-off (the tests hold it to 1e-13 absolute, 1e-12 relative over
+whole sessions) at a fraction of the cost; the plain path is kept as the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -132,9 +136,13 @@ class TransientSolver:
         self._sl_ci = slice(nc, 2 * nc)
         self._sl_li = slice(2 * nc, 2 * nc + nl_)
         self._sl_lv = slice(2 * nc + nl_, 2 * nc + 2 * nl_)
+        self._sl_h = slice(nc, 2 * nc + nl_)  # companion currents: cap i, ind i
 
         g_cap = 2.0 * self._value[caps] / dt
         g_ind = dt / (2.0 * self._value[inds])
+        # Weights of the history sources (see ``_history``); runs hand
+        # state between solvers with equal weights in these coordinates.
+        self.history_weights = np.concatenate([g_cap, g_ind])
         M = self._mna(
             np.concatenate([self._res, caps, inds]),
             np.concatenate([1.0 / self._value[self._res], g_cap, g_ind]),
@@ -162,7 +170,8 @@ class TransientSolver:
         Q[self._sl_ci, self._sl_ci] = -np.eye(nc)
         Q[self._sl_li, self._sl_li] = np.eye(nl_)
         Q[self._sl_li, self._sl_lv] = np.diag(g_ind)
-        self._A = P @ V_s + Q
+        self._A = P @ V_s
+        self._A += Q
         self._B = P @ V_u
 
         # Probe rows over [V, s]: y_k = Cv V_k + Cst s_k.  Column holding
@@ -188,7 +197,8 @@ class TransientSolver:
         Cy_V = Cv + Cst @ P
         self._Ys0 = Cy_V @ V_s + Cst @ Q
         self._Yu0 = Cy_V @ V_u
-        self._block_cache: dict[int, tuple] = {}
+        self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._handoff_cache: dict[tuple[int, int], tuple] = {}
 
     def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
@@ -306,41 +316,105 @@ class TransientSolver:
     # Stepping
     # ------------------------------------------------------------------
 
-    def _block_maps(self, stride: int):
-        """Exact affine map for ``stride`` consecutive steps.
+    def _history(self, x: np.ndarray) -> np.ndarray:
+        """History sources h = H x of states x (one per column): gC v + i
+        per capacitor, i + gL v per inductor.
 
-        With s' the state after the block and u_1..u_stride the inputs:
-            s' = A^stride s + sum_j A^(stride-j) B u_j
-            y  = Ys0 A^(stride-1) s + sum_j<stride Ys0 A^(stride-1-j) B u_j
-                 + Yu0 u_stride
-        where y is the probe vector at the last step of the block.
+        The state enters the next step only through h, so the one-step map
+        factors as A = U H with U = A[:, companion-current columns]
+        (201 of 402 columns on the 100-section ladder), and every record
+        depends on the state through h alone.
+        """
+        w = self.history_weights.reshape((-1,) + (1,) * (x.ndim - 1))
+        return x[self._sl_h] + w * np.concatenate([x[self._sl_cv], x[self._sl_lv]])
+
+    def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact maps for one record of ``stride`` steps, in history
+        coordinates h (see ``_history``).
+
+        With F = H U and Bh = H B the step is h' = F h + Bh u, y = Yh h +
+        Yu0 u.  A record's inputs u are ``stride * n_sources`` values,
+        source-major (step p of source j at j * stride + p).  With g the
+        history one step before the record ends, g = F^(stride-1) h + Sm u:
+            y  = Yh g + Yu0 u_last   = Y_h h + Y_u u
+            h' = F g + Bh u_last     = F_blk h + S_h u
+        Returns the stacked transposes W_h = [Y_h; F_blk]^T and
+        W_u = [Y_u; S_h]^T, so that [y, h'] = h @ W_h + u @ W_u.
         """
         cached = self._block_cache.get(stride)
         if cached is not None:
             return cached
-        A, B = self._A, self._B
-        ns, nu = self.n_states, B.shape[1]
-        ny = self._Yu0.shape[0]
+        F = self._history(self._A[:, self._sl_h])
+        Bh = self._history(self._B)
+        Yh = self._Ys0[:, self._sl_h]
+        m, nu = Bh.shape
 
-        S_blk = np.zeros((ns, stride * nu))
-        Y_u = np.zeros((ny, stride * nu))
-        Y_u[:, (stride - 1) * nu :] = self._Yu0
+        Sm = np.zeros((m, nu, stride))
+        acc = Bh  # F^(stride-2-p) Bh, starting at p = stride - 2
+        for p in range(stride - 2, -1, -1):
+            Sm[:, :, p] = acc
+            acc = F @ acc
+        Sm = Sm.reshape(m, nu * stride)
+        Fm = np.linalg.matrix_power(F, stride - 1)
 
-        acc = B.copy()  # A^(stride-j) B, starting at j = stride
-        y_coeff = self._Ys0.copy()  # Ys0 A^(stride-1-j), starting at j = stride-1
-        for j in range(stride, 0, -1):
-            S_blk[:, (j - 1) * nu : j * nu] = acc
-            if j < stride:
-                Y_u[:, (j - 1) * nu : j * nu] = y_coeff @ B
-                y_coeff = y_coeff @ A
-            acc = A @ acc
-
-        A_blk = np.linalg.matrix_power(A, stride)
-        Y_s = y_coeff  # Ys0 A^(stride-1)
-
-        maps = (A_blk, S_blk, Y_s, Y_u)
+        YF = np.vstack([Yh, F])
+        W_h = YF @ Fm
+        W_u = YF @ Sm
+        last = np.arange(nu) * stride + stride - 1  # the u_last entries
+        W_u[:, last] += np.vstack([self._Yu0, Bh])
+        maps = (np.ascontiguousarray(W_h.T), np.ascontiguousarray(W_u.T))
         self._block_cache[stride] = maps
         return maps
+
+    def handoff_maps(self, stride: int, n_rec: int) -> tuple[np.ndarray, np.ndarray]:
+        """Response of a run of ``n_rec`` records to its start history h0.
+
+        Returns (A_R, O): the run ends at history A_R h0 + z and records
+        probes h0 @ O + y (``O`` of shape (m, n_probes, n_rec)), where z
+        and y are its zero-state end history and probes from
+        ``propagate``.  Raises ``DivergenceError`` if the maps overflow.
+        """
+        key = (stride, n_rec)
+        cached = self._handoff_cache.get(key)
+        if cached is not None:
+            return cached
+        W_h, _ = self._block_maps(stride)
+        ny = len(self.probe_names)
+        F_blk_t = W_h[:, ny:]
+        O = np.empty((len(W_h), ny, n_rec))
+        rows = W_h[:, :ny]  # (Y_h F_blk^r)^T
+        for r in range(n_rec):
+            O[:, :, r] = rows
+            rows = F_blk_t @ rows
+        A_R = np.linalg.matrix_power(F_blk_t.T, n_rec)
+        if not (np.all(np.isfinite(A_R)) and np.all(np.isfinite(O))):
+            raise DivergenceError(
+                f"the {n_rec}-record state map overflows (unstable network)"
+            )
+        self._handoff_cache[key] = (A_R, O)
+        return A_R, O
+
+    def propagate(self, h: np.ndarray, u: np.ndarray, stride: int):
+        """Block recurrence over records for k independent runs at once.
+
+        ``h`` (k, m) holds the start histories of the runs, one per row,
+        and ``u`` (k, n_rec, n_sources * stride) their inputs, one record
+        per row in the layout of ``_block_maps``.  Each record costs two
+        GEMMs across the runs.  Returns the probes (k, n_probes, n_rec),
+        the end histories and the histories at the start of the last
+        record.  ``self.state`` is untouched.
+        """
+        W_h, W_u = self._block_maps(stride)
+        ny = len(self.probe_names)
+        n_rec = u.shape[1]
+        y = np.empty((len(h), ny, n_rec))
+        h_prev = h
+        for r in range(n_rec):
+            out = h @ W_h
+            out += u[:, r] @ W_u
+            y[:, :, r] = out[:, :ny]
+            h, h_prev = out[:, ny:], h
+        return y, h, h_prev
 
     def run(
         self,
@@ -366,20 +440,22 @@ class TransientSolver:
             raise ValueError("n_steps must be a multiple of record_stride")
         if use_blocks is None:
             use_blocks = record_stride > 1 and n_steps >= 4 * record_stride
+        n_rec = n_steps // record_stride
 
-        if use_blocks:
-            A_blk, S_blk, Y_s, Y_u = self._block_maps(record_stride)
-            n_rec = n_steps // record_stride
-            out = np.empty((n_rec, len(self.probe_names)))
-            s = self.state
-            nu = len(self.source_names)
-            ub = u.reshape(n_rec, record_stride * nu)
-            for r in range(n_rec):
-                out[r] = Y_s @ s + Y_u @ ub[r]
-                s = A_blk @ s + S_blk @ ub[r]
+        if use_blocks and n_rec:
+            # The one-run case of ``propagate``.
+            ub = u.reshape(1, n_rec, record_stride, -1).transpose(0, 1, 3, 2)
+            ub = ub.reshape(1, n_rec, -1)
+            y, _, h_last = self.propagate(self._history(self.state)[None], ub, record_stride)
+            out = y[0].T
+            # A s depends on s only through H s, so after the first step of
+            # the last record the state is U h_last + B u; step the rest.
+            k0 = n_steps - record_stride
+            s = self._A[:, self._sl_h] @ h_last[0] + self._B @ u[k0]
+            for k in range(k0 + 1, n_steps):
+                s = self._A @ s + self._B @ u[k]
             self.state = s
         else:
-            n_rec = n_steps // record_stride
             out = np.empty((n_rec, len(self.probe_names)))
             s = self.state
             r = 0

@@ -130,6 +130,24 @@ class TestRunAttack:
         assert list(out.q) == [1, 0]
         assert out.p_e == 0.5
 
+    def test_discarded_bits_not_scored(self):
+        # LL and HH bits carry no key bit: Eve is scored on LH/HL only
+        ms = [
+            _crafted_measurement(0, +1),
+            _crafted_measurement(1, -1, ("L", "L")),
+            _crafted_measurement(2, -1, ("H", "L")),
+            _crafted_measurement(3, +1, ("H", "H")),
+        ]
+        out = run_attack(ms)
+        assert out.n_bits == 2
+        assert out.truths == ["LH", "HL"]
+        assert list(out.bit_indices) == [0, 2]
+        assert out.p_e == 1.0
+
+    def test_no_secure_bits_rejected(self):
+        with pytest.raises(ValueError, match="secure"):
+            run_attack([_crafted_measurement(0, +1, ("L", "L"))])
+
     def test_scale_invariance_of_guesses(self):
         ms = [_crafted_measurement(k, (-1) ** k) for k in range(6)]
         out1 = run_attack(ms)

@@ -1,0 +1,183 @@
+"""Batched bit engine against plain stepping, the reference implementation."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kljnsim import protocol
+from kljnsim.attack import run_attack
+from kljnsim.network import CableSpec, apply_capacitor_killer, build_distributed, rg58
+from kljnsim.noise import NoiseSpec, generate
+from kljnsim.protocol import (
+    _NOISE_ALICE,
+    _NOISE_BOB,
+    _WARMUP_SLOT,
+    KeyExchangeSession,
+    ProtocolConfig,
+    derive_seed,
+)
+from kljnsim.solver import DivergenceError, TransientSolver
+
+
+def plain_session(builder, cfg, seed, n_bits, warmup):
+    """Probes of ``KeyExchangeSession.run_bits`` by plain stepping: one
+    ``generate`` call per party and bit, the full state handed from
+    solver to solver, every internal step taken one by one."""
+    S = 32
+    dt = cfg.t_s / S
+    session = KeyExchangeSession(builder, cfg, master_seed=seed)
+    solvers = {}
+    state = None
+
+    def advance(arrangement, slot, n_units):
+        nonlocal state
+        solver = solvers.get(arrangement)
+        if solver is None:
+            solver = TransientSolver(builder(*map(cfg.resistance, arrangement)), dt)
+            solvers[arrangement] = solver
+        if state is not None:
+            solver.set_state(state)
+        noise = {
+            name: generate(NoiseSpec(cfg.bandwidth_hz, cfg.generator_rms(choice),
+                                     n_units * cfg.t_s, dt,
+                                     seed=derive_seed(seed, slot, purpose))).samples
+            for name, choice, purpose in (("ua", arrangement[0], _NOISE_ALICE),
+                                          ("ub", arrangement[1], _NOISE_BOB))
+        }
+        u = solver.assemble_inputs(n_units * S, noise)
+        recs = solver.run(u, record_stride=S, use_blocks=False)
+        state = solver.get_state()
+        return recs, solver.probe_names
+
+    if warmup:
+        advance(session.draw_arrangement(0), _WARMUP_SLOT, warmup)
+    out = []
+    for i in range(n_bits):
+        arrangement = session.draw_arrangement(i)
+        recs, names = advance(arrangement, 1 + i, cfg.bep_units)
+        out.append((arrangement, {name: recs[:, k] for k, name in enumerate(names)}))
+    return out
+
+
+def assert_probes_match(batched, plain, rtol=1e-12):
+    assert len(batched) == len(plain)
+    for m, (arrangement, probes) in zip(batched, plain):
+        assert (m.alice_choice, m.bob_choice) == arrangement
+        for name in ("u_cha", "i_cha", "u_chb", "i_chb"):
+            ref = probes[name]
+            got = getattr(m, name).samples
+            np.testing.assert_allclose(got, ref, rtol=0, atol=rtol * np.max(np.abs(ref)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_segments=st.integers(1, 6),
+    length_m=st.floats(10.0, 2000.0),
+    r_low=st.floats(100.0, 5000.0),
+    ratio=st.floats(1.5, 20.0),
+    bep_units=st.sampled_from([1, 3, 20]),
+    n_bits=st.integers(1, 9),
+    bits_per_chunk=st.integers(1, 4),
+    warmup=st.integers(0, 5),
+    seed=st.integers(0, 2**31),
+)
+def test_batched_engine_matches_plain_stepping(
+    n_segments, length_m, r_low, ratio, bep_units, n_bits, bits_per_chunk, warmup, seed
+):
+    cable = CableSpec(
+        r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=length_m,
+        velocity_m_s=2e8, n_segments=n_segments,
+    )
+    cfg = ProtocolConfig(r_low=r_low, r_high=r_low * ratio, bep_units=bep_units,
+                         arrangement="random")
+
+    def builder(ra, rb):
+        return build_distributed(ra, rb, cable)
+
+    chunk = bits_per_chunk * bep_units * 32
+    with mock.patch.object(protocol, "_CHUNK_STEPS", chunk):
+        batched = KeyExchangeSession(builder, cfg, master_seed=seed).run_bits(n_bits, warmup)
+    assert_probes_match(batched, plain_session(builder, cfg, seed, n_bits, warmup))
+
+
+def test_killer_ladder_matches_plain_stepping():
+    # the shield-driven ladder carries an eigenvalue just above 1
+    cfg = ProtocolConfig(bep_units=20)
+
+    def builder(ra, rb):
+        return apply_capacitor_killer(build_distributed(ra, rb, rg58(100.0)), "alice")
+
+    batched = KeyExchangeSession(builder, cfg, master_seed=3).run_bits(12, 10)
+    assert_probes_match(batched, plain_session(builder, cfg, 3, 12, 10))
+
+
+def test_chunk_boundary_prefix():
+    # a shorter run is a prefix of a longer one, wherever the chunks split
+    cfg = ProtocolConfig(bep_units=20, arrangement="random")
+
+    def builder(ra, rb):
+        return build_distributed(ra, rb, rg58(100.0))
+
+    with mock.patch.object(protocol, "_CHUNK_STEPS", 5 * 20 * 32):
+        long = KeyExchangeSession(builder, cfg, master_seed=4).run_bits(40, 10)
+        short = KeyExchangeSession(builder, cfg, master_seed=4).run_bits(17, 10)
+    for a, b in zip(long[:17], short):
+        assert (a.bit_index, a.arrangement) == (b.bit_index, b.arrangement)
+        for name in ("u_cha", "i_cha", "u_chb", "i_chb"):
+            x, y = getattr(a, name).samples, getattr(b, name).samples
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
+    assert run_attack(long[:17]).guesses == run_attack(short).guesses
+
+
+def test_run_bit_is_one_bit_case_of_run_bits():
+    cfg = ProtocolConfig(bep_units=20, arrangement="random")
+
+    def builder(ra, rb):
+        return build_distributed(ra, rb, rg58(1000.0))
+
+    together = KeyExchangeSession(builder, cfg, master_seed=5).run_bits(6, 5)
+    single = KeyExchangeSession(builder, cfg, master_seed=5)
+    single.run_warmup(5, single.draw_arrangement(0))
+    for a in together:
+        b = single.run_bit(a.bit_index)
+        np.testing.assert_allclose(a.i_cha.samples, b.i_cha.samples,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(b.i_cha.samples)))
+        assert b.u_cha.start_time_s == pytest.approx(a.u_cha.start_time_s)
+
+
+def test_overflowing_handoff_map_raises():
+    # with the shield driven from Alice's end, the HL network is unstable
+    # (spectral radius 1.105 per step at 1000 m): its map over a long bit
+    # overflows instead of yielding NaN probes
+    net = apply_capacitor_killer(build_distributed(9000.0, 1000.0, rg58(1000.0)), "alice")
+    solver = TransientSolver(net, 31.25e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            solver.handoff_maps(32, 400)
+
+
+def test_diverging_session_raises():
+    cfg = ProtocolConfig(bep_units=20, arrangement="random")
+
+    def builder(ra, rb):
+        return apply_capacitor_killer(build_distributed(ra, rb, rg58(1000.0)), "alice")
+
+    session = KeyExchangeSession(builder, cfg, master_seed=6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            session.run_bits(400)
+
+
+def test_reactive_elements_must_match_across_arrangements():
+    cfg = ProtocolConfig(bep_units=1, arrangement="random")
+
+    def builder(ra, rb):
+        cable = rg58(100.0 if ra == cfg.r_low else 200.0)
+        return build_distributed(ra, rb, cable)
+
+    session = KeyExchangeSession(builder, cfg, master_seed=6)
+    with pytest.raises(ValueError, match="reactive elements"):
+        session.run_bits(64)

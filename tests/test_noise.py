@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import periodogram
 
 from kljnsim.noise import (
@@ -11,6 +13,7 @@ from kljnsim.noise import (
     effective_temperature,
     gaussianity_report,
     generate,
+    generate_blocks,
     out_of_band_power_fraction,
     rms_for_resistor,
     rms_ratio,
@@ -185,3 +188,45 @@ class TestGaussianityReport:
         text = path.read_text()
         assert text.startswith("bin_center,count\n")
         assert "\ntheoretical_q,empirical_q\n" in text
+
+
+class TestGenerateBlocks:
+    """Batched direct synthesis against ``generate``, its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12000),
+        block=st.integers(8, 70),
+        dt=st.sampled_from([1 / 32e3, 1 / 8e3, 1e-3 / 3]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    )
+    def test_matches_generate(self, n, block, dt, seeds):
+        specs = [NoiseSpec(250.0, 0.5 + i, n * dt, dt, seed=s) for i, s in enumerate(seeds)]
+        out = generate_blocks(specs, block)
+        assert out.shape == (len(specs), -(-n // block), block)
+        for i, spec in enumerate(specs):
+            ref = generate(spec).samples
+            np.testing.assert_allclose(out[i].ravel()[:n], ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_long_request_uses_the_transform(self):
+        # 10k samples fill more than a quarter of the 32768-point window
+        dt = 1 / 32e3
+        specs = [NoiseSpec(250.0, 1.0, 1e4 * dt, dt, seed=s) for s in (1, 2)]
+        out = generate_blocks(specs, 32)
+        for i, spec in enumerate(specs):
+            np.testing.assert_array_equal(out[i].ravel()[:10000], generate(spec).samples)
+
+    def test_writes_into_a_strided_view(self):
+        dt = 1 / 32e3
+        specs = [NoiseSpec(250.0, 1.0, 640 * dt, dt, seed=s) for s in (3, 4, 5)]
+        buf = np.zeros((3, 20, 2, 32))
+        generate_blocks(specs, 32, out=buf[:, :, 1])
+        np.testing.assert_array_equal(buf[:, :, 0], 0.0)
+        np.testing.assert_array_equal(buf[:, :, 1], generate_blocks(specs, 32))
+
+    def test_specs_must_share_the_window(self):
+        dt = 1 / 32e3
+        specs = [NoiseSpec(250.0, 1.0, 640 * dt, dt), NoiseSpec(250.0, 1.0, 320 * dt, dt)]
+        with pytest.raises(ValueError):
+            generate_blocks(specs, 32)

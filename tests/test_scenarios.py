@@ -1,18 +1,32 @@
 """Harness: configuration round-trips, determinism, persistence, CLI."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kljnsim.cli import main as cli_main
+from kljnsim.privacy import empirical_amplification
+from kljnsim.protocol import KeyExchangeSession
 from kljnsim.scenarios import (
+    DEFAULT_MASTER_SEED,
     DefenseSpec,
     ScenarioConfig,
     default_scenario,
     reproduce_table1,
     run_scenario,
 )
+
+
+def random_scenario(n_bits, seed, xor_rounds=0, output_dir=None):
+    """The (20 BEP, 100 m) cell with random resistor choices."""
+    defense = DefenseSpec(kind="xor", xor_rounds=xor_rounds) if xor_rounds else None
+    cfg = default_scenario(20, 100.0, n_bits=n_bits, master_seed=seed, defense=defense,
+                           output_dir=output_dir)
+    return dataclasses.replace(
+        cfg, protocol=dataclasses.replace(cfg.protocol, arrangement="random"))
 
 
 class TestConfig:
@@ -25,6 +39,19 @@ class TestConfig:
             100, 1000.0, defense=DefenseSpec(kind="both", tap="bob", xor_rounds=2)
         )
         assert ScenarioConfig.parse(cfg.serialize()) == cfg
+
+    def test_unknown_key_rejected(self):
+        d = json.loads(default_scenario(20, 100.0).serialize())
+        d["n_bit"] = 5
+        with pytest.raises(ValueError, match="n_bit"):
+            ScenarioConfig.from_dict(d)
+
+    def test_xor_rounds_checked_against_bits(self, monkeypatch):
+        cfg = default_scenario(20, 100.0, n_bits=3,
+                               defense=DefenseSpec(kind="xor", xor_rounds=2))
+        monkeypatch.setattr(KeyExchangeSession, "run_bits", None)  # never reached
+        with pytest.raises(ValueError, match="XOR rounds"):
+            run_scenario(cfg)
 
     def test_defense_validation(self):
         with pytest.raises(ValueError):
@@ -90,6 +117,43 @@ class TestRunScenario:
         res = run_scenario(cfg)
         assert len(res.amplification) == 2
 
+    def test_random_arrangement_scores_secure_bits(self, tmp_path):
+        cfg = random_scenario(24, 7, xor_rounds=2, output_dir=str(tmp_path))
+        res = run_scenario(cfg)
+        session = KeyExchangeSession(None, cfg.protocol, cfg.solver, master_seed=7)
+        secure = [i for i in range(24) if len(set(session.draw_arrangement(i))) == 2]
+        assert 4 <= len(secure) < 24
+        out = res.outcome
+        assert list(out.bit_indices) == secure
+        assert set(out.truths) <= {"LH", "HL"}
+        assert res.n_secure == out.n_bits == len(secure)
+        assert res.amplification == empirical_amplification(out, 2)
+        rows = (tmp_path / "eve_bits.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == secure
+        assert len((tmp_path / "bep_records.jsonl").read_text().splitlines()) == 24
+
+    def test_short_secure_key_checked_before_simulating(self, monkeypatch):
+        # seed 3 draws 3 secure bits of 4: one XOR round, not two
+        class Simulated(Exception):
+            pass
+
+        def run_bits(*args, **kwargs):
+            raise Simulated
+
+        cfg = random_scenario(4, 3, xor_rounds=2)
+        with monkeypatch.context() as m:
+            m.setattr(KeyExchangeSession, "run_bits", run_bits)
+            with pytest.warns(RuntimeWarning, match="XOR rounds"), pytest.raises(Simulated):
+                run_scenario(cfg)
+            # seed 0 draws no secure bit at all
+            with pytest.raises(ValueError, match="no secure bits"):
+                run_scenario(random_scenario(4, 0))
+        with pytest.warns(RuntimeWarning):
+            res = run_scenario(cfg)
+        assert res.n_secure == 3
+        assert res.amplification[0] == empirical_amplification(res.outcome, 1)[0]
+        assert math.isnan(res.amplification[1])
+
     def test_zero_capacitance_near_chance(self):
         cfg = default_scenario(50, 1000.0, n_bits=200, master_seed=8, c_per_m=0.0)
         res = run_scenario(cfg)
@@ -145,6 +209,16 @@ class TestCli:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_bits"] == 3
+
+    def test_run_seed_overrides_config_seed(self, tmp_path, capsys):
+        cfg = default_scenario(20, 100.0, n_bits=2, master_seed=12)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.serialize())
+        for argv, seed in ((["--seed", str(DEFAULT_MASTER_SEED)], DEFAULT_MASTER_SEED),
+                           ([], 12)):
+            assert cli_main(["run", "--config", str(path)] + argv) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["config"]["master_seed"] == seed
 
     def test_error_is_machine_readable(self, capsys):
         rc = cli_main(["run", "--config", "/nonexistent/path.json"])
