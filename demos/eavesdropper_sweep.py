@@ -30,8 +30,8 @@ for bep in (20, 50, 100):
             master_seed=1100 + bep,
         )
         t0 = time.perf_counter()
-        measurements = session.run_bits(N_BITS, warmup_units=10)
-        outcome = run_attack(measurements, tie_seed_base=1)
+        records = session.run_bits(N_BITS, warmup_units=10)
+        outcome = run_attack(records, tie_seed_base=1)
         row.append((outcome.p_e, outcome.binomial_std, time.perf_counter() - t0))
     (p1, s1, t1), (p2, s2, t2) = row
     print(f"{bep:>9} | {4 * 250.0 / bep:>6.0f} | {100*p1:5.1f}% ± {100*s1:3.1f} "

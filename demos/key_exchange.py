@@ -12,7 +12,6 @@ from kljnsim import (
     KeyExchangeSession,
     ProtocolConfig,
     build_distributed,
-    classify_exchange,
     expected_levels,
     infer_remote_resistance,
     rg58,
@@ -30,26 +29,17 @@ session = KeyExchangeSession(
 )
 bits = session.run_bits(100, warmup_units=10)
 
-n_secure = n_discard = n_errors = 0
-key = []
-for m in bits:
-    if classify_exchange(m.alice_choice, m.bob_choice) == "discard":
-        n_discard += 1
-        continue
-    n_secure += 1
-    alice_guess = infer_remote_resistance(
-        config.resistance(m.alice_choice), m.mean_sq_u, m.mean_sq_i, levels
-    )
-    if alice_guess != m.bob_choice:
-        n_errors += 1
-    key.append(1 if m.alice_choice == "L" else 0)
+own = np.where(bits.alice_choice == "L", config.r_low, config.r_high)
+alice_guess = infer_remote_resistance(own, bits.mean_sq_u, bits.mean_sq_i, levels)
+secure = bits.secure  # same-resistor rounds are discarded
+n_secure = int(np.count_nonzero(secure))
+n_errors = int(np.count_nonzero(alice_guess[secure] != bits.bob_choice[secure]))
+key = (bits.alice_choice[secure] == "L").astype(int)
 
-print(f"\n{len(bits)} rounds: {n_secure} secure, {n_discard} discarded "
+print(f"\n{len(bits)} rounds: {n_secure} secure, {len(bits) - n_secure} discarded "
       f"(expect ~50/50 for fair coins)")
 print(f"inference errors in secure rounds: {n_errors}")
 print(f"key bits: {''.join(map(str, key[:40]))}... ({len(key)} total)")
 
-u_sq = np.array([m.mean_sq_u for m in bits])
-mixed = [m.mean_sq_u for m in bits if m.alice_choice != m.bob_choice]
-print(f"\nmean of <U^2> over mixed rounds: {np.mean(mixed):.3f} V^2 "
+print(f"\nmean of <U^2> over mixed rounds: {np.mean(bits.mean_sq_u[secure]):.3f} V^2 "
       f"(formula says {levels.uu_lh:.3f})")

@@ -40,7 +40,7 @@ from .noise import (
 )
 from .privacy import Key, empirical_amplification, predicted_leak_after_xor, xor_halve
 from .protocol import (
-    BepMeasurement,
+    BepRecords,
     KeyExchangeSession,
     NoiseLevels,
     ProtocolConfig,

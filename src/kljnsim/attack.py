@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Waveform
-from .protocol import _EVE_TIE, BepMeasurement, derive_seed
+from .protocol import _EVE_TIE, BepRecords, derive_seed
 
 
 @dataclass
 class AttackOutcome:
     """Per-bit statistics and the aggregate success probability over the
-    scored (secure) bits; ``n_bits`` counts them and ``bit_indices``, when
-    known, gives each one's index in the exchange."""
+    scored (secure) bits; ``n_bits`` counts them and ``bit_indices`` gives
+    each one's index in the exchange."""
 
     rho_a: np.ndarray
     rho_b: np.ndarray
@@ -35,28 +34,26 @@ class AttackOutcome:
     epsilon: float
     binomial_std: float
     n_bits: int
-    bit_indices: np.ndarray | None = None
+    bit_indices: np.ndarray
 
 
-def time_derivative(w: Waveform) -> Waveform:
-    """Central-difference derivative on the waveform's own grid.
+def time_derivative(x: np.ndarray, dt: float) -> np.ndarray:
+    """Central-difference derivative along the last axis, step ``dt``.
 
     Interior points use (x[k+1] - x[k-1]) / (2 dt); the two boundary
     samples fall back to one-sided differences.
     """
-    if len(w) < 3:
-        raise ValueError("waveform must have at least 3 samples")
-    d = np.gradient(w.samples, w.sample_interval_s)
-    return Waveform(d, sample_interval_s=w.sample_interval_s, start_time_s=w.start_time_s)
+    if np.shape(x)[-1] < 3:
+        raise ValueError("need at least 3 samples along the last axis")
+    return np.gradient(x, dt, axis=-1)
 
 
-def cross_correlation(i_w: Waveform, du_dt: Waveform) -> float:
-    """Finite-time average of the sample-wise product <I(t) dU/dt>."""
-    if len(i_w) != len(du_dt):
-        raise ValueError("waveforms must have equal length")
-    if abs(i_w.sample_interval_s - du_dt.sample_interval_s) > 1e-12 * i_w.sample_interval_s:
-        raise ValueError("waveforms must share the sampling grid")
-    return float(np.mean(i_w.samples * du_dt.samples))
+def cross_correlation(i: np.ndarray, du_dt: np.ndarray) -> np.ndarray:
+    """Finite-time average of the sample-wise product <I(t) dU/dt> along
+    the last axis."""
+    if np.shape(i) != np.shape(du_dt):
+        raise ValueError("probes must have equal shapes")
+    return np.mean(i * du_dt, axis=-1)
 
 
 def eve_decide(rho: float, tie_seed: int = 0) -> str:
@@ -81,53 +78,46 @@ def success_rate(q_list) -> dict[str, float]:
     }
 
 
-def run_attack(
-    measurements: list[BepMeasurement], tie_seed_base: int = 0
-) -> AttackOutcome:
+def run_attack(records: BepRecords, tie_seed_base: int = 0) -> AttackOutcome:
     """Score Eve's per-bit guesses against the true arrangements.
 
     Only secure (LH/HL) bits are scored: the parties discard LL and HH
-    bits, so there is no key bit for Eve to guess.  Ties are broken with
-    a coin seeded by the bit's index.
+    bits, so there is no key bit for Eve to guess.  All scored bits go
+    through one array pass; ties (rho == 0) are broken with a coin
+    seeded by the bit's index.
     """
-    scored = [m for m in measurements if m.alice_choice != m.bob_choice]
-    if not scored:
+    scored = records[records.secure]
+    if not len(scored):
         raise ValueError("no secure bits to score")
-    n = len(scored)
-    rho_a = np.empty(n)
-    rho_b = np.empty(n)
-    guesses: list[str] = []
-    truths: list[str] = []
-    for k, m in enumerate(scored):
-        rho_a[k] = cross_correlation(m.i_cha, time_derivative(m.u_cha))
-        rho_b[k] = cross_correlation(m.i_chb, time_derivative(m.u_chb))
-        truths.append(m.arrangement)
+    u_cha, i_cha, u_chb, i_chb = np.moveaxis(scored.probes, 1, 0)
+    rho_a = cross_correlation(i_cha, time_derivative(u_cha, scored.t_s))
+    rho_b = cross_correlation(i_chb, time_derivative(u_chb, scored.t_s))
     rho = rho_a - rho_b
-    for k, m in enumerate(scored):
-        tie_seed = derive_seed(tie_seed_base, 1 + m.bit_index, _EVE_TIE)
-        guesses.append(eve_decide(float(rho[k]), tie_seed))
-    q = np.array([int(g == t) for g, t in zip(guesses, truths)])
+    guesses = np.where(rho > 0, "LH", "HL")
+    for k in np.flatnonzero(rho == 0):
+        guesses[k] = eve_decide(0.0, derive_seed(tie_seed_base, 1 + scored.bit_index[k], _EVE_TIE))
+    truths = scored.arrangement
+    q = (guesses == truths).astype(np.int64)
     agg = success_rate(q)
     return AttackOutcome(
         rho_a=rho_a,
         rho_b=rho_b,
         rho=rho,
-        guesses=guesses,
-        truths=truths,
+        guesses=guesses.tolist(),
+        truths=truths.tolist(),
         q=q,
         p_e=agg["p_E"],
         epsilon=agg["epsilon"],
         binomial_std=agg["binomial_std"],
-        n_bits=n,
-        bit_indices=np.array([m.bit_index for m in scored]),
+        n_bits=len(scored),
+        bit_indices=scored.bit_index,
     )
 
 
 def write_attack_csv(outcome: AttackOutcome, path) -> None:
     with open(path, "w") as f:
         f.write("bit,rho_a,rho_b,rho,guess,q\n")
-        bits = range(outcome.n_bits) if outcome.bit_indices is None else outcome.bit_indices
-        for k, bit in enumerate(bits):
+        for k, bit in enumerate(outcome.bit_indices):
             f.write(
                 f"{bit},{outcome.rho_a[k]:.9g},{outcome.rho_b[k]:.9g},"
                 f"{outcome.rho[k]:.9g},{outcome.guesses[k]},{outcome.q[k]}\n"

@@ -3,8 +3,10 @@
 Each bit exchange period (BEP) attaches fresh noise realizations to the
 resistors the two parties selected, advances the transient solver for
 the BEP duration while keeping the cable state continuous across bit
-boundaries, and records the mean-square voltage and current each party
-observes plus the four channel probes an eavesdropper could tap.
+boundaries, and records each run's bits as one ``BepRecords``: the
+parties' choices and, per bit, the four channel probes an eavesdropper
+could tap, from which the mean-square voltage and current each party
+observes follow.
 
 One BEP duration unit equals the noise autocorrelation time
 1 / (4 B_noise), which is also the measurement interval t_s; with the
@@ -79,10 +81,6 @@ class ProtocolConfig:
         if choice == HIGH:
             return self.r_high
         raise ValueError(f"choice must be 'L' or 'H', got {choice!r}")
-
-    @property
-    def bep_seconds(self) -> float:
-        return self.bep_units * self.t_s
 
     def generator_rms(self, choice: str) -> float:
         return rms_for_resistor(self.resistance(choice), self.t_eff, self.bandwidth_hz)
@@ -184,43 +182,73 @@ def infer_remote_bit(
     return upper if mean_sq >= threshold else lower
 
 
-def infer_remote_resistance(
-    own_resistance: float,
-    mean_sq_u: float,
-    mean_sq_i: float,
-    levels: NoiseLevels,
-) -> str:
-    """Combined voltage/current inference.
+def infer_remote_resistance(own_resistance, mean_sq_u, mean_sq_i, levels: NoiseLevels):
+    """Combined voltage/current inference, elementwise over arrays of bits.
 
     The ratio of the two mean squares estimates the resistance product
     R_A R_B independent of the temperature, so dividing by the known own
     resistance estimates the remote resistor directly.  Both parties get
     the same 9:1 hypothesis separation this way, which is what makes the
     legitimate bit error rate negligible at practical BEP durations.
+    A bit with no current falls back to the voltage level alone.
     """
-    if mean_sq_i <= 0:
-        return HIGH if mean_sq_u >= math.sqrt(levels.uu_ll * levels.uu_hh) else LOW
-    remote_est = (mean_sq_u / mean_sq_i) / own_resistance
-    return HIGH if remote_est >= math.sqrt(levels.r_low * levels.r_high) else LOW
+    u, i = np.asarray(mean_sq_u, dtype=np.float64), np.asarray(mean_sq_i, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        remote_est = (u / i) / own_resistance
+    high = np.where(
+        i <= 0,
+        u >= math.sqrt(levels.uu_ll * levels.uu_hh),
+        remote_est >= math.sqrt(levels.r_low * levels.r_high),
+    )
+    return np.where(high, HIGH, LOW)[()]  # a str for scalar input
+
+
+# Row order of the channel probes in ``BepRecords.probes``.
+PROBES = ("u_cha", "i_cha", "u_chb", "i_chb")
 
 
 @dataclass
-class BepMeasurement:
-    """Per-bit record: choices, levels, and the four channel probes."""
+class BepRecords:
+    """One run's bits, one row per bit: the parties' choices and the four
+    channel probes an eavesdropper can tap, sampled every ``t_s``.
 
-    bit_index: int
-    alice_choice: str
-    bob_choice: str
-    mean_sq_u: float
-    mean_sq_i: float
-    u_cha: Waveform
-    i_cha: Waveform
-    u_chb: Waveform
-    i_chb: Waveform
+    ``probes`` has shape (n_bits, 4, bep_units) with the rows in
+    ``PROBES`` order; ``start_time_s`` is each bit's first sample time.
+    """
+
+    bit_index: np.ndarray
+    alice_choice: np.ndarray
+    bob_choice: np.ndarray
+    probes: np.ndarray
+    start_time_s: np.ndarray
+    t_s: float
+
+    def __len__(self) -> int:
+        return len(self.bit_index)
+
+    def __getitem__(self, rows) -> "BepRecords":
+        """The records of the selected rows (a slice, index array or mask)."""
+        return BepRecords(self.bit_index[rows], self.alice_choice[rows],
+                          self.bob_choice[rows], self.probes[rows],
+                          self.start_time_s[rows], self.t_s)
 
     @property
-    def arrangement(self) -> str:
-        return self.alice_choice + self.bob_choice
+    def arrangement(self) -> np.ndarray:
+        return np.char.add(self.alice_choice, self.bob_choice)
+
+    @property
+    def secure(self) -> np.ndarray:
+        return self.alice_choice != self.bob_choice
+
+    @property
+    def mean_sq_u(self) -> np.ndarray:
+        """Mean-square channel voltage per bit, as both parties read it."""
+        return np.mean(self.probes[:, 0] ** 2, axis=-1)
+
+    @property
+    def mean_sq_i(self) -> np.ndarray:
+        """Mean-square channel current per bit at Alice's end."""
+        return np.mean(self.probes[:, 1] ** 2, axis=-1)
 
 
 class KeyExchangeSession:
@@ -395,57 +423,50 @@ class KeyExchangeSession:
 
     def _measure(
         self,
-        bits: list[int],
+        bits,
         arrangements: list[tuple[str, str]],
         noise_overrides: dict[str, Waveform] | None = None,
-    ) -> list[BepMeasurement]:
+    ) -> BepRecords:
+        """Exchange consecutive bits in chunks, filling one record."""
         cfg = self.config
-        t_start = self._time_units * cfg.t_s
-        y, names = self._exchange(
-            [1 + i for i in bits], arrangements, cfg.bep_units, noise_overrides
+        n = len(bits)
+        records = BepRecords(
+            bit_index=np.array(bits, dtype=np.int64),
+            alice_choice=np.array([a for a, _ in arrangements], dtype="<U1"),
+            bob_choice=np.array([b for _, b in arrangements], dtype="<U1"),
+            probes=np.empty((n, len(PROBES), cfg.bep_units)),
+            start_time_s=(self._time_units + np.arange(n) * cfg.bep_units + 1) * cfg.t_s,
+            t_s=cfg.t_s,
         )
-        col = [names.index(p) for p in ("u_cha", "i_cha", "u_chb", "i_chb")]
-        out = []
-        for k, (i, (alice_choice, bob_choice)) in enumerate(zip(bits, arrangements)):
-            t0 = t_start + (k * cfg.bep_units + 1) * cfg.t_s
-            u_cha, i_cha, u_chb, i_chb = (
-                Waveform(y[k, c], sample_interval_s=cfg.t_s, start_time_s=t0) for c in col
+        per_chunk = max(1, _CHUNK_STEPS // (cfg.bep_units * self.oversample))
+        for start in range(0, n, per_chunk):
+            rows = slice(start, start + per_chunk)
+            y, names = self._exchange(
+                [1 + i for i in bits[rows]], arrangements[rows], cfg.bep_units, noise_overrides
             )
-            out.append(BepMeasurement(
-                bit_index=i,
-                alice_choice=alice_choice,
-                bob_choice=bob_choice,
-                mean_sq_u=float(np.mean(u_cha.samples**2)),
-                mean_sq_i=float(np.mean(i_cha.samples**2)),
-                u_cha=u_cha,
-                i_cha=i_cha,
-                u_chb=u_chb,
-                i_chb=i_chb,
-            ))
-        return out
+            records.probes[rows] = y[:, [names.index(p) for p in PROBES]]
+        return records
 
     def run_bit(
         self,
         bit_index: int,
         arrangement: tuple[str, str] | None = None,
         noise_overrides: dict[str, Waveform] | None = None,
-    ) -> BepMeasurement:
-        """Exchange one bit and record what the parties and Eve can see."""
+    ) -> BepRecords:
+        """Exchange one bit; a one-row record of what the parties and Eve see."""
         if arrangement is None:
             arrangement = self.draw_arrangement(bit_index)
-        return self._measure([bit_index], [arrangement], noise_overrides)[0]
+        return self._measure([bit_index], [arrangement], noise_overrides)
 
-    def run_bits(
-        self, n_bits: int, warmup_units: int = 0
-    ) -> list[BepMeasurement]:
+    def run_bits(self, n_bits: int, warmup_units: int = 0) -> BepRecords:
         """Warm up, then exchange bits 0 .. n_bits - 1 in chunks."""
         self.run_warmup(warmup_units, self.draw_arrangement(0))
-        per_chunk = max(1, _CHUNK_STEPS // (self.config.bep_units * self.oversample))
-        out: list[BepMeasurement] = []
-        for start in range(0, n_bits, per_chunk):
-            bits = list(range(start, min(start + per_chunk, n_bits)))
-            out += self._measure(bits, [self.draw_arrangement(i) for i in bits])
-        return out
+        return self._measure(range(n_bits), [self.draw_arrangement(i) for i in range(n_bits)])
+
+    @property
+    def factorization_residual(self) -> float:
+        """Largest random-RHS residual of the LU factors built so far."""
+        return max((s.factorization_residual for s in self._solvers.values()), default=0.0)
 
 
 def run_bep(
@@ -457,7 +478,7 @@ def run_bep(
     solver_config: SolverConfig | None = None,
     warmup_units: int = 0,
     noise_overrides: dict[str, Waveform] | None = None,
-) -> BepMeasurement:
+) -> BepRecords:
     """Single standalone bit exchange from zero initial conditions."""
     session = KeyExchangeSession(netlist_builder, config, solver_config, master_seed=seed)
     if warmup_units:

@@ -17,14 +17,16 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .attack import AttackOutcome, attack_summary, run_attack, write_attack_csv
 from .network import CableSpec, apply_capacitor_killer, build_distributed, rg58
 from .privacy import empirical_amplification
 from .protocol import (
-    BepMeasurement,
+    PROBES,
+    BepRecords,
     KeyExchangeSession,
     ProtocolConfig,
-    classify_exchange,
     derive_seed,
     expected_levels,
     infer_remote_resistance,
@@ -80,8 +82,7 @@ class ScenarioConfig:
             raise ValueError("master_seed must be non-negative")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -152,10 +153,10 @@ class ScenarioResult:
     binomial_std: float
     amplification: list[float]
     wall_clock_s: float
-    max_residual: float
+    factorization_residual: float
     n_secure: int
     n_inference_errors: int
-    outcome: AttackOutcome | None = None
+    outcome: AttackOutcome
 
     def summary_dict(self) -> dict:
         return {
@@ -167,7 +168,7 @@ class ScenarioResult:
             "n_bits": self.config.n_bits,
             "n_secure": self.n_secure,
             "n_inference_errors": self.n_inference_errors,
-            "max_residual": self.max_residual,
+            "factorization_residual": self.factorization_residual,
             "wall_clock_s": self.wall_clock_s,
         }
 
@@ -201,13 +202,7 @@ def run_scenario(
     )
     # Attack and XOR rounds see the secure bits only; count them before
     # simulating.
-    if config.protocol.arrangement == "fixed_lh":
-        n_secure = config.n_bits
-    else:
-        n_secure = sum(
-            classify_exchange(*session.draw_arrangement(i)) == "secure"
-            for i in range(config.n_bits)
-        )
+    n_secure = sum(a != b for a, b in map(session.draw_arrangement, range(config.n_bits)))
     if n_secure == 0:
         raise ValueError(f"no secure bits among {config.n_bits}")
     supported = min(rounds, n_secure.bit_length() - 1)
@@ -220,22 +215,17 @@ def run_scenario(
         )
 
     warmup = default_warmup_units(config.protocol, config.cable)
-    measurements = session.run_bits(config.n_bits, warmup_units=warmup)
+    records = session.run_bits(config.n_bits, warmup_units=warmup)
 
-    outcome = run_attack(measurements, tie_seed_base=config.master_seed)
+    outcome = run_attack(records, tie_seed_base=config.master_seed)
     amplification = empirical_amplification(outcome, supported) if supported else []
     amplification += [math.nan] * (rounds - supported)
+    # Bob's choice as Alice infers it from her own resistor and readings.
+    own = np.where(records.alice_choice == "L", config.protocol.r_low, config.protocol.r_high)
+    alice_infers_bob = infer_remote_resistance(
+        own, records.mean_sq_u, records.mean_sq_i, expected_levels(config.protocol)
+    )
 
-    levels = expected_levels(config.protocol)
-    n_inferr = 0
-    for m in measurements:
-        inferred_by_alice = infer_remote_resistance(
-            config.protocol.resistance(m.alice_choice), m.mean_sq_u, m.mean_sq_i, levels
-        )
-        if inferred_by_alice != m.bob_choice:
-            n_inferr += 1
-
-    max_res = max(s.factorization_residual for s in session._solvers.values())
     result = ScenarioResult(
         config=config,
         p_e=outcome.p_e,
@@ -243,60 +233,50 @@ def run_scenario(
         binomial_std=outcome.binomial_std,
         amplification=amplification,
         wall_clock_s=time.perf_counter() - t_start,
-        max_residual=max_res,
+        factorization_residual=session.factorization_residual,
         n_secure=n_secure,
-        n_inference_errors=n_inferr,
+        n_inference_errors=int(np.count_nonzero(alice_infers_bob != records.bob_choice)),
         outcome=outcome,
     )
 
     if dump_waveforms:
-        _write_waveforms_csv(measurements, dump_waveforms)
+        _write_waveforms_csv(records, dump_waveforms)
     if config.output_dir:
-        persist_scenario(result, measurements, Path(config.output_dir))
+        persist_scenario(result, records, alice_infers_bob, Path(config.output_dir))
     return result
 
 
-def _write_waveforms_csv(measurements: list[BepMeasurement], path) -> None:
-    with open(path, "w") as f:
-        f.write("t,U_cha,I_cha,U_chb,I_chb\n")
-        for m in measurements:
-            t = m.u_cha.times()
-            for k in range(len(m.u_cha)):
-                f.write(
-                    f"{t[k]:.9g},{m.u_cha.samples[k]:.9g},{m.i_cha.samples[k]:.9g},"
-                    f"{m.u_chb.samples[k]:.9g},{m.i_chb.samples[k]:.9g}\n"
-                )
+def _write_waveforms_csv(records: BepRecords, path) -> None:
+    t = records.start_time_s[:, None] + np.arange(records.probes.shape[-1]) * records.t_s
+    columns = [t] + [records.probes[:, k] for k in range(len(PROBES))]
+    np.savetxt(path, np.stack([c.ravel() for c in columns], axis=1), fmt="%.9g",
+               delimiter=",", header="t,U_cha,I_cha,U_chb,I_chb", comments="")
 
 
 def persist_scenario(
-    result: ScenarioResult, measurements: list[BepMeasurement], out_dir: Path
+    result: ScenarioResult, records: BepRecords, alice_infers_bob: np.ndarray, out_dir: Path
 ) -> None:
     """Write summary JSON, per-bit attack CSV, and per-BEP JSON lines."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(result.serialize() + "\n")
-    if result.outcome is not None:
-        write_attack_csv(result.outcome, out_dir / "eve_bits.csv")
-        (out_dir / "eve_summary.json").write_text(
-            json.dumps(attack_summary(result.outcome), indent=2, sort_keys=True) + "\n"
-        )
+    write_attack_csv(result.outcome, out_dir / "eve_bits.csv")
+    (out_dir / "eve_summary.json").write_text(
+        json.dumps(attack_summary(result.outcome), indent=2, sort_keys=True) + "\n"
+    )
 
-    levels = expected_levels(result.config.protocol)
-    cfg = result.config.protocol
+    columns = {
+        "bit": records.bit_index,
+        "alice_choice": records.alice_choice,
+        "bob_choice": records.bob_choice,
+        "mean_sq_u": records.mean_sq_u,
+        "mean_sq_i": records.mean_sq_i,
+        "classification": np.where(records.secure, "secure", "discard"),
+        "alice_infers_bob": alice_infers_bob,
+    }
+    rows = zip(*(c.tolist() for c in columns.values()))
     with open(out_dir / "bep_records.jsonl", "w") as f:
-        for m in measurements:
-            rec = {
-                "bit": m.bit_index,
-                "alice_choice": m.alice_choice,
-                "bob_choice": m.bob_choice,
-                "mean_sq_u": m.mean_sq_u,
-                "mean_sq_i": m.mean_sq_i,
-                "classification": classify_exchange(m.alice_choice, m.bob_choice),
-                "alice_infers_bob": infer_remote_resistance(
-                    cfg.resistance(m.alice_choice), m.mean_sq_u, m.mean_sq_i, levels
-                ),
-            }
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+        f.writelines(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n" for row in rows)
 
     manifest = {
         "files": sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json"),

@@ -64,7 +64,7 @@ class TransientResult:
     """Probe waveforms decimated to the measurement interval."""
 
     probes: dict[str, Waveform]
-    max_residual: float
+    factorization_residual: float
     step_count: int
 
 
@@ -515,7 +515,7 @@ def transient_solve(
     }
     return TransientResult(
         probes=probes,
-        max_residual=solver.factorization_residual,
+        factorization_residual=solver.factorization_residual,
         step_count=n_steps,
     )
 

@@ -3,11 +3,12 @@
 The heavy experiments (six-cell sweep, defense comparison, zero-
 capacitance controls) run once per session at the default master seed;
 every criterion prints one PASS/FAIL line.  Run with ``pytest -s`` to
-see the lines as they complete.
+see the lines as they complete.  The fixtures live in ``conftest.py``,
+shared with the golden-artifact test.
 """
 
 import numpy as np
-import pytest
+from conftest import N_BITS
 
 from kljnsim.attack import eve_decide
 from kljnsim.compare import compare_models
@@ -32,11 +33,7 @@ from kljnsim.protocol import (
     expected_levels,
     run_bep,
 )
-from kljnsim.scenarios import (
-    DEFAULT_MASTER_SEED,
-    reproduce_defenses,
-    reproduce_table1,
-)
+from kljnsim.scenarios import DEFAULT_MASTER_SEED
 from kljnsim.solver import SolverConfig, TransientSolver, transient_solve
 
 TABLE1_TARGETS = {
@@ -47,29 +44,11 @@ TABLE1_TARGETS = {
     (50, 1000.0): 0.697,
     (100, 1000.0): 0.769,
 }
-N_BITS = 1000
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def table1():
-    return reproduce_table1(master_seed=DEFAULT_MASTER_SEED, n_bits=N_BITS)
-
-
-@pytest.fixture(scope="module")
-def defenses():
-    return reproduce_defenses(master_seed=DEFAULT_MASTER_SEED, n_bits=N_BITS)
-
-
-@pytest.fixture(scope="module")
-def zero_c_table():
-    return reproduce_table1(
-        master_seed=DEFAULT_MASTER_SEED, n_bits=N_BITS, c_per_m=0.0
-    )
 
 
 def test_criterion_1_table1_reproduction(table1):
@@ -242,14 +221,14 @@ def test_criterion_8_protocol_sanity():
     cfg_long = ProtocolConfig(bep_units=100000)
     m = run_bep(builder, cfg_long, 0, ("L", "H"), seed=DEFAULT_MASTER_SEED)
     lv = expected_levels(cfg_long)
-    u_dev = abs(m.mean_sq_u / lv.uu_lh - 1.0)
-    i_dev = abs(m.mean_sq_i / lv.ii_lh - 1.0)
+    u_dev = abs(m.mean_sq_u[0] / lv.uu_lh - 1.0)
+    i_dev = abs(m.mean_sq_i[0] / lv.ii_lh - 1.0)
 
     cfg = ProtocolConfig(bep_units=20)
     lh_sess = KeyExchangeSession(builder, cfg, master_seed=DEFAULT_MASTER_SEED + 1)
     hl_sess = KeyExchangeSession(builder, cfg, master_seed=DEFAULT_MASTER_SEED + 2)
-    lh = [lh_sess.run_bit(i, ("L", "H")).mean_sq_u for i in range(N_BITS)]
-    hl = [hl_sess.run_bit(i, ("H", "L")).mean_sq_u for i in range(N_BITS)]
+    lh = [lh_sess.run_bit(i, ("L", "H")).mean_sq_u[0] for i in range(N_BITS)]
+    hl = [hl_sess.run_bit(i, ("H", "L")).mean_sq_u[0] for i in range(N_BITS)]
     pvalue = float(ks_2samp(lh, hl).pvalue)
 
     ok = u_dev < 0.03 and i_dev < 0.03 and pvalue > 0.01

@@ -1,5 +1,7 @@
 """Eavesdropper statistic: derivative, correlation, decision, symmetry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,42 +13,49 @@ from kljnsim.attack import (
     time_derivative,
 )
 from kljnsim.network import build_distributed, rg58
-from kljnsim.noise import NoiseSpec, Waveform, generate
-from kljnsim.protocol import BepMeasurement, KeyExchangeSession, ProtocolConfig, run_bep
+from kljnsim.noise import NoiseSpec, generate
+from kljnsim.protocol import (
+    _EVE_TIE,
+    BepRecords,
+    KeyExchangeSession,
+    ProtocolConfig,
+    derive_seed,
+    run_bep,
+)
 
 
 class TestTimeDerivative:
     def test_linear_ramp_exact(self):
         ts = 1e-3
         t = np.arange(50) * ts
-        d = time_derivative(Waveform(2.5 * t, ts))
-        np.testing.assert_allclose(d.samples, 2.5, rtol=1e-9)
+        d = time_derivative(2.5 * t, ts)
+        np.testing.assert_allclose(d, 2.5, rtol=1e-9)
 
     def test_constant_zero(self):
-        d = time_derivative(Waveform(np.full(10, 3.3), 1e-3))
-        np.testing.assert_allclose(d.samples, 0.0, atol=1e-12)
+        d = time_derivative(np.full(10, 3.3), 1e-3)
+        np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_sinusoid_small_step(self):
         ts = 1e-3
         f = 10.0  # f * ts = 0.01
         t = np.arange(2000) * ts
-        d = time_derivative(Waveform(np.sin(2 * np.pi * f * t), ts))
+        d = time_derivative(np.sin(2 * np.pi * f * t), ts)
         exact = 2 * np.pi * f * np.cos(2 * np.pi * f * t)
         interior = slice(1, -1)
-        err = np.max(np.abs(d.samples[interior] - exact[interior]))
+        err = np.max(np.abs(d[interior] - exact[interior]))
         assert err < 1e-3 * 2 * np.pi * f
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            time_derivative(Waveform(np.zeros(2), 1e-3))
+            time_derivative(np.zeros(2), 1e-3)
 
 
 class TestCrossCorrelation:
     def test_orthogonal_sinusoids(self):
         ts = 1e-4
         t = np.arange(10000) * ts
-        a = Waveform(np.sin(2 * np.pi * 10 * t), ts)
-        b = Waveform(np.cos(2 * np.pi * 10 * t), ts)
+        a = np.sin(2 * np.pi * 10 * t)
+        b = np.cos(2 * np.pi * 10 * t)
         assert abs(cross_correlation(a, b)) < 1e-12
 
     def test_capacitor_oracle(self):
@@ -55,19 +64,27 @@ class TestCrossCorrelation:
         amp, f, c = 2.0, 50.0, 100e-9
         w = 2 * np.pi * f
         t = np.arange(20000) * ts  # whole periods
-        du = Waveform(amp * w * np.cos(w * t), ts)
-        i = Waveform(c * amp * w * np.cos(w * t), ts)
+        du = amp * w * np.cos(w * t)
+        i = c * amp * w * np.cos(w * t)
         assert cross_correlation(i, du) == pytest.approx(c * amp**2 * w**2 / 2, rel=1e-6)
 
     def test_identical_probes_give_equal_rho(self):
         rng = np.random.default_rng(0)
-        i = Waveform(rng.standard_normal(100), 1e-3)
-        du = Waveform(rng.standard_normal(100), 1e-3)
+        i = rng.standard_normal(100)
+        du = rng.standard_normal(100)
         assert cross_correlation(i, du) == cross_correlation(i, du)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            cross_correlation(Waveform(np.zeros(5), 1e-3), Waveform(np.zeros(6), 1e-3))
+            cross_correlation(np.zeros(5), np.zeros(6))
+
+    def test_rows_match_one_dimensional(self):
+        # the batched pass over bits gives each row's 1-D value bitwise
+        rng = np.random.default_rng(1)
+        u, i = rng.standard_normal((2, 7, 40))
+        rho = cross_correlation(i, time_derivative(u, 1e-3))
+        for k in range(7):
+            assert rho[k] == cross_correlation(i[k], time_derivative(u[k], 1e-3))
 
 
 class TestEveDecide:
@@ -99,73 +116,61 @@ class TestSuccessRate:
             success_rate([])
 
 
-def _crafted_measurement(bit, rho_sign, truth=("L", "H")):
-    """Measurement whose probes produce a rho of the requested sign."""
+def _crafted_records(signs, truths=None):
+    """Records whose probes produce a rho of the requested sign per bit."""
     ts = 1e-3
     n = 32
     t = np.arange(n) * ts
     u = np.sin(2 * np.pi * 31.25 * t)  # whole period across the window
     du = 2 * np.pi * 31.25 * np.cos(2 * np.pi * 31.25 * t)
-    i_a = rho_sign * 1e-7 * du  # capacitive-looking current at Alice's end
-    i_b = np.zeros(n)
-    wf = lambda x: Waveform(x, ts)
-    return BepMeasurement(
-        bit_index=bit,
-        alice_choice=truth[0],
-        bob_choice=truth[1],
-        mean_sq_u=float(np.mean(u**2)),
-        mean_sq_i=float(np.mean(i_a**2)),
-        u_cha=wf(u),
-        i_cha=wf(i_a),
-        u_chb=wf(u),
-        i_chb=wf(i_b),
+    truths = truths or [("L", "H")] * len(signs)
+    probes = np.empty((len(signs), 4, n))
+    for k, sign in enumerate(signs):
+        i_a = sign * 1e-7 * du  # capacitive-looking current at Alice's end
+        probes[k] = (u, i_a, u, np.zeros(n))
+    return BepRecords(
+        bit_index=np.arange(len(signs)),
+        alice_choice=np.array([a for a, _ in truths]),
+        bob_choice=np.array([b for _, b in truths]),
+        probes=probes,
+        start_time_s=np.arange(len(signs)) * n * ts,
+        t_s=ts,
     )
 
 
 class TestRunAttack:
     def test_crafted_signs_score_correctly(self):
-        ms = [_crafted_measurement(0, +1), _crafted_measurement(1, -1)]
-        out = run_attack(ms)
+        out = run_attack(_crafted_records([+1, -1]))
         assert out.guesses == ["LH", "HL"]
         assert list(out.q) == [1, 0]
         assert out.p_e == 0.5
 
     def test_discarded_bits_not_scored(self):
         # LL and HH bits carry no key bit: Eve is scored on LH/HL only
-        ms = [
-            _crafted_measurement(0, +1),
-            _crafted_measurement(1, -1, ("L", "L")),
-            _crafted_measurement(2, -1, ("H", "L")),
-            _crafted_measurement(3, +1, ("H", "H")),
-        ]
+        ms = _crafted_records(
+            [+1, -1, -1, +1], [("L", "H"), ("L", "L"), ("H", "L"), ("H", "H")]
+        )
         out = run_attack(ms)
         assert out.n_bits == 2
         assert out.truths == ["LH", "HL"]
         assert list(out.bit_indices) == [0, 2]
         assert out.p_e == 1.0
 
+    def test_ties_use_the_bit_coin(self):
+        ms = _crafted_records([0, 0, +1], [("L", "H"), ("H", "L"), ("L", "H")])
+        out = run_attack(ms, tie_seed_base=9)
+        assert out.rho[0] == out.rho[1] == 0.0
+        coins = [eve_decide(0.0, derive_seed(9, 1 + bit, _EVE_TIE)) for bit in (0, 1)]
+        assert out.guesses == coins + ["LH"]
+
     def test_no_secure_bits_rejected(self):
         with pytest.raises(ValueError, match="secure"):
-            run_attack([_crafted_measurement(0, +1, ("L", "L"))])
+            run_attack(_crafted_records([+1], [("L", "L")]))
 
     def test_scale_invariance_of_guesses(self):
-        ms = [_crafted_measurement(k, (-1) ** k) for k in range(6)]
+        ms = _crafted_records([(-1) ** k for k in range(6)])
         out1 = run_attack(ms)
-        scaled = []
-        for m in ms:
-            scaled.append(
-                BepMeasurement(
-                    bit_index=m.bit_index,
-                    alice_choice=m.alice_choice,
-                    bob_choice=m.bob_choice,
-                    mean_sq_u=m.mean_sq_u,
-                    mean_sq_i=m.mean_sq_i,
-                    u_cha=Waveform(7.0 * m.u_cha.samples, 1e-3),
-                    i_cha=Waveform(7.0 * m.i_cha.samples, 1e-3),
-                    u_chb=Waveform(7.0 * m.u_chb.samples, 1e-3),
-                    i_chb=Waveform(7.0 * m.i_chb.samples, 1e-3),
-                )
-            )
+        scaled = dataclasses.replace(ms, probes=7.0 * ms.probes)
         out2 = run_attack(scaled)
         assert out1.guesses == out2.guesses
 
@@ -181,8 +186,8 @@ class TestRunAttack:
                        noise_overrides={"alice": wf_l, "bob": wf_h})
         m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0,
                        noise_overrides={"alice": wf_h, "bob": wf_l})
-        out_lh = run_attack([m_lh])
-        out_hl = run_attack([m_hl])
+        out_lh = run_attack(m_lh)
+        out_hl = run_attack(m_hl)
         assert out_hl.rho[0] == pytest.approx(-out_lh.rho[0], rel=1e-9)
         # Eve's score is unchanged by the swap: her guess flips with truth
         assert out_hl.q[0] == out_lh.q[0]

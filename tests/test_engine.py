@@ -15,6 +15,7 @@ from kljnsim.protocol import (
     _NOISE_ALICE,
     _NOISE_BOB,
     _WARMUP_SLOT,
+    PROBES,
     KeyExchangeSession,
     ProtocolConfig,
     derive_seed,
@@ -64,11 +65,11 @@ def plain_session(builder, cfg, seed, n_bits, warmup):
 
 def assert_probes_match(batched, plain, rtol=1e-12):
     assert len(batched) == len(plain)
-    for m, (arrangement, probes) in zip(batched, plain):
-        assert (m.alice_choice, m.bob_choice) == arrangement
-        for name in ("u_cha", "i_cha", "u_chb", "i_chb"):
+    for k, (arrangement, probes) in enumerate(plain):
+        assert (batched.alice_choice[k], batched.bob_choice[k]) == arrangement
+        for row, name in enumerate(PROBES):
             ref = probes[name]
-            got = getattr(m, name).samples
+            got = batched.probes[k, row]
             np.testing.assert_allclose(got, ref, rtol=0, atol=rtol * np.max(np.abs(ref)))
 
 
@@ -124,10 +125,11 @@ def test_chunk_boundary_prefix():
     with mock.patch.object(protocol, "_CHUNK_STEPS", 5 * 20 * 32):
         long = KeyExchangeSession(builder, cfg, master_seed=4).run_bits(40, 10)
         short = KeyExchangeSession(builder, cfg, master_seed=4).run_bits(17, 10)
-    for a, b in zip(long[:17], short):
-        assert (a.bit_index, a.arrangement) == (b.bit_index, b.arrangement)
-        for name in ("u_cha", "i_cha", "u_chb", "i_chb"):
-            x, y = getattr(a, name).samples, getattr(b, name).samples
+    for k in range(17):
+        assert (long.bit_index[k], long.arrangement[k]) == (short.bit_index[k],
+                                                            short.arrangement[k])
+        for row in range(len(PROBES)):
+            x, y = long.probes[k, row], short.probes[k, row]
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
     assert run_attack(long[:17]).guesses == run_attack(short).guesses
 
@@ -141,11 +143,11 @@ def test_run_bit_is_one_bit_case_of_run_bits():
     together = KeyExchangeSession(builder, cfg, master_seed=5).run_bits(6, 5)
     single = KeyExchangeSession(builder, cfg, master_seed=5)
     single.run_warmup(5, single.draw_arrangement(0))
-    for a in together:
-        b = single.run_bit(a.bit_index)
-        np.testing.assert_allclose(a.i_cha.samples, b.i_cha.samples,
-                                   rtol=0, atol=1e-12 * np.max(np.abs(b.i_cha.samples)))
-        assert b.u_cha.start_time_s == pytest.approx(a.u_cha.start_time_s)
+    for k, bit in enumerate(together.bit_index):
+        b = single.run_bit(bit)
+        i_a, i_b = together.probes[k, 1], b.probes[0, 1]  # i_cha
+        np.testing.assert_allclose(i_a, i_b, rtol=0, atol=1e-12 * np.max(np.abs(i_b)))
+        assert b.start_time_s[0] == pytest.approx(together.start_time_s[k])
 
 
 def test_overflowing_handoff_map_raises():

@@ -15,7 +15,7 @@ def _outcome(guesses, truths):
         rho_a=np.zeros(n), rho_b=np.zeros(n), rho=np.zeros(n),
         guesses=list(guesses), truths=list(truths), q=q,
         p_e=agg["p_E"], epsilon=agg["epsilon"],
-        binomial_std=agg["binomial_std"], n_bits=n,
+        binomial_std=agg["binomial_std"], n_bits=n, bit_indices=np.arange(n),
     )
 
 

@@ -77,6 +77,15 @@ class TestInference:
         assert infer_remote_resistance(1000.0, self.lv.uu_lh, self.lv.ii_lh, self.lv) == "H"
         assert infer_remote_resistance(9000.0, self.lv.uu_lh, self.lv.ii_lh, self.lv) == "L"
 
+    def test_combined_estimator_is_elementwise(self):
+        lv = self.lv
+        own = np.array([1000.0, 9000.0, 1000.0, 9000.0])
+        u = np.array([lv.uu_lh, lv.uu_lh, lv.uu_ll, lv.uu_hh])
+        i = np.array([lv.ii_lh, lv.ii_lh, 0.0, 0.0])  # no current: voltage alone
+        got = infer_remote_resistance(own, u, i, lv)
+        assert got.tolist() == [infer_remote_resistance(*x, lv) for x in zip(own, u, i)]
+        assert got.tolist() == ["H", "L", "L", "H"]
+
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             infer_remote_bit(1000.0, 1.0, self.lv, "power")
@@ -86,16 +95,16 @@ class TestRunBep:
     def test_zero_temperature_all_zero(self):
         cfg = ProtocolConfig(t_eff=0.0, bep_units=20)
         m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=1)
-        assert m.mean_sq_u == 0.0
-        assert m.mean_sq_i == 0.0
-        assert np.all(m.u_chb.samples == 0.0)
+        assert m.mean_sq_u[0] == 0.0
+        assert m.mean_sq_i[0] == 0.0
+        assert np.all(m.probes[0, 2] == 0.0)
 
     def test_levels_match_formula_long_bep(self):
         cfg = ProtocolConfig(bep_units=20000)
         m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=2)
         lv = expected_levels(cfg)
-        assert m.mean_sq_u == pytest.approx(lv.uu_lh, rel=0.03)
-        assert m.mean_sq_i == pytest.approx(lv.ii_lh, rel=0.03)
+        assert m.mean_sq_u[0] == pytest.approx(lv.uu_lh, rel=0.03)
+        assert m.mean_sq_i[0] == pytest.approx(lv.ii_lh, rel=0.03)
 
     def test_mirroring_swaps_probes(self):
         # swapping LH -> HL while handing each party the other's noise
@@ -110,15 +119,17 @@ class TestRunBep:
                        noise_overrides={"alice": wf_l, "bob": wf_h})
         m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0,
                        noise_overrides={"alice": wf_h, "bob": wf_l})
-        np.testing.assert_allclose(m_hl.u_cha.samples, m_lh.u_chb.samples, rtol=1e-10)
-        np.testing.assert_allclose(m_hl.i_cha.samples, m_lh.i_chb.samples, rtol=1e-10)
-        np.testing.assert_allclose(m_hl.u_chb.samples, m_lh.u_cha.samples, rtol=1e-10)
+        u_cha, i_cha, u_chb, i_chb = range(4)  # rows in PROBES order
+        lh, hl = m_lh.probes[0], m_hl.probes[0]
+        np.testing.assert_allclose(hl[u_cha], lh[u_chb], rtol=1e-10)
+        np.testing.assert_allclose(hl[i_cha], lh[i_chb], rtol=1e-10)
+        np.testing.assert_allclose(hl[u_chb], lh[u_cha], rtol=1e-10)
 
     def test_waveform_length_is_bep_units(self):
         cfg = ProtocolConfig(bep_units=20)
         m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=3)
-        assert len(m.u_cha) == 20
-        assert m.u_cha.sample_interval_s == cfg.t_s
+        assert m.probes.shape == (1, 4, 20)
+        assert m.t_s == cfg.t_s
 
 
 class TestSession:
@@ -128,15 +139,31 @@ class TestSession:
         for _ in range(2):
             sess = KeyExchangeSession(ideal_builder, cfg, master_seed=5)
             runs.append(sess.run_bits(3))
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a.u_cha.samples, b.u_cha.samples)
-            assert a.mean_sq_u == b.mean_sq_u
+        a, b = runs
+        np.testing.assert_array_equal(a.probes[:, 0], b.probes[:, 0])
+        np.testing.assert_array_equal(a.mean_sq_u, b.mean_sq_u)
 
     def test_fresh_noise_each_bit(self):
         cfg = ProtocolConfig(bep_units=20)
         sess = KeyExchangeSession(ideal_builder, cfg, master_seed=5)
         bits = sess.run_bits(2)
-        assert not np.allclose(bits[0].u_cha.samples, bits[1].u_cha.samples)
+        assert not np.allclose(bits.probes[0, 0], bits.probes[1, 0])
+
+    def test_records_hold_one_row_per_bit(self):
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        sess = KeyExchangeSession(ideal_builder, cfg, master_seed=5)
+        bits = sess.run_bits(5, warmup_units=3)
+        assert len(bits) == 5 and bits.probes.shape == (5, 4, 20)
+        assert bits.bit_index.tolist() == list(range(5))
+        assert [tuple(a) for a in bits.arrangement] == [sess.draw_arrangement(i)
+                                                        for i in range(5)]
+        for k in range(5):
+            assert bits.mean_sq_u[k] == np.mean(bits.probes[k, 0] ** 2)
+            assert bits.mean_sq_i[k] == np.mean(bits.probes[k, 1] ** 2)
+        np.testing.assert_allclose(bits.start_time_s, (3 + 20 * np.arange(5) + 1) * cfg.t_s)
+        tail = bits[2:]
+        assert tail.bit_index.tolist() == [2, 3, 4]
+        np.testing.assert_array_equal(tail.probes, bits.probes[2:])
 
     def test_random_arrangement_mixes(self):
         cfg = ProtocolConfig(bep_units=1, arrangement="random")
@@ -150,12 +177,9 @@ class TestSession:
         lv = expected_levels(cfg)
         sess = KeyExchangeSession(ideal_builder, cfg, master_seed=7)
         bits = sess.run_bits(200)
-        correct = 0
-        for m in bits:
-            guess = infer_remote_resistance(
-                cfg.resistance(m.alice_choice), m.mean_sq_u, m.mean_sq_i, lv
-            )
-            correct += guess == m.bob_choice
+        own = np.array([cfg.resistance(c) for c in bits.alice_choice])
+        guess = infer_remote_resistance(own, bits.mean_sq_u, bits.mean_sq_i, lv)
+        correct = np.count_nonzero(guess == bits.bob_choice)
         assert correct >= 198
 
     def test_lh_hl_degeneracy(self):
@@ -164,9 +188,9 @@ class TestSession:
 
         cfg = ProtocolConfig(bep_units=20)
         a = KeyExchangeSession(ideal_builder, cfg, master_seed=8)
-        lh = [m.mean_sq_u for m in (a.run_bit(i, ("L", "H")) for i in range(300))]
+        lh = [a.run_bit(i, ("L", "H")).mean_sq_u[0] for i in range(300)]
         b = KeyExchangeSession(ideal_builder, cfg, master_seed=9)
-        hl = [m.mean_sq_u for m in (b.run_bit(i, ("H", "L")) for i in range(300))]
+        hl = [b.run_bit(i, ("H", "L")).mean_sq_u[0] for i in range(300)]
         assert ks_2samp(lh, hl).pvalue > 0.01
 
     def test_bad_master_seed(self):

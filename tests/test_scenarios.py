@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from kljnsim import scenarios
 from kljnsim.cli import main as cli_main
 from kljnsim.privacy import empirical_amplification
-from kljnsim.protocol import KeyExchangeSession
+from kljnsim.protocol import KeyExchangeSession, infer_remote_resistance
 from kljnsim.scenarios import (
     DEFAULT_MASTER_SEED,
     DefenseSpec,
@@ -131,6 +132,23 @@ class TestRunScenario:
         rows = (tmp_path / "eve_bits.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == secure
         assert len((tmp_path / "bep_records.jsonl").read_text().splitlines()) == 24
+
+    def test_inference_once_feeds_count_and_records(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return infer_remote_resistance(*args)
+
+        monkeypatch.setattr(scenarios, "infer_remote_resistance", counted)
+        res = run_scenario(random_scenario(24, 7, output_dir=str(tmp_path)))
+        assert len(calls) == 1
+        records = [json.loads(line) for line in (tmp_path / "bep_records.jsonl").open()]
+        assert res.n_inference_errors == sum(
+            r["alice_infers_bob"] != r["bob_choice"] for r in records)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "max_residual" not in summary
+        assert summary["factorization_residual"] == res.factorization_residual < 1e-9
 
     def test_short_secure_key_checked_before_simulating(self, monkeypatch):
         # seed 3 draws 3 secure bits of 4: one XOR round, not two
