@@ -40,10 +40,6 @@ def _add_common(parser: argparse.ArgumentParser, seed: int | None = DEFAULT_MAST
                         else "master seed (default: the config file's)")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory for result files")
-    parser.add_argument("--dump-waveforms", type=str, default=None,
-                        help="write probe waveforms CSV to this path")
-    parser.add_argument("--dump-netlist", type=str, default=None,
-                        help="write the netlist text to this path")
 
 
 def _cmd_table1(args) -> int:
@@ -143,6 +139,10 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("run", help="run one scenario from a JSON config")
     _add_common(p, seed=None)
     p.add_argument("--config", type=str, required=True, help="scenario JSON path")
+    p.add_argument("--dump-waveforms", type=str, default=None,
+                   help="write probe waveforms CSV to this path")
+    p.add_argument("--dump-netlist", type=str, default=None,
+                   help="write the netlist text to this path")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("noise-check", help="noise generator statistics")

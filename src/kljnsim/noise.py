@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -189,12 +189,14 @@ def _block_basis(n_pad: int, k_max: int, block: int):
     return basis, turns
 
 
-def generate_blocks(specs: list[NoiseSpec], block: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The realizations ``generate`` gives for ``specs``, cut in blocks.
+def generate_blocks(spec: NoiseSpec, seeds: list[int], block: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The realizations ``generate`` gives for ``spec`` with each of
+    ``seeds`` in place of its own seed, cut in blocks.
 
-    The specs must differ only in seed and rms.  Returns ``out`` of shape
-    (len(specs), n_blocks, block) with ``out[i, q, p]`` = sample
-    ``q * block + p`` of ``generate(specs[i])``; entries past the last
+    Returns ``out`` of shape (len(seeds), n_blocks, block) with
+    ``out[i, q, p]`` = sample ``q * block + p`` of
+    ``generate(replace(spec, seed=seeds[i]))``; entries past the last
     sample are padding.  ``out`` may be any view with unit stride along
     its last axis.
 
@@ -206,19 +208,16 @@ def generate_blocks(specs: list[NoiseSpec], block: int, out: np.ndarray | None =
     of their window go through ``generate``, where the transform is the
     cheaper of the two.
     """
-    n, n_pad, k_max = _window(specs[0])
-    key = (n, specs[0].sample_interval_s, specs[0].bandwidth_hz)
-    if any((s.n_samples, s.sample_interval_s, s.bandwidth_hz) != key for s in specs):
-        raise ValueError("specs must share bandwidth, duration and sample interval")
+    n, n_pad, k_max = _window(spec)
     n_blocks = -(-n // block)
     if out is None:
-        out = np.empty((len(specs), n_blocks, block))
-    if out.shape != (len(specs), n_blocks, block):
-        raise ValueError(f"out must have shape {(len(specs), n_blocks, block)}")
+        out = np.empty((len(seeds), n_blocks, block))
+    if out.shape != (len(seeds), n_blocks, block):
+        raise ValueError(f"out must have shape {(len(seeds), n_blocks, block)}")
 
     if 4 * n > n_pad:
-        for i, spec in enumerate(specs):
-            out[i] = np.resize(generate(spec).samples, (n_blocks, block))
+        for i, seed in enumerate(seeds):
+            out[i] = np.resize(generate(replace(spec, seed=seed)).samples, (n_blocks, block))
         return out
 
     # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t).
@@ -227,9 +226,9 @@ def generate_blocks(specs: list[NoiseSpec], block: int, out: np.ndarray | None =
     step = np.arange(1, k_max + 1) * (block * M // n_pad)
     phase = turns[np.arange(n_blocks)[:, None] * step % M]  # e^(i theta k q block)
     mod = np.empty_like(phase)  # the lines seen from each block start
-    for i, spec in enumerate(specs):
-        lines = _lines(spec.seed, k_max) * (spec.rms_volts / math.sqrt(k_max))
-        np.multiply(phase, lines, out=mod)
+    scale = spec.rms_volts / math.sqrt(k_max)
+    for i, seed in enumerate(seeds):
+        np.multiply(phase, _lines(seed, k_max) * scale, out=mod)
         np.matmul(mod.view(np.float64), basis, out=out[i])
     return out
 

@@ -341,17 +341,14 @@ class KeyExchangeSession:
                     raise ValueError(f"waveform for source {name!r} too short")
                 u[0, :, j] = w[: S * n_units].reshape(n_units, S)
                 continue
-            specs = [
-                NoiseSpec(
-                    bandwidth_hz=self.config.bandwidth_hz,
-                    rms_volts=self.config.generator_rms(choice),
-                    duration_s=n_units * self.config.t_s,
-                    sample_interval_s=self.solver_config.internal_step_s,
-                    seed=derive_seed(self.master_seed, slot, purpose),
-                )
-                for slot in slots
-            ]
-            generate_blocks(specs, S, out=u[:, :, j])
+            spec = NoiseSpec(
+                bandwidth_hz=self.config.bandwidth_hz,
+                rms_volts=self.config.generator_rms(choice),
+                duration_s=n_units * self.config.t_s,
+                sample_interval_s=self.solver_config.internal_step_s,
+            )
+            seeds = [derive_seed(self.master_seed, slot, purpose) for slot in slots]
+            generate_blocks(spec, seeds, S, out=u[:, :, j])
         return u.reshape(len(slots), n_units, -1)
 
     def _exchange(
@@ -458,10 +455,16 @@ class KeyExchangeSession:
             arrangement = self.draw_arrangement(bit_index)
         return self._measure([bit_index], [arrangement], noise_overrides)
 
-    def run_bits(self, n_bits: int, warmup_units: int = 0) -> BepRecords:
-        """Warm up, then exchange bits 0 .. n_bits - 1 in chunks."""
-        self.run_warmup(warmup_units, self.draw_arrangement(0))
-        return self._measure(range(n_bits), [self.draw_arrangement(i) for i in range(n_bits)])
+    def run_bits(self, n_bits: int, warmup_units: int = 0,
+                 arrangements: list[tuple[str, str]] | None = None) -> BepRecords:
+        """Warm up, then exchange bits 0 .. n_bits - 1 in chunks, in
+        ``arrangements`` if the caller has drawn them (``draw_arrangement``)."""
+        if arrangements is None:
+            arrangements = [self.draw_arrangement(i) for i in range(n_bits)]
+        if len(arrangements) != n_bits:
+            raise ValueError(f"{len(arrangements)} arrangements for {n_bits} bits")
+        self.run_warmup(warmup_units, arrangements[0] if n_bits else self.draw_arrangement(0))
+        return self._measure(range(n_bits), arrangements)
 
     @property
     def factorization_residual(self) -> float:

@@ -201,8 +201,9 @@ def run_scenario(
         builder, config.protocol, config.solver, master_seed=config.master_seed
     )
     # Attack and XOR rounds see the secure bits only; count them before
-    # simulating.
-    n_secure = sum(a != b for a, b in map(session.draw_arrangement, range(config.n_bits)))
+    # simulating, from the draws the exchange then uses.
+    arrangements = [session.draw_arrangement(i) for i in range(config.n_bits)]
+    n_secure = sum(a != b for a, b in arrangements)
     if n_secure == 0:
         raise ValueError(f"no secure bits among {config.n_bits}")
     supported = min(rounds, n_secure.bit_length() - 1)
@@ -215,7 +216,7 @@ def run_scenario(
         )
 
     warmup = default_warmup_units(config.protocol, config.cable)
-    records = session.run_bits(config.n_bits, warmup_units=warmup)
+    records = session.run_bits(config.n_bits, warmup_units=warmup, arrangements=arrangements)
 
     outcome = run_attack(records, tie_seed_base=config.master_seed)
     amplification = empirical_amplification(outcome, supported) if supported else []

@@ -328,12 +328,18 @@ class TransientSolver:
         w = self.history_weights.reshape((-1,) + (1,) * (x.ndim - 1))
         return x[self._sl_h] + w * np.concatenate([x[self._sl_cv], x[self._sl_lv]])
 
+    def _history_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step in history coordinates: (F, Bh, Yh) with F = H U and
+        Bh = H B, so that h' = F h + Bh u and y = Yh h + Yu0 u."""
+        return (self._history(self._A[:, self._sl_h]), self._history(self._B),
+                self._Ys0[:, self._sl_h])
+
     def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact maps for one record of ``stride`` steps, in history
         coordinates h (see ``_history``).
 
-        With F = H U and Bh = H B the step is h' = F h + Bh u, y = Yh h +
-        Yu0 u.  A record's inputs u are ``stride * n_sources`` values,
+        The step is h' = F h + Bh u, y = Yh h + Yu0 u (``_history_system``).
+        A record's inputs u are ``stride * n_sources`` values,
         source-major (step p of source j at j * stride + p).  With g the
         history one step before the record ends, g = F^(stride-1) h + Sm u:
             y  = Yh g + Yu0 u_last   = Y_h h + Y_u u
@@ -344,9 +350,7 @@ class TransientSolver:
         cached = self._block_cache.get(stride)
         if cached is not None:
             return cached
-        F = self._history(self._A[:, self._sl_h])
-        Bh = self._history(self._B)
-        Yh = self._Ys0[:, self._sl_h]
+        F, Bh, Yh = self._history_system()
         m, nu = Bh.shape
 
         Sm = np.zeros((m, nu, stride))
@@ -526,15 +530,18 @@ def frequency_response_check(
     f_hz: float,
     source: str | None = None,
     config: SolverConfig | None = None,
-    n_settle: float = 10.0,
-    n_fit_periods: int = 8,
 ) -> complex:
-    """Measured complex gain from one source to one probe at ``f_hz``.
+    """Complex gain from one source to one probe at ``f_hz``.
 
-    Drives the source with a unit sinusoid, discards ``n_settle`` time
-    constants (1 / (2 pi f) each) of transient, and fits the probe with
-    a sine/cosine pair over whole periods.
+    The steady-state gain of the trapezoidal step map, which is what a
+    unit sinusoid stepped through ``run`` settles to, frequency warping
+    of the discretization included: with z = e^(2 pi i f dt) and the
+    history-coordinate step h' = F h + Bh u, y = Yh h + Yu0 u
+    (``TransientSolver._history_system``), H = Yu0 + Yh (zI - F)^-1 Bh,
+    one complex solve.  The default step is 1 / (64 f).
     """
+    if not f_hz > 0:
+        raise ValueError(f"test frequency must be positive, got {f_hz}")
     if config is None:
         config = SolverConfig(internal_step_s=1.0 / (64.0 * f_hz))
     dt = config.internal_step_s
@@ -542,28 +549,12 @@ def frequency_response_check(
         raise ValueError("test frequency must be below the internal-step Nyquist")
 
     solver = TransientSolver(netlist, dt, config.tolerance)
-    if source is None:
-        source = solver.source_names[0]
     if probe not in solver.probe_names:
         raise ValueError(f"unknown probe {probe!r}")
-    j_src = solver.source_names.index(source)
+    j_src = 0 if source is None else solver.source_names.index(source)
     j_probe = solver.probe_names.index(probe)
 
-    period = 1.0 / f_hz
-    t_settle = n_settle / (2.0 * math.pi * f_hz)
-    n_settle_steps = int(math.ceil(t_settle / dt))
-    n_fit_steps = int(round(n_fit_periods * period / dt))
-    n_total = n_settle_steps + n_fit_steps
-
-    t = (np.arange(n_total) + 1) * dt
-    u = solver.assemble_inputs(n_total, {})
-    u[:, j_src] = np.sin(2.0 * math.pi * f_hz * t)
-
-    y = solver.run(u, record_stride=1)[:, j_probe]
-    y_fit = y[n_settle_steps:]
-    t_fit = t[n_settle_steps:]
-    basis = np.column_stack(
-        [np.sin(2.0 * math.pi * f_hz * t_fit), np.cos(2.0 * math.pi * f_hz * t_fit)]
-    )
-    coef, *_ = np.linalg.lstsq(basis, y_fit, rcond=None)
-    return complex(coef[0], coef[1])
+    F, Bh, Yh = solver._history_system()
+    z = np.exp(2j * math.pi * f_hz * dt)
+    x = np.linalg.solve(z * np.eye(len(F)) - F, Bh[:, j_src])
+    return complex(solver._Yu0[j_probe, j_src] + Yh[j_probe] @ x)

@@ -165,6 +165,19 @@ class TestSession:
         assert tail.bit_index.tolist() == [2, 3, 4]
         np.testing.assert_array_equal(tail.probes, bits.probes[2:])
 
+    def test_given_arrangements_are_used(self):
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        sess = KeyExchangeSession(ideal_builder, cfg, master_seed=5)
+        drawn = [sess.draw_arrangement(i) for i in range(4)]
+        given = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(
+            4, warmup_units=3, arrangements=drawn)
+        np.testing.assert_array_equal(given.probes, sess.run_bits(4, warmup_units=3).probes)
+        forced = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(
+            4, arrangements=[("H", "L")] * 4)
+        assert forced.arrangement.tolist() == ["HL"] * 4
+        with pytest.raises(ValueError, match="arrangements"):
+            sess.run_bits(3, arrangements=drawn)
+
     def test_random_arrangement_mixes(self):
         cfg = ProtocolConfig(bep_units=1, arrangement="random")
         sess = KeyExchangeSession(ideal_builder, cfg, master_seed=6)

@@ -150,6 +150,18 @@ class TestRunScenario:
         assert "max_residual" not in summary
         assert summary["factorization_residual"] == res.factorization_residual < 1e-9
 
+    def test_coins_drawn_once_per_bit(self, monkeypatch):
+        calls = []
+        draw = KeyExchangeSession.draw_arrangement
+
+        def counted(self, bit_index):
+            calls.append(bit_index)
+            return draw(self, bit_index)
+
+        monkeypatch.setattr(KeyExchangeSession, "draw_arrangement", counted)
+        run_scenario(random_scenario(24, 7))
+        assert sorted(calls) == list(range(24))
+
     def test_short_secure_key_checked_before_simulating(self, monkeypatch):
         # seed 3 draws 3 secure bits of 4: one XOR round, not two
         class Simulated(Exception):
@@ -237,6 +249,12 @@ class TestCli:
             assert cli_main(["run", "--config", str(path)] + argv) == 0
             summary = json.loads(capsys.readouterr().out)
             assert summary["config"]["master_seed"] == seed
+
+    @pytest.mark.parametrize("flag", ["--dump-netlist", "--dump-waveforms"])
+    def test_dump_flags_only_on_run(self, flag, tmp_path):
+        with pytest.raises(SystemExit):
+            cli_main(["table1", flag, str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
 
     def test_error_is_machine_readable(self, capsys):
         rc = cli_main(["run", "--config", "/nonexistent/path.json"])

@@ -217,7 +217,44 @@ class TestDiscretization:
         np.testing.assert_allclose(np.vstack([y_a, y_b]), y_one, atol=1e-13)
 
 
+def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
+    """Gain fitted from a sinusoid stepped through ``run``: drop
+    ``n_settle`` time constants (1 / (2 pi f) each), then fit a sine and
+    cosine pair over whole periods."""
+    solver = TransientSolver(net, dt)
+    n_skip = int(np.ceil(n_settle / (2.0 * np.pi * f_hz) / dt))
+    n_total = n_skip + int(round(n_fit_periods / (f_hz * dt)))
+    t = (np.arange(n_total) + 1) * dt
+    u = solver.assemble_inputs(n_total, {})
+    u[:, solver.source_names.index(source)] = np.sin(2.0 * np.pi * f_hz * t)
+    y = solver.run(u, record_stride=1)[n_skip:, solver.probe_names.index(probe)]
+    wt = 2.0 * np.pi * f_hz * t[n_skip:]
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.sin(wt), np.cos(wt)]), y, rcond=None)
+    return complex(coef[0], coef[1])
+
+
 class TestFrequencyResponse:
+    def test_rc_matches_stepped_fit(self):
+        fc = 1.0 / (2.0 * np.pi * 900.0 * 100e-9)
+        gain = frequency_response_check(rc_netlist(), "v", fc)
+        fitted = stepped_gain(rc_netlist(), "v", fc, "u", 1.0 / (64.0 * fc))
+        assert abs(gain - fitted) < 1e-5 * abs(fitted)
+
+    def test_ladder_matches_stepped_fit(self):
+        net = build_distributed(1000.0, 9000.0, rg58(1000.0))
+        cfg = SolverConfig(internal_step_s=1e-6)
+        gain = frequency_response_check(net, "u_cha", 1768.0, source="ua", config=cfg)
+        fitted = stepped_gain(net, "u_cha", 1768.0, "ua", 1e-6)
+        assert abs(gain - fitted) < 1e-5 * abs(fitted)
+
+    @pytest.mark.parametrize("f_hz", [0.0, -20.0])
+    def test_nonpositive_frequency_rejected(self, f_hz):
+        cfg = SolverConfig(internal_step_s=1e-6)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            frequency_response_check(rc_netlist(), "v", f_hz)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            frequency_response_check(rc_netlist(), "v", f_hz, config=cfg)
+
     def test_rc_gain_at_cutoff(self):
         r, c = 900.0, 100e-9
         fc = 1.0 / (2.0 * np.pi * r * c)
