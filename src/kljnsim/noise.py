@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
 from scipy import stats
+
+from .seeding import generator
 
 BOLTZMANN = 1.380649e-23  # J/K, CODATA
 
@@ -135,10 +137,23 @@ def _window(spec: NoiseSpec) -> tuple[int, int, int]:
     return n, n_pad, k_max
 
 
+def _draw_lines(rng: np.random.Generator, k_max: int) -> np.ndarray:
+    return rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
+
+
 def _lines(seed: int, k_max: int) -> np.ndarray:
     """The unit complex Gaussian coefficients of bins 1..k_max."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
+    return _draw_lines(np.random.default_rng(seed), k_max)
+
+
+def _synthesize(lines: np.ndarray, rms_volts: float, n: int, n_pad: int) -> np.ndarray:
+    """The first n samples of the padded realization with these unit lines."""
+    k_max = len(lines)
+    spectrum = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
+    # Per-sample variance of irfft with k_max populated bins of
+    # per-component variance s^2 is (4 / n_pad^2) * k_max * s^2.
+    spectrum[1 : k_max + 1] = lines * (rms_volts * n_pad / (2.0 * math.sqrt(k_max)))
+    return sp_fft.irfft(spectrum, n=n_pad)[:n]
 
 
 def generate(spec: NoiseSpec) -> Waveform:
@@ -155,13 +170,7 @@ def generate(spec: NoiseSpec) -> Waveform:
     of ``rms_volts`` (scaling the rms scales the samples linearly).
     """
     n, n_pad, k_max = _window(spec)
-    spectrum = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
-    # Per-sample variance of irfft with k_max populated bins of
-    # per-component variance s^2 is (4 / n_pad^2) * k_max * s^2.
-    scale = spec.rms_volts * n_pad / (2.0 * math.sqrt(k_max))
-    spectrum[1 : k_max + 1] = _lines(spec.seed, k_max) * scale
-
-    samples = sp_fft.irfft(spectrum, n=n_pad)[:n]
+    samples = _synthesize(_lines(spec.seed, k_max), spec.rms_volts, n, n_pad)
     return Waveform(samples=samples, sample_interval_s=spec.sample_interval_s)
 
 
@@ -189,35 +198,37 @@ def _block_basis(n_pad: int, k_max: int, block: int):
     return basis, turns
 
 
-def generate_blocks(spec: NoiseSpec, seeds: list[int], block: int,
+def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """The realizations ``generate`` gives for ``spec`` with each of
-    ``seeds`` in place of its own seed, cut in blocks.
+    """The realizations ``generate`` gives for ``spec``, one per row of
+    ``words``, cut in blocks.
 
-    Returns ``out`` of shape (len(seeds), n_blocks, block) with
-    ``out[i, q, p]`` = sample ``q * block + p`` of
-    ``generate(replace(spec, seed=seeds[i]))``; entries past the last
-    sample are padding.  ``out`` may be any view with unit stride along
-    its last axis.
+    Row i of ``words`` holds the PCG64 seed words ``default_rng(seed_i)``
+    starts from (``seeding.pcg64_words``).  Returns ``out`` of shape
+    (len(words), n_blocks, block) with ``out[i, q, p]`` = sample
+    ``q * block + p`` of ``generate(replace(spec, seed=seed_i))``; entries
+    past the last sample are padding.  ``out`` may be any view with unit
+    stride along its last axis.
 
     A short request keeps only the first n samples of its padded window,
     so instead of one inverse transform of n_pad points per realization,
     these samples are evaluated directly from the ~_MIN_INBAND_BINS
     in-band lines: the lines modulated to each block start, then one GEMM
     against a basis of ``block`` samples.  Requests longer than a quarter
-    of their window go through ``generate``, where the transform is the
-    cheaper of the two.
+    of their window take the inverse transform ``generate`` takes, where
+    it is the cheaper of the two.
     """
     n, n_pad, k_max = _window(spec)
     n_blocks = -(-n // block)
     if out is None:
-        out = np.empty((len(seeds), n_blocks, block))
-    if out.shape != (len(seeds), n_blocks, block):
-        raise ValueError(f"out must have shape {(len(seeds), n_blocks, block)}")
+        out = np.empty((len(words), n_blocks, block))
+    if out.shape != (len(words), n_blocks, block):
+        raise ValueError(f"out must have shape {(len(words), n_blocks, block)}")
 
     if 4 * n > n_pad:
-        for i, seed in enumerate(seeds):
-            out[i] = np.resize(generate(replace(spec, seed=seed)).samples, (n_blocks, block))
+        for i, w in enumerate(words):
+            samples = _synthesize(_draw_lines(generator(w), k_max), spec.rms_volts, n, n_pad)
+            out[i] = np.resize(samples, (n_blocks, block))
         return out
 
     # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t).
@@ -227,8 +238,8 @@ def generate_blocks(spec: NoiseSpec, seeds: list[int], block: int,
     phase = turns[np.arange(n_blocks)[:, None] * step % M]  # e^(i theta k q block)
     mod = np.empty_like(phase)  # the lines seen from each block start
     scale = spec.rms_volts / math.sqrt(k_max)
-    for i, seed in enumerate(seeds):
-        np.multiply(phase, _lines(seed, k_max) * scale, out=mod)
+    for i, w in enumerate(words):
+        np.multiply(phase, _draw_lines(generator(w), k_max) * scale, out=mod)
         np.matmul(mod.view(np.float64), basis, out=out[i])
     return out
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
+from . import seeding
 from .noise import NoiseSpec, Waveform, generate_blocks, rms_for_resistor
 from .solver import DivergenceError, SolverConfig, TransientSolver
 
@@ -317,24 +318,24 @@ class KeyExchangeSession:
     def _inputs(
         self,
         solver: TransientSolver,
-        slots: list[int],
+        words: np.ndarray,
         arrangement: tuple[str, str],
         n_units: int,
         noise_overrides: dict[str, Waveform] | None,
     ) -> np.ndarray:
-        """Inputs of ``propagate`` for one bit per slot, all with one
-        arrangement: each party's noise is synthesized straight into its
-        rows, other sources hold their constant value."""
+        """Inputs of ``propagate`` for one bit per row of ``words``
+        (``_noise_words``), all with one arrangement: each party's noise is
+        synthesized straight into its rows, other sources hold their
+        constant value."""
         S = self.oversample
-        u = np.empty((len(slots), n_units, len(solver.source_names), S))
+        u = np.empty((len(words), n_units, len(solver.source_names), S))
         const = solver.assemble_inputs(1, {})[0]
-        parties = {"ua": ("alice", _NOISE_ALICE, arrangement[0]),
-                   "ub": ("bob", _NOISE_BOB, arrangement[1])}
+        parties = {"ua": ("alice", 0, arrangement[0]), "ub": ("bob", 1, arrangement[1])}
         for j, name in enumerate(solver.source_names):
             if name not in parties:
                 u[:, :, j] = const[j]
                 continue
-            party, purpose, choice = parties[name]
+            party, column, choice = parties[name]
             if noise_overrides and party in noise_overrides:
                 w = noise_overrides[party].samples
                 if w.size < S * n_units:
@@ -347,23 +348,34 @@ class KeyExchangeSession:
                 duration_s=n_units * self.config.t_s,
                 sample_interval_s=self.solver_config.internal_step_s,
             )
-            seeds = [derive_seed(self.master_seed, slot, purpose) for slot in slots]
-            generate_blocks(spec, seeds, S, out=u[:, :, j])
-        return u.reshape(len(slots), n_units, -1)
+            generate_blocks(spec, words[:, column], S, out=u[:, :, j])
+        return u.reshape(len(words), n_units, -1)
+
+    def _noise_words(self, slots) -> np.ndarray:
+        """The PCG64 seed words of both parties' noise in each slot, as
+        (len(slots), 2, 4) uint64 with Alice's in column 0 and Bob's in 1:
+        what ``default_rng(derive_seed(master_seed, slot, purpose))`` starts
+        from, derived for every slot in two vectorized hash passes."""
+        slots = np.repeat(np.asarray(slots, dtype=np.int64), 2)
+        purposes = np.tile([_NOISE_ALICE, _NOISE_BOB], len(slots) // 2)
+        words = seeding.pcg64_words(seeding.derive_states(self.master_seed, slots, purposes))
+        return words.reshape(-1, 2, 4)
 
     def _exchange(
         self,
-        slots: list[int],
+        words: np.ndarray,
         arrangements: list[tuple[str, str]],
         n_units: int,
         noise_overrides: dict[str, Waveform] | None = None,
     ) -> tuple[np.ndarray, list[str]]:
         """Run consecutive periods of ``n_units`` measurement intervals,
-        one per noise slot, and advance the session.
+        one per row of noise seed words (``_noise_words``), and advance
+        the session.
 
-        Returns the probes, (len(slots), n_probes, n_units), and the probe
+        Returns the probes, (len(words), n_probes, n_units), and the probe
         names.
         """
+        n = len(words)
         S = self.oversample
         groups: dict[tuple[str, str], list[int]] = {}
         for k, arrangement in enumerate(arrangements):
@@ -375,19 +387,19 @@ class KeyExchangeSession:
 
         # Zero-state responses, one GEMM recurrence per arrangement with
         # the bits as rows; bit 0 starts from h.
-        y = np.empty((len(slots), len(first.probe_names), n_units))
-        z = np.empty((len(slots), m))
+        y = np.empty((n, len(first.probe_names), n_units))
+        z = np.empty((n, m))
         for a, idx in groups.items():
-            u = self._inputs(solvers[a], [slots[k] for k in idx], a, n_units, noise_overrides)
+            u = self._inputs(solvers[a], words[idx], a, n_units, noise_overrides)
             h0 = np.zeros((len(idx), m))
             if idx[0] == 0:
                 h0[0] = h
             y[idx], z[idx], _ = solvers[a].propagate(h0, u, S)
 
         # Hand the state from bit to bit, then add the free responses.
-        starts = np.empty((len(slots), m))
+        starts = np.empty((n, m))
         h = z[0]
-        for k in range(1, len(slots)):
+        for k in range(1, n):
             starts[k] = h
             A_R, _ = solvers[arrangements[k]].handoff_maps(S, n_units)
             h = A_R @ h + z[k]
@@ -400,14 +412,14 @@ class KeyExchangeSession:
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")
         self._hist = h
-        self._time_units += len(slots) * n_units
+        self._time_units += n * n_units
         return y, first.probe_names
 
     def run_warmup(self, n_units: int, arrangement: tuple[str, str] = (LOW, HIGH)) -> None:
         """Discarded settling interval before the first measured bit."""
         if n_units <= 0:
             return
-        self._exchange([_WARMUP_SLOT], [arrangement], n_units)
+        self._exchange(self._noise_words([_WARMUP_SLOT]), [arrangement], n_units)
 
     def draw_arrangement(self, bit_index: int) -> tuple[str, str]:
         """Per-party fair coins (random mode) or the fixed LH pattern."""
@@ -422,9 +434,11 @@ class KeyExchangeSession:
         self,
         bits,
         arrangements: list[tuple[str, str]],
+        words: np.ndarray,
         noise_overrides: dict[str, Waveform] | None = None,
     ) -> BepRecords:
-        """Exchange consecutive bits in chunks, filling one record."""
+        """Exchange consecutive bits in chunks, filling one record; row i
+        of ``words`` seeds bit ``bits[i]``."""
         cfg = self.config
         n = len(bits)
         records = BepRecords(
@@ -438,9 +452,8 @@ class KeyExchangeSession:
         per_chunk = max(1, _CHUNK_STEPS // (cfg.bep_units * self.oversample))
         for start in range(0, n, per_chunk):
             rows = slice(start, start + per_chunk)
-            y, names = self._exchange(
-                [1 + i for i in bits[rows]], arrangements[rows], cfg.bep_units, noise_overrides
-            )
+            y, names = self._exchange(words[rows], arrangements[rows], cfg.bep_units,
+                                      noise_overrides)
             records.probes[rows] = y[:, [names.index(p) for p in PROBES]]
         return records
 
@@ -453,18 +466,25 @@ class KeyExchangeSession:
         """Exchange one bit; a one-row record of what the parties and Eve see."""
         if arrangement is None:
             arrangement = self.draw_arrangement(bit_index)
-        return self._measure([bit_index], [arrangement], noise_overrides)
+        words = self._noise_words([1 + bit_index])
+        return self._measure([bit_index], [arrangement], words, noise_overrides)
 
     def run_bits(self, n_bits: int, warmup_units: int = 0,
                  arrangements: list[tuple[str, str]] | None = None) -> BepRecords:
         """Warm up, then exchange bits 0 .. n_bits - 1 in chunks, in
-        ``arrangements`` if the caller has drawn them (``draw_arrangement``)."""
+        ``arrangements`` if the caller has drawn them (``draw_arrangement``).
+
+        The noise seeds of the whole run, warmup included, are derived up
+        front in one ``_noise_words`` call."""
         if arrangements is None:
             arrangements = [self.draw_arrangement(i) for i in range(n_bits)]
         if len(arrangements) != n_bits:
             raise ValueError(f"{len(arrangements)} arrangements for {n_bits} bits")
-        self.run_warmup(warmup_units, arrangements[0] if n_bits else self.draw_arrangement(0))
-        return self._measure(range(n_bits), arrangements)
+        words = self._noise_words(range(1 + n_bits))  # slot 0 is the warmup's
+        if warmup_units > 0:
+            self._exchange(words[:1], [arrangements[0] if n_bits else self.draw_arrangement(0)],
+                           warmup_units)
+        return self._measure(range(n_bits), arrangements, words[1:])
 
     @property
     def factorization_residual(self) -> float:

@@ -12,12 +12,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import platform
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .attack import AttackOutcome, attack_summary, run_attack, write_attack_csv
 from .network import CableSpec, apply_capacitor_killer, build_distributed, rg58
@@ -36,6 +39,10 @@ from .solver import SolverConfig
 # Default master seed for the built-in campaigns; results are
 # deterministic given the seed, so documented numbers reproduce exactly.
 DEFAULT_MASTER_SEED = 20250809
+
+# Thread-count settings of the BLAS libraries numpy may be built against;
+# the manifest records each as set, or null.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The built-in six-cell sweep: (bep_units, cable length in meters).
 TABLE1_CELLS = [(20, 100.0), (20, 1000.0), (50, 100.0), (50, 1000.0),
@@ -283,10 +290,30 @@ def persist_scenario(
         "files": sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json"),
         "n_bits": result.config.n_bits,
         "master_seed": result.config.master_seed,
+        **_provenance(),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
+
+
+def _provenance() -> dict:
+    """What produced a run: package and library versions, and the BLAS
+    thread settings in the environment (recorded, never set here)."""
+    from . import __version__
+
+    # numpy before 1.26 has no build CONFIG; its BLAS is then recorded as null
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "versions": {
+            "kljnsim": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        },
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
 
 
 @dataclass
@@ -341,6 +368,12 @@ class Table1Result:
                 )
 
 
+def _check_master_seed(master_seed: int) -> None:
+    # The campaigns derive their cell seeds before any config check runs.
+    if master_seed < 0:
+        raise ValueError("master_seed must be non-negative")
+
+
 def reproduce_table1(
     master_seed: int = DEFAULT_MASTER_SEED,
     n_bits: int = 1000,
@@ -353,6 +386,7 @@ def reproduce_table1(
     cells may be computed in any order (or concurrently) with identical
     results.
     """
+    _check_master_seed(master_seed)
     cells: dict[tuple[int, float], ScenarioResult] = {}
     for idx, (bep, length) in enumerate(TABLE1_CELLS):
         sub_dir = None
@@ -382,6 +416,7 @@ def reproduce_defenses(
     output_dir: str | None = None,
 ) -> dict:
     """Strongest attack cell three ways: shield drive, one XOR, two XORs."""
+    _check_master_seed(master_seed)
     base_cfg = default_scenario(
         bep_units=100,
         length_m=1000.0,

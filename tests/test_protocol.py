@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kljnsim import noise, protocol, seeding
 from kljnsim.network import CableSpec, build_distributed, rg58
 from kljnsim.noise import NoiseSpec, generate
 from kljnsim.protocol import (
@@ -205,6 +206,19 @@ class TestSession:
         b = KeyExchangeSession(ideal_builder, cfg, master_seed=9)
         hl = [b.run_bit(i, ("H", "L")).mean_sq_u[0] for i in range(300)]
         assert ks_2samp(lh, hl).pvalue > 0.01
+
+    def test_run_seeds_hashed_once(self, monkeypatch):
+        # the scalar seed path stays the oracle; a run derives its noise
+        # seeds, warmup included, in one batched pass
+        calls = []
+        for module, name in ((protocol, "derive_seed"), (noise, "_lines"),
+                             (seeding, "pcg64_words")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
+        sess.run_bits(6, warmup_units=3)
+        assert calls == ["pcg64_words"]
 
     def test_bad_master_seed(self):
         with pytest.raises(ValueError):

@@ -92,6 +92,21 @@ class TestRunScenario:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "summary.json" in manifest["files"]
 
+    def test_manifest_records_provenance(self, tmp_path):
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            run_scenario(default_scenario(20, 100.0, n_bits=4, master_seed=4,
+                                          output_dir=str(out)))
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert set(manifest["versions"]) == {"kljnsim", "python", "numpy", "scipy", "blas"}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert set(manifest["versions"]["blas"]) == {"name", "version"}
+        assert set(manifest["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
     def test_eve_csv_shape(self, tmp_path):
         out = tmp_path / "s"
         cfg = default_scenario(20, 100.0, n_bits=4, master_seed=5, output_dir=str(out))
@@ -261,6 +276,13 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    @pytest.mark.parametrize("command", ["table1", "defenses"])
+    def test_negative_seed_named(self, command, capsys):
+        rc = cli_main([command, "--bits", "4", "--seed", "-1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "master_seed must be non-negative"}
 
     def test_defenses_command_smoke(self, capsys):
         rc = cli_main(["defenses", "--bits", "8", "--seed", "3"])
