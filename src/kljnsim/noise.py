@@ -5,7 +5,9 @@ Johnson noise of the two resistors at a very high effective temperature.
 This module synthesizes those sources as band-limited white Gaussian
 noise with an exact brick-wall cutoff, and provides the statistical
 checks (sigma accuracy, spectral confinement, normality) used to
-validate them.
+validate them.  The bit engine takes its noise as a few coefficients
+per record over the band's record basis (``record_basis``,
+``generate_blocks``) rather than as samples.
 """
 
 from __future__ import annotations
@@ -175,13 +177,47 @@ def generate(spec: NoiseSpec) -> Waveform:
 
 
 @functools.lru_cache(maxsize=4)
-def _block_basis(n_pad: int, k_max: int, block: int):
+def _record_basis(band: float, block: int) -> np.ndarray:
+    """``Qt`` of ``record_basis`` for a band of ``band`` cycles per sample."""
+    # Cosines and sines at `block` frequencies evenly spaced up to the
+    # band edge: a (2 block, block) matrix whose numerical range already
+    # holds every in-band line to round-off.
+    f = band * np.arange(1, block + 1) / block
+    angle = 2.0 * math.pi * f[:, None] * np.arange(block)
+    _, s, vt = np.linalg.svd(np.vstack([np.cos(angle), np.sin(angle)]),
+                             full_matrices=False)
+    Qt = np.ascontiguousarray(vt[: np.count_nonzero(s > np.finfo(float).eps * s[0])])
+    Qt.setflags(write=False)  # shared by every caller through the cache
+    return Qt
+
+
+def record_basis(spec: NoiseSpec, block: int) -> np.ndarray:
+    """Orthonormal rows ``Qt`` (r, block) spanning every ``block``-sample
+    record of every realization of ``spec``'s band.
+
+    A record of band-limited noise is a sum of sinusoids at frequencies
+    up to bandwidth * dt cycles per sample.  Over a short record these
+    span only a few directions to round-off, the leading discrete prolate
+    spheroidal sequences (Slepian, Bell Syst. Tech. J. 57, 1978): r = 12
+    of 32 at the default band.  r counts the singular values above eps
+    times the largest; a band near Nyquist needs r = block.  ``Qt``
+    depends on the band and ``block`` alone, so records of any request
+    length, window or seed share it.
+    """
+    return _record_basis(spec.bandwidth_hz * spec.sample_interval_s, block)
+
+
+@functools.lru_cache(maxsize=4)
+def _block_basis(n_pad: int, k_max: int, block: int, band: float):
     """Tables for evaluating a padded realization block by block.
 
-    Returns ``basis`` (2 k_max, block), whose rows alternate
-    cos(theta k p) and -sin(theta k p) with theta = 2 pi / n_pad, and
-    ``turns``, e^(2 pi i m / M) for m < M, the phases a block start can
-    take: e^(i theta k q block) = turns[(k q block / g) mod M] with
+    Returns ``P`` = basis @ Qt^T (2 k_max, r), with ``Qt`` from
+    ``_record_basis``, and ``turns``.  ``basis`` (2 k_max, block) has
+    rows alternating cos(theta k p) and -sin(theta k p) with
+    theta = 2 pi / n_pad, so a block's coefficients over ``Qt`` are its
+    modulated lines times ``P``.
+    ``turns`` holds e^(2 pi i m / M) for m < M, the phases a block start
+    can take: e^(i theta k q block) = turns[(k q block / g) mod M] with
     g = gcd(block, n_pad) and M = n_pad / g.  Phases are reduced in
     integers, so they stay exact for long windows.
     """
@@ -190,49 +226,53 @@ def _block_basis(n_pad: int, k_max: int, block: int):
     rot = np.exp(2j * math.pi / n_pad * ((k[:, None] * np.arange(block)) % n_pad))
     basis[:, 0] = rot.real
     basis[:, 1] = -rot.imag
-    basis = basis.reshape(2 * k_max, block)
+    P = basis.reshape(2 * k_max, block) @ _record_basis(band, block).T
     M = n_pad // math.gcd(block, n_pad)
     turns = np.exp(2j * math.pi / M * np.arange(M))
-    for table in (basis, turns):
+    for table in (P, turns):
         table.setflags(write=False)  # shared by every caller through the cache
-    return basis, turns
+    return P, turns
 
 
 def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """The realizations ``generate`` gives for ``spec``, one per row of
-    ``words``, cut in blocks.
+    ``words``, cut in blocks and held as coefficients over the record
+    basis ``Qt = record_basis(spec, block)``.
 
     Row i of ``words`` holds the PCG64 seed words ``default_rng(seed_i)``
     starts from (``seeding.pcg64_words``).  Returns ``out`` of shape
-    (len(words), n_blocks, block) with ``out[i, q, p]`` = sample
-    ``q * block + p`` of ``generate(replace(spec, seed=seed_i))``; entries
-    past the last sample are padding.  ``out`` may be any view with unit
-    stride along its last axis.
+    (len(words), n_blocks, r) with ``(out[i] @ Qt)[q, p]`` = sample
+    ``q * block + p`` of ``generate(replace(spec, seed=seed_i))`` to
+    round-off; samples past the last one continue the realization.
+    ``out`` may be any view with unit stride along its last axis.
 
     A short request keeps only the first n samples of its padded window,
     so instead of one inverse transform of n_pad points per realization,
-    these samples are evaluated directly from the ~_MIN_INBAND_BINS
+    the coefficients are evaluated directly from the ~_MIN_INBAND_BINS
     in-band lines: the lines modulated to each block start, then one GEMM
-    against a basis of ``block`` samples.  Requests longer than a quarter
-    of their window take the inverse transform ``generate`` takes, where
-    it is the cheaper of the two.
+    against ``P``.  Requests longer than a quarter of their window take
+    the inverse transform ``generate`` takes, where it is the cheaper of
+    the two, and project its blocks onto ``Qt``.
     """
     n, n_pad, k_max = _window(spec)
     n_blocks = -(-n // block)
+    band = spec.bandwidth_hz * spec.sample_interval_s
+    Qt = _record_basis(band, block)
     if out is None:
-        out = np.empty((len(words), n_blocks, block))
-    if out.shape != (len(words), n_blocks, block):
-        raise ValueError(f"out must have shape {(len(words), n_blocks, block)}")
+        out = np.empty((len(words), n_blocks, len(Qt)))
+    if out.shape != (len(words), n_blocks, len(Qt)):
+        raise ValueError(f"out must have shape {(len(words), n_blocks, len(Qt))}")
 
     if 4 * n > n_pad:
         for i, w in enumerate(words):
-            samples = _synthesize(_draw_lines(generator(w), k_max), spec.rms_volts, n, n_pad)
-            out[i] = np.resize(samples, (n_blocks, block))
+            # The whole periodic window, so a last partial block continues it.
+            window = _synthesize(_draw_lines(generator(w), k_max), spec.rms_volts, n_pad, n_pad)
+            np.matmul(np.resize(window, (n_blocks, block)), Qt.T, out=out[i])
         return out
 
     # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t).
-    basis, turns = _block_basis(n_pad, k_max, block)
+    P, turns = _block_basis(n_pad, k_max, block, band)
     M = len(turns)
     step = np.arange(1, k_max + 1) * (block * M // n_pad)
     phase = turns[np.arange(n_blocks)[:, None] * step % M]  # e^(i theta k q block)
@@ -240,7 +280,7 @@ def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
     scale = spec.rms_volts / math.sqrt(k_max)
     for i, w in enumerate(words):
         np.multiply(phase, _draw_lines(generator(w), k_max) * scale, out=mod)
-        np.matmul(mod.view(np.float64), basis, out=out[i])
+        np.matmul(mod.view(np.float64), P, out=out[i])
     return out
 
 

@@ -17,13 +17,13 @@ default 0.25 kHz bandwidth that is 1 ms, so 20-unit bits run at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import noise as _noise
 from . import seeding
-from .noise import NoiseSpec, Waveform, generate_blocks, rms_for_resistor
+from .noise import NoiseSpec, Waveform, generate, generate_blocks, record_basis, rms_for_resistor
 from .solver import DivergenceError, SolverConfig, TransientSolver
 
 LOW, HIGH = "L", "H"
@@ -38,6 +38,9 @@ DEFAULT_OVERSAMPLE = 32
 # Sub-stream purposes when deriving per-bit seeds from a master seed.
 _NOISE_ALICE, _NOISE_BOB, _COIN_ALICE, _COIN_BOB, _EVE_TIE = range(5)
 _WARMUP_SLOT = 0  # bit i uses slot 1 + i
+
+# The noise-driven sources, Alice's then Bob's.
+_PARTY_SOURCES = ("ua", "ub")
 
 # Bits are stepped in chunks of about this many internal steps (at least
 # one bit), which bounds the chunk's input buffer.
@@ -269,6 +272,12 @@ class KeyExchangeSession:
     one matvec each, and adds the free responses with one GEMM per group
     (``TransientSolver.handoff_maps``).  The first bit of a chunk starts
     from the session state, so a one-bit run needs no handoff maps.
+
+    Each party's noise enters as r coefficients per measurement interval
+    over the band's record basis (``noise.record_basis``), never as
+    internal-rate samples: the recurrence reads them through
+    ``TransientSolver.coefficient_map``, 2r inputs per record in place of
+    ``oversample`` samples per source.
     """
 
     def __init__(
@@ -290,66 +299,55 @@ class KeyExchangeSession:
         if abs(os_f - self.oversample) > 1e-9 or self.oversample < 1:
             raise ValueError("t_s must be an integer multiple of the internal step")
         self.master_seed = master_seed
-        self._solvers: dict[tuple[str, str], TransientSolver] = {}
+        self._basis = record_basis(self._noise_spec(LOW, 1), self.oversample)
+        # Per arrangement: its solver and that solver's coefficient map.
+        self._solvers: dict[tuple[str, str], tuple] = {}
         # Session state in history coordinates (TransientSolver._history),
         # shared by every arrangement's solver; None until the first run.
         self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
 
-    def _solver_for(self, alice_choice: str, bob_choice: str) -> TransientSolver:
+    def _solver_for(self, alice_choice: str, bob_choice: str) -> tuple:
+        """The arrangement's solver and its ``coefficient_map`` (W_a, bias)
+        for Alice's then Bob's noise coefficients."""
         key = (alice_choice, bob_choice)
-        solver = self._solvers.get(key)
-        if solver is None:
+        entry = self._solvers.get(key)
+        if entry is None:
             netlist = self.builder(
                 self.config.resistance(alice_choice), self.config.resistance(bob_choice)
             )
             solver = TransientSolver(
                 netlist, self.solver_config.internal_step_s, self.solver_config.tolerance
             )
-            for other in self._solvers.values():
+            for other, *_ in self._solvers.values():
                 if not np.array_equal(other.history_weights, solver.history_weights):
                     raise ValueError(
                         "netlist_builder changed the reactive elements between "
                         "resistor pairs; the state cannot carry across them"
                     )
-            self._solvers[key] = solver
-        return solver
+            entry = (solver, *solver.coefficient_map(self.oversample, self._basis, _PARTY_SOURCES))
+            self._solvers[key] = entry
+        return entry
 
-    def _inputs(
-        self,
-        solver: TransientSolver,
-        words: np.ndarray,
-        arrangement: tuple[str, str],
-        n_units: int,
-        noise_overrides: dict[str, Waveform] | None,
-    ) -> np.ndarray:
+    def _noise_spec(self, choice: str, n_units: int) -> NoiseSpec:
+        """The unseeded spec of a party holding ``choice`` for ``n_units``."""
+        return NoiseSpec(
+            bandwidth_hz=self.config.bandwidth_hz,
+            rms_volts=self.config.generator_rms(choice),
+            duration_s=n_units * self.config.t_s,
+            sample_interval_s=self.solver_config.internal_step_s,
+        )
+
+    def _inputs(self, words: np.ndarray, arrangement: tuple[str, str],
+                n_units: int) -> np.ndarray:
         """Inputs of ``propagate`` for one bit per row of ``words``
-        (``_noise_words``), all with one arrangement: each party's noise is
-        synthesized straight into its rows, other sources hold their
-        constant value."""
-        S = self.oversample
-        u = np.empty((len(words), n_units, len(solver.source_names), S))
-        const = solver.assemble_inputs(1, {})[0]
-        parties = {"ua": ("alice", 0, arrangement[0]), "ub": ("bob", 1, arrangement[1])}
-        for j, name in enumerate(solver.source_names):
-            if name not in parties:
-                u[:, :, j] = const[j]
-                continue
-            party, column, choice = parties[name]
-            if noise_overrides and party in noise_overrides:
-                w = noise_overrides[party].samples
-                if w.size < S * n_units:
-                    raise ValueError(f"waveform for source {name!r} too short")
-                u[0, :, j] = w[: S * n_units].reshape(n_units, S)
-                continue
-            spec = NoiseSpec(
-                bandwidth_hz=self.config.bandwidth_hz,
-                rms_volts=self.config.generator_rms(choice),
-                duration_s=n_units * self.config.t_s,
-                sample_interval_s=self.solver_config.internal_step_s,
-            )
-            generate_blocks(spec, words[:, column], S, out=u[:, :, j])
-        return u.reshape(len(words), n_units, -1)
+        (``_noise_words``), all with one arrangement: Alice's then Bob's
+        noise coefficients over the record basis, per record."""
+        a = np.empty((len(words), n_units, 2, len(self._basis)))
+        for column, choice in enumerate(arrangement):
+            generate_blocks(self._noise_spec(choice, n_units), words[:, column],
+                            self.oversample, out=a[:, :, column])
+        return a.reshape(len(words), n_units, -1)
 
     def _noise_words(self, slots) -> np.ndarray:
         """The PCG64 seed words of both parties' noise in each slot, as
@@ -366,7 +364,6 @@ class KeyExchangeSession:
         words: np.ndarray,
         arrangements: list[tuple[str, str]],
         n_units: int,
-        noise_overrides: dict[str, Waveform] | None = None,
     ) -> tuple[np.ndarray, list[str]]:
         """Run consecutive periods of ``n_units`` measurement intervals,
         one per row of noise seed words (``_noise_words``), and advance
@@ -380,7 +377,8 @@ class KeyExchangeSession:
         groups: dict[tuple[str, str], list[int]] = {}
         for k, arrangement in enumerate(arrangements):
             groups.setdefault(arrangement, []).append(k)
-        solvers = {a: self._solver_for(*a) for a in groups}
+        maps = {a: self._solver_for(*a) for a in groups}
+        solvers = {a: entry[0] for a, entry in maps.items()}
         first = solvers[arrangements[0]]
         m = len(first.history_weights)
         h = np.zeros(m) if self._hist is None else self._hist
@@ -390,11 +388,12 @@ class KeyExchangeSession:
         y = np.empty((n, len(first.probe_names), n_units))
         z = np.empty((n, m))
         for a, idx in groups.items():
-            u = self._inputs(solvers[a], words[idx], a, n_units, noise_overrides)
+            solver, W_a, bias = maps[a]
             h0 = np.zeros((len(idx), m))
             if idx[0] == 0:
                 h0[0] = h
-            y[idx], z[idx], _ = solvers[a].propagate(h0, u, S)
+            y[idx], z[idx], _ = solver.propagate(h0, self._inputs(words[idx], a, n_units),
+                                                 W_a, S, bias)
 
         # Hand the state from bit to bit, then add the free responses.
         starts = np.empty((n, m))
@@ -430,18 +429,11 @@ class KeyExchangeSession:
         b = derive_seed(self.master_seed, slot, _COIN_BOB) & 1
         return (HIGH if a else LOW, HIGH if b else LOW)
 
-    def _measure(
-        self,
-        bits,
-        arrangements: list[tuple[str, str]],
-        words: np.ndarray,
-        noise_overrides: dict[str, Waveform] | None = None,
-    ) -> BepRecords:
-        """Exchange consecutive bits in chunks, filling one record; row i
-        of ``words`` seeds bit ``bits[i]``."""
+    def _records(self, bits, arrangements: list[tuple[str, str]]) -> BepRecords:
+        """An unfilled record of consecutive bits starting now."""
         cfg = self.config
         n = len(bits)
-        records = BepRecords(
+        return BepRecords(
             bit_index=np.array(bits, dtype=np.int64),
             alice_choice=np.array([a for a, _ in arrangements], dtype="<U1"),
             bob_choice=np.array([b for _, b in arrangements], dtype="<U1"),
@@ -449,25 +441,26 @@ class KeyExchangeSession:
             start_time_s=(self._time_units + np.arange(n) * cfg.bep_units + 1) * cfg.t_s,
             t_s=cfg.t_s,
         )
-        per_chunk = max(1, _CHUNK_STEPS // (cfg.bep_units * self.oversample))
-        for start in range(0, n, per_chunk):
+
+    def _measure(self, bits, arrangements: list[tuple[str, str]],
+                 words: np.ndarray) -> BepRecords:
+        """Exchange consecutive bits in chunks, filling one record; row i
+        of ``words`` seeds bit ``bits[i]``."""
+        records = self._records(bits, arrangements)
+        units = self.config.bep_units
+        per_chunk = max(1, _CHUNK_STEPS // (units * self.oversample))
+        for start in range(0, len(bits), per_chunk):
             rows = slice(start, start + per_chunk)
-            y, names = self._exchange(words[rows], arrangements[rows], cfg.bep_units,
-                                      noise_overrides)
+            y, names = self._exchange(words[rows], arrangements[rows], units)
             records.probes[rows] = y[:, [names.index(p) for p in PROBES]]
         return records
 
-    def run_bit(
-        self,
-        bit_index: int,
-        arrangement: tuple[str, str] | None = None,
-        noise_overrides: dict[str, Waveform] | None = None,
-    ) -> BepRecords:
+    def run_bit(self, bit_index: int, arrangement: tuple[str, str] | None = None) -> BepRecords:
         """Exchange one bit; a one-row record of what the parties and Eve see."""
         if arrangement is None:
             arrangement = self.draw_arrangement(bit_index)
         words = self._noise_words([1 + bit_index])
-        return self._measure([bit_index], [arrangement], words, noise_overrides)
+        return self._measure([bit_index], [arrangement], words)
 
     def run_bits(self, n_bits: int, warmup_units: int = 0,
                  arrangements: list[tuple[str, str]] | None = None) -> BepRecords:
@@ -489,7 +482,7 @@ class KeyExchangeSession:
     @property
     def factorization_residual(self) -> float:
         """Largest random-RHS residual of the LU factors built so far."""
-        return max((s.factorization_residual for s in self._solvers.values()), default=0.0)
+        return max((s.factorization_residual for s, *_ in self._solvers.values()), default=0.0)
 
 
 def run_bep(
@@ -502,8 +495,32 @@ def run_bep(
     warmup_units: int = 0,
     noise_overrides: dict[str, Waveform] | None = None,
 ) -> BepRecords:
-    """Single standalone bit exchange from zero initial conditions."""
+    """Single standalone bit exchange from zero initial conditions.
+
+    ``noise_overrides`` maps "alice" or "bob" to a waveform at the internal
+    rate that replaces that party's seeded noise; such a bit is stepped
+    from its samples through ``TransientSolver.run``, starting from the
+    session's state after the warmup.
+    """
     session = KeyExchangeSession(netlist_builder, config, solver_config, master_seed=seed)
     if warmup_units:
         session.run_warmup(warmup_units, true_arrangement)
-    return session.run_bit(bit_index, true_arrangement, noise_overrides)
+    if not noise_overrides:
+        return session.run_bit(bit_index, true_arrangement)
+
+    solver = session._solver_for(*true_arrangement)[0]
+    waveforms = {}
+    for name, party, choice, purpose in zip(_PARTY_SOURCES, ("alice", "bob"),
+                                            true_arrangement, (_NOISE_ALICE, _NOISE_BOB)):
+        wf = noise_overrides.get(party)
+        if wf is None:
+            spec = session._noise_spec(choice, config.bep_units)
+            wf = generate(replace(spec, seed=derive_seed(seed, 1 + bit_index, purpose)))
+        waveforms[name] = wf.samples
+    u = solver.assemble_inputs(config.bep_units * session.oversample, waveforms)
+    if session._hist is not None:
+        solver.set_history(session._hist)
+    y = solver.run(u, record_stride=session.oversample)
+    records = session._records([bit_index], [true_arrangement])
+    records.probes[0] = y.T[[solver.probe_names.index(p) for p in PROBES]]
+    return records

@@ -14,10 +14,15 @@ internal steps.  The state enters each step only through one history
 source per reactive element, so the maps act on those coordinates, half
 the state.  ``propagate`` steps many independent runs record by record
 with two GEMMs per record; ``handoff_maps`` gives a run's response to its
-start state.  This gives the same decimated output as plain stepping up
-to round-off (the tests hold it to 1e-13 absolute, 1e-12 relative over
-whole sessions) at a fraction of the cost; the plain path is kept as the
-reference implementation.
+start state.  A record's inputs enter through an input map: ``run``
+reads ``stride`` samples per source through ``W_u``, while
+``coefficient_map`` projects ``W_u`` onto a record basis, so that noise
+given as a few coefficients per record (``noise.record_basis``) drives
+the same recurrence and constant sources add one bias row.  This gives
+the same decimated output as plain stepping up to round-off (the tests
+hold it to 1e-13 absolute, 1e-12 relative over whole sessions) at a
+fraction of the cost; the plain path is kept as the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -261,6 +266,14 @@ class TransientSolver:
             raise ValueError("state vector has wrong length")
         self.state = state.copy()
 
+    def set_history(self, h: np.ndarray) -> None:
+        """Continue from history ``h`` (see ``_history``): the state with
+        companion currents h and reactive voltages 0 has history h, and
+        the step reads the state through h alone."""
+        state = np.zeros(self.n_states)
+        state[self._sl_h] = h
+        self.set_state(state)
+
     def initialize_companions(self, u0: np.ndarray) -> None:
         """Make companion currents consistent with the sources at t = 0.
 
@@ -398,24 +411,51 @@ class TransientSolver:
         self._handoff_cache[key] = (A_R, O)
         return A_R, O
 
-    def propagate(self, h: np.ndarray, u: np.ndarray, stride: int):
+    def coefficient_map(self, stride: int, Qt: np.ndarray, driven) -> tuple:
+        """Record map reading the sources named in ``driven`` as
+        coefficients over the record basis ``Qt`` (r, stride), the other
+        sources held at their constant value.
+
+        Returns (W_a, bias): ``W_a`` (r * len(driven), n_probes + m)
+        stacks ``Qt @ W_u[source j's stride rows]`` per driven source, in
+        the order of ``driven``, and ``bias`` is what the constant sources
+        add every record, ``value * sum of their W_u rows``, or None when
+        it is zero.  Inputs whose records lie in the span of ``Qt`` step
+        as ``propagate(h, a, W_a, stride, bias)`` with ``a`` their
+        coefficients, to round-off.
+        """
+        _, W_u = self._block_maps(stride)
+        W_u = W_u.reshape(len(self._sources), stride, -1)
+        j_driven = [self.source_names.index(name) for name in driven]
+        W_a = np.concatenate([Qt @ W_u[j] for j in j_driven])
+        const = np.array([0.0 if j in j_driven else br.value
+                          for j, br in enumerate(self._sources)])
+        bias = const @ W_u.sum(axis=1)
+        return W_a, (bias if np.any(bias) else None)
+
+    def propagate(self, h: np.ndarray, u: np.ndarray, W_in: np.ndarray, stride: int,
+                  bias: np.ndarray | None = None):
         """Block recurrence over records for k independent runs at once.
 
         ``h`` (k, m) holds the start histories of the runs, one per row,
-        and ``u`` (k, n_rec, n_sources * stride) their inputs, one record
-        per row in the layout of ``_block_maps``.  Each record costs two
-        GEMMs across the runs.  Returns the probes (k, n_probes, n_rec),
-        the end histories and the histories at the start of the last
-        record.  ``self.state`` is untouched.
+        and ``u`` (k, n_rec, n_in) their inputs, one record per row, read
+        through ``W_in`` (n_in, n_probes + m): the sample map ``W_u`` of
+        ``_block_maps`` or a ``coefficient_map``, whose ``bias`` is added
+        every record.  Each record costs two GEMMs across the runs.
+        Returns the probes (k, n_probes, n_rec), the end histories and the
+        histories at the start of the last record.  ``self.state`` is
+        untouched.
         """
-        W_h, W_u = self._block_maps(stride)
+        W_h, _ = self._block_maps(stride)
         ny = len(self.probe_names)
         n_rec = u.shape[1]
         y = np.empty((len(h), ny, n_rec))
         h_prev = h
         for r in range(n_rec):
             out = h @ W_h
-            out += u[:, r] @ W_u
+            out += u[:, r] @ W_in
+            if bias is not None:
+                out += bias
             y[:, :, r] = out[:, :ny]
             h, h_prev = out[:, ny:], h
         return y, h, h_prev
@@ -450,7 +490,9 @@ class TransientSolver:
             # The one-run case of ``propagate``.
             ub = u.reshape(1, n_rec, record_stride, -1).transpose(0, 1, 3, 2)
             ub = ub.reshape(1, n_rec, -1)
-            y, _, h_last = self.propagate(self._history(self.state)[None], ub, record_stride)
+            _, W_u = self._block_maps(record_stride)
+            y, _, h_last = self.propagate(self._history(self.state)[None], ub, W_u,
+                                          record_stride)
             out = y[0].T
             # A s depends on s only through H s, so after the first step of
             # the last record the state is U h_last + B u; step the rest.

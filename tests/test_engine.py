@@ -1,5 +1,6 @@
 """Batched bit engine against plain stepping, the reference implementation."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -113,6 +114,40 @@ def test_killer_ladder_matches_plain_stepping():
 
     batched = KeyExchangeSession(builder, cfg, master_seed=3).run_bits(12, 10)
     assert_probes_match(batched, plain_session(builder, cfg, 3, 12, 10))
+
+
+def test_constant_shield_source_matches_plain_stepping():
+    # an undriven source enters each record as one bias row of the
+    # coefficient map; every stock netlist holds its shield at 0 V, so
+    # lift it to 0.3 V, on a slow ladder where the step it sets off in
+    # the cable charge outlasts several records
+    cfg = ProtocolConfig(r_low=5000.0, r_high=50000.0, bep_units=3, arrangement="random")
+    cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=2000.0,
+                      velocity_m_s=2e8, n_segments=4)
+
+    def builder(ra, rb):
+        net = build_distributed(ra, rb, cable)
+        return dataclasses.replace(net, branches=tuple(
+            dataclasses.replace(br, value=0.3) if br.name == "vsh" else br
+            for br in net.branches))
+
+    with mock.patch.object(protocol, "_CHUNK_STEPS", 2 * 3 * 32):
+        batched = KeyExchangeSession(builder, cfg, master_seed=8).run_bits(7, 2)
+    assert_probes_match(batched, plain_session(builder, cfg, 8, 7, 2))
+
+
+def test_long_bit_takes_the_transform_branch():
+    # a 300-unit bit is 9600 samples, over a quarter of its 32768-point
+    # noise window, so its coefficients come from the inverse transform
+    cfg = ProtocolConfig(bep_units=300, arrangement="random")
+    cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=1000.0,
+                      velocity_m_s=2e8, n_segments=3)
+
+    def builder(ra, rb):
+        return build_distributed(ra, rb, cable)
+
+    batched = KeyExchangeSession(builder, cfg, master_seed=9).run_bits(3, 4)
+    assert_probes_match(batched, plain_session(builder, cfg, 9, 3, 4))
 
 
 def test_chunk_boundary_prefix():

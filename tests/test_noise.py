@@ -17,6 +17,7 @@ from kljnsim.noise import (
     generate,
     generate_blocks,
     out_of_band_power_fraction,
+    record_basis,
     rms_for_resistor,
     rms_ratio,
     write_gaussianity_csv,
@@ -210,27 +211,73 @@ class TestGenerateBlocks:
     )
     def test_matches_generate(self, n, block, dt, rms, seeds):
         spec = NoiseSpec(250.0, rms, n * dt, dt)
+        Qt = record_basis(spec, block)
         out = generate_blocks(spec, pcg64_words(seeds), block)
-        assert out.shape == (len(seeds), -(-n // block), block)
+        assert out.shape == (len(seeds), -(-n // block), len(Qt))
         for i, seed in enumerate(seeds):
             ref = generate(dataclasses.replace(spec, seed=seed)).samples
-            np.testing.assert_allclose(out[i].ravel()[:n], ref, rtol=0,
+            np.testing.assert_allclose((out[i] @ Qt).ravel()[:n], ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
 
     def test_long_request_uses_the_transform(self):
         # 10k samples fill more than a quarter of the 32768-point window
         dt = 1 / 32e3
         spec = NoiseSpec(250.0, 1.0, 1e4 * dt, dt)
+        Qt = record_basis(spec, 32)
         out = generate_blocks(spec, pcg64_words([1, 2]), 32)
         for i, seed in enumerate([1, 2]):
-            np.testing.assert_array_equal(out[i].ravel()[:10000],
-                                          generate(dataclasses.replace(spec, seed=seed)).samples)
+            ref = generate(dataclasses.replace(spec, seed=seed)).samples
+            np.testing.assert_allclose((out[i] @ Qt).ravel()[:10000], ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
 
     def test_writes_into_a_strided_view(self):
         dt = 1 / 32e3
         spec = NoiseSpec(250.0, 1.0, 640 * dt, dt)
-        buf = np.zeros((3, 20, 2, 32))
+        r = len(record_basis(spec, 32))
+        buf = np.zeros((3, 20, 2, r))
         words = pcg64_words([3, 4, 5])
         generate_blocks(spec, words, 32, out=buf[:, :, 1])
         np.testing.assert_array_equal(buf[:, :, 0], 0.0)
         np.testing.assert_array_equal(buf[:, :, 1], generate_blocks(spec, words, 32))
+
+
+class TestRecordBasis:
+    """The record basis spans every block of every realization of a band."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bandwidth=st.sampled_from([250.0, 1000.0, 14500.0]),  # the last within 10 % of Nyquist
+        n_units=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spans_generated_records(self, bandwidth, n_units, seed):
+        dt = 1 / 32e3
+        spec = NoiseSpec(bandwidth, 1.0, n_units * 32 * dt, dt, seed=seed)
+        Qt = record_basis(spec, 32)
+        np.testing.assert_allclose(Qt @ Qt.T, np.eye(len(Qt)), rtol=0, atol=1e-14)
+
+        # r counts the singular values above eps * sigma_1 of cosines and
+        # sines at 32 frequencies evenly spaced up to the band edge
+        f = bandwidth * dt * np.arange(1, 33) / 32
+        angle = 2 * np.pi * f[:, None] * np.arange(32)
+        s = np.linalg.svd(np.vstack([np.cos(angle), np.sin(angle)]), compute_uv=False)
+        assert len(Qt) == np.count_nonzero(s > np.finfo(float).eps * s[0])
+
+        blocks = generate(spec).samples.reshape(-1, 32)
+        residual = blocks - (blocks @ Qt.T) @ Qt
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(blocks))
+
+    def test_rank_at_the_default_band_and_near_nyquist(self):
+        dt = 1 / 32e3
+        assert record_basis(NoiseSpec(250.0, 1.0, 1e-3, dt), 32).shape == (12, 32)
+        assert record_basis(NoiseSpec(14500.0, 1.0, 1e-3, dt), 32).shape == (32, 32)
+
+    def test_long_window_projects_onto_the_basis(self):
+        # 1.2 s at 32 kHz is 38400 samples, beyond the default 32768-point window
+        dt = 1 / 32e3
+        spec = NoiseSpec(250.0, 1.0, 1.2, dt, seed=9)
+        Qt = record_basis(spec, 32)
+        assert Qt is record_basis(dataclasses.replace(spec, duration_s=1e-3), 32)
+        blocks = generate(spec).samples.reshape(-1, 32)
+        residual = blocks - (blocks @ Qt.T) @ Qt
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(blocks))
