@@ -38,7 +38,7 @@ from .noise import (
     rms_for_resistor,
     rms_ratio,
 )
-from .privacy import Key, empirical_amplification, predicted_leak_after_xor, xor_halve
+from .privacy import empirical_amplification, predicted_leak_after_xor, xor_halve
 from .protocol import (
     BepRecords,
     KeyExchangeSession,

@@ -20,9 +20,9 @@ from .protocol import _EVE_TIE, BepRecords, derive_seed
 
 @dataclass
 class AttackOutcome:
-    """Per-bit statistics and the aggregate success probability over the
-    scored (secure) bits; ``n_bits`` counts them and ``bit_indices`` gives
-    each one's index in the exchange."""
+    """Per-bit statistics over the scored (secure) bits; ``bit_indices``
+    gives each one's index in the exchange.  The aggregates are computed
+    from the per-bit scores ``q`` with ``success_rate``."""
 
     rho_a: np.ndarray
     rho_b: np.ndarray
@@ -30,11 +30,24 @@ class AttackOutcome:
     guesses: list[str]
     truths: list[str]
     q: np.ndarray
-    p_e: float
-    epsilon: float
-    binomial_std: float
-    n_bits: int
     bit_indices: np.ndarray
+
+    @property
+    def p_e(self) -> float:
+        return success_rate(self.q)["p_E"]
+
+    @property
+    def epsilon(self) -> float:
+        return success_rate(self.q)["epsilon"]
+
+    @property
+    def binomial_std(self) -> float:
+        return success_rate(self.q)["binomial_std"]
+
+    @property
+    def n_bits(self) -> int:
+        """The number of scored bits."""
+        return len(self.q)
 
 
 def time_derivative(x: np.ndarray, dt: float) -> np.ndarray:
@@ -97,19 +110,13 @@ def run_attack(records: BepRecords, tie_seed_base: int = 0) -> AttackOutcome:
     for k in np.flatnonzero(rho == 0):
         guesses[k] = eve_decide(0.0, derive_seed(tie_seed_base, 1 + scored.bit_index[k], _EVE_TIE))
     truths = scored.arrangement
-    q = (guesses == truths).astype(np.int64)
-    agg = success_rate(q)
     return AttackOutcome(
         rho_a=rho_a,
         rho_b=rho_b,
         rho=rho,
         guesses=guesses.tolist(),
         truths=truths.tolist(),
-        q=q,
-        p_e=agg["p_E"],
-        epsilon=agg["epsilon"],
-        binomial_std=agg["binomial_std"],
-        n_bits=len(scored),
+        q=(guesses == truths).astype(np.int64),
         bit_indices=scored.bit_index,
     )
 
@@ -125,9 +132,4 @@ def write_attack_csv(outcome: AttackOutcome, path) -> None:
 
 
 def attack_summary(outcome: AttackOutcome) -> dict:
-    return {
-        "p_E": outcome.p_e,
-        "epsilon": outcome.epsilon,
-        "n_bits": outcome.n_bits,
-        "binomial_std": outcome.binomial_std,
-    }
+    return {**success_rate(outcome.q), "n_bits": outcome.n_bits}

@@ -44,7 +44,9 @@ class CableSpec:
             raise ValueError("length_m must be positive")
         if self.n_segments < 1:
             raise ValueError("n_segments must be at least 1")
-        if self.l_per_m > 0 and self.c_per_m > 0 and self.velocity_m_s > 0:
+        if self.velocity_m_s < 0:
+            raise ValueError("velocity_m_s must be non-negative")
+        if self.l_per_m > 0 and self.c_per_m > 0:
             v = 1.0 / math.sqrt(self.l_per_m * self.c_per_m)
             if abs(v - self.velocity_m_s) > 0.01 * v:
                 raise ValueError(

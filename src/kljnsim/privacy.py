@@ -8,45 +8,21 @@ wrong, so p' = p^2 + (1-p)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attack import AttackOutcome
 
 
-@dataclass(frozen=True)
-class Key:
-    """Bit string with a provenance tag ('generation' or 'xor_round_k')."""
-
-    bits: np.ndarray
-    provenance: str = "generation"
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.int8)
-        if arr.size == 0:
-            raise ValueError("key must be non-empty")
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("key bits must be 0 or 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-
-def xor_halve(key: Key) -> Key:
-    """XOR consecutive bit pairs; a trailing odd bit is dropped."""
-    n = len(key)
-    if n < 2:
+def xor_halve(bits) -> np.ndarray:
+    """XOR consecutive pairs of a 0/1 array; a trailing odd bit is dropped."""
+    bits = np.asarray(bits)
+    if bits.size < 2:
         raise ValueError("key must have at least 2 bits")
-    m = n // 2
-    bits = key.bits[: 2 * m : 2] ^ key.bits[1 : 2 * m : 2]
-    if key.provenance.startswith("xor_round_"):
-        k = int(key.provenance.rsplit("_", 1)[1]) + 1
-    else:
-        k = 1
-    return Key(bits=bits, provenance=f"xor_round_{k}")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("key bits must be 0 or 1")
+    bits = bits.astype(np.int8)
+    m = bits.size // 2
+    return bits[: 2 * m : 2] ^ bits[1 : 2 * m : 2]
 
 
 def predicted_leak_after_xor(p: float) -> float:
@@ -60,7 +36,10 @@ def empirical_amplification(outcome: AttackOutcome, rounds: int) -> list[float]:
     """Eve's measured success probability after each XOR round.
 
     Both sides compress: the parties XOR their true key, Eve XORs her
-    guessed key.  Returns one match fraction per round (round 1 first).
+    guessed key.  An XORed bit is guessed right exactly when the errors
+    of its pair have even parity, so each round halves Eve's error bits
+    and scores the zeros.  Returns one match fraction per round (round 1
+    first).
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -68,11 +47,9 @@ def empirical_amplification(outcome: AttackOutcome, rounds: int) -> list[float]:
         raise ValueError(
             f"{outcome.n_bits} bits cannot support {rounds} halving rounds"
         )
-    truth = Key(np.array([1 if t == "LH" else 0 for t in outcome.truths]))
-    guess = Key(np.array([1 if g == "LH" else 0 for g in outcome.guesses]))
+    errors = 1 - np.asarray(outcome.q)
     rates = []
     for _ in range(rounds):
-        truth = xor_halve(truth)
-        guess = xor_halve(guess)
-        rates.append(float(np.mean(truth.bits == guess.bits)))
+        errors = xor_halve(errors)
+        rates.append(float(np.mean(errors == 0)))
     return rates

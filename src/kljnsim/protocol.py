@@ -17,13 +17,13 @@ default 0.25 kHz bandwidth that is 1 ms, so 20-unit bits run at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as _noise
 from . import seeding
-from .noise import NoiseSpec, Waveform, generate, generate_blocks, record_basis, rms_for_resistor
+from .noise import NoiseSpec, generate_blocks, record_basis, rms_for_resistor
 from .solver import DivergenceError, SolverConfig, TransientSolver
 
 LOW, HIGH = "L", "H"
@@ -429,27 +429,22 @@ class KeyExchangeSession:
         b = derive_seed(self.master_seed, slot, _COIN_BOB) & 1
         return (HIGH if a else LOW, HIGH if b else LOW)
 
-    def _records(self, bits, arrangements: list[tuple[str, str]]) -> BepRecords:
-        """An unfilled record of consecutive bits starting now."""
-        cfg = self.config
-        n = len(bits)
-        return BepRecords(
-            bit_index=np.array(bits, dtype=np.int64),
-            alice_choice=np.array([a for a, _ in arrangements], dtype="<U1"),
-            bob_choice=np.array([b for _, b in arrangements], dtype="<U1"),
-            probes=np.empty((n, len(PROBES), cfg.bep_units)),
-            start_time_s=(self._time_units + np.arange(n) * cfg.bep_units + 1) * cfg.t_s,
-            t_s=cfg.t_s,
-        )
-
     def _measure(self, bits, arrangements: list[tuple[str, str]],
                  words: np.ndarray) -> BepRecords:
         """Exchange consecutive bits in chunks, filling one record; row i
         of ``words`` seeds bit ``bits[i]``."""
-        records = self._records(bits, arrangements)
-        units = self.config.bep_units
+        cfg = self.config
+        n, units = len(bits), cfg.bep_units
+        records = BepRecords(
+            bit_index=np.array(bits, dtype=np.int64),
+            alice_choice=np.array([a for a, _ in arrangements], dtype="<U1"),
+            bob_choice=np.array([b for _, b in arrangements], dtype="<U1"),
+            probes=np.empty((n, len(PROBES), units)),
+            start_time_s=(self._time_units + np.arange(n) * units + 1) * cfg.t_s,
+            t_s=cfg.t_s,
+        )
         per_chunk = max(1, _CHUNK_STEPS // (units * self.oversample))
-        for start in range(0, len(bits), per_chunk):
+        for start in range(0, n, per_chunk):
             rows = slice(start, start + per_chunk)
             y, names = self._exchange(words[rows], arrangements[rows], units)
             records.probes[rows] = y[:, [names.index(p) for p in PROBES]]
@@ -493,34 +488,10 @@ def run_bep(
     seed: int,
     solver_config: SolverConfig | None = None,
     warmup_units: int = 0,
-    noise_overrides: dict[str, Waveform] | None = None,
 ) -> BepRecords:
-    """Single standalone bit exchange from zero initial conditions.
-
-    ``noise_overrides`` maps "alice" or "bob" to a waveform at the internal
-    rate that replaces that party's seeded noise; such a bit is stepped
-    from its samples through ``TransientSolver.run``, starting from the
-    session's state after the warmup.
-    """
+    """Single standalone bit exchange from zero initial conditions: a
+    fresh session's optional warmup, then its ``run_bit``."""
     session = KeyExchangeSession(netlist_builder, config, solver_config, master_seed=seed)
     if warmup_units:
         session.run_warmup(warmup_units, true_arrangement)
-    if not noise_overrides:
-        return session.run_bit(bit_index, true_arrangement)
-
-    solver = session._solver_for(*true_arrangement)[0]
-    waveforms = {}
-    for name, party, choice, purpose in zip(_PARTY_SOURCES, ("alice", "bob"),
-                                            true_arrangement, (_NOISE_ALICE, _NOISE_BOB)):
-        wf = noise_overrides.get(party)
-        if wf is None:
-            spec = session._noise_spec(choice, config.bep_units)
-            wf = generate(replace(spec, seed=derive_seed(seed, 1 + bit_index, purpose)))
-        waveforms[name] = wf.samples
-    u = solver.assemble_inputs(config.bep_units * session.oversample, waveforms)
-    if session._hist is not None:
-        solver.set_history(session._hist)
-    y = solver.run(u, record_stride=session.oversample)
-    records = session._records([bit_index], [true_arrangement])
-    records.probes[0] = y.T[[solver.probe_names.index(p) for p in PROBES]]
-    return records
+    return session.run_bit(bit_index, true_arrangement)

@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .attack import AttackOutcome, attack_summary, run_attack, write_attack_csv
+from .attack import AttackOutcome, attack_summary, run_attack, success_rate, write_attack_csv
 from .network import CableSpec, apply_capacitor_killer, build_distributed, rg58
 from .privacy import empirical_amplification
 from .protocol import (
+    DEFAULT_OVERSAMPLE,
     PROBES,
     BepRecords,
     KeyExchangeSession,
@@ -62,6 +63,8 @@ class DefenseSpec:
             raise ValueError(f"unknown defense kind {self.kind!r}")
         if self.kind in ("xor", "both") and self.xor_rounds < 1:
             raise ValueError("xor defense needs xor_rounds >= 1")
+        if self.kind not in ("xor", "both") and self.xor_rounds != 0:
+            raise ValueError(f"xor_rounds must be 0 for defense kind {self.kind!r}")
         if self.tap not in ("alice", "bob"):
             raise ValueError("tap must be 'alice' or 'bob'")
 
@@ -85,6 +88,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_bits < 1:
             raise ValueError("n_bits must be at least 1")
+        if self.protocol.bep_units < 3:
+            raise ValueError("bep_units must be at least 3: Eve differentiates "
+                             "each probe over its samples")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -128,7 +134,7 @@ def default_scenario(
     cable = rg58(length_m)
     if c_per_m is not None:
         cable = dataclasses.replace(cable, c_per_m=c_per_m)
-    solver = SolverConfig(internal_step_s=protocol.t_s / 32.0)
+    solver = SolverConfig(internal_step_s=protocol.t_s / DEFAULT_OVERSAMPLE)
     return ScenarioConfig(
         protocol=protocol,
         cable=cable,
@@ -155,22 +161,24 @@ class ScenarioResult:
     """Everything one scenario run produced."""
 
     config: ScenarioConfig
-    p_e: float
-    epsilon: float
-    binomial_std: float
     amplification: list[float]
     wall_clock_s: float
     factorization_residual: float
-    n_secure: int
     n_inference_errors: int
     outcome: AttackOutcome
+
+    @property
+    def p_e(self) -> float:
+        return self.outcome.p_e
+
+    @property
+    def n_secure(self) -> int:
+        return self.outcome.n_bits
 
     def summary_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "p_E": self.p_e,
-            "epsilon": self.epsilon,
-            "binomial_std": self.binomial_std,
+            **success_rate(self.outcome.q),
             "amplification": self.amplification,
             "n_bits": self.config.n_bits,
             "n_secure": self.n_secure,
@@ -201,7 +209,7 @@ def run_scenario(
         nl = builder(config.protocol.r_low, config.protocol.r_high)
         Path(dump_netlist).write_text(nl.to_text())
 
-    rounds = config.defense.xor_rounds if config.defense.kind in ("xor", "both") else 0
+    rounds = config.defense.xor_rounds
     if config.n_bits < 2**rounds:
         raise ValueError(f"{config.n_bits} bits cannot support {rounds} XOR rounds")
     session = KeyExchangeSession(
@@ -236,13 +244,9 @@ def run_scenario(
 
     result = ScenarioResult(
         config=config,
-        p_e=outcome.p_e,
-        epsilon=outcome.epsilon,
-        binomial_std=outcome.binomial_std,
         amplification=amplification,
         wall_clock_s=time.perf_counter() - t_start,
         factorization_residual=session.factorization_residual,
-        n_secure=n_secure,
         n_inference_errors=int(np.count_nonzero(alice_infers_bob != records.bob_choice)),
         outcome=outcome,
     )
@@ -337,7 +341,7 @@ class Table1Result:
             for length in (100.0, 1000.0):
                 cell = self.cells[(bep, length)]
                 row[f"p_E_{int(length)}m"] = cell.p_e
-                row[f"std_{int(length)}m"] = cell.binomial_std
+                row[f"std_{int(length)}m"] = cell.outcome.binomial_std
             out.append(row)
         return out
 

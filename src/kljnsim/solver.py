@@ -266,14 +266,6 @@ class TransientSolver:
             raise ValueError("state vector has wrong length")
         self.state = state.copy()
 
-    def set_history(self, h: np.ndarray) -> None:
-        """Continue from history ``h`` (see ``_history``): the state with
-        companion currents h and reactive voltages 0 has history h, and
-        the step reads the state through h alone."""
-        state = np.zeros(self.n_states)
-        state[self._sl_h] = h
-        self.set_state(state)
-
     def initialize_companions(self, u0: np.ndarray) -> None:
         """Make companion currents consistent with the sources at t = 0.
 

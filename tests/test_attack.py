@@ -13,7 +13,6 @@ from kljnsim.attack import (
     time_derivative,
 )
 from kljnsim.network import build_distributed, rg58
-from kljnsim.noise import NoiseSpec, generate
 from kljnsim.protocol import (
     _EVE_TIE,
     BepRecords,
@@ -174,18 +173,16 @@ class TestRunAttack:
         out2 = run_attack(scaled)
         assert out1.guesses == out2.guesses
 
-    def test_sign_symmetry_under_mirroring(self):
+    def test_sign_symmetry_under_mirroring(self, monkeypatch):
         # swapping LH <-> HL with mirrored noise negates every rho
         cfg = ProtocolConfig(bep_units=20)
-        dt = cfg.t_s / 32.0
-        wf_l = generate(NoiseSpec(250.0, cfg.generator_rms("L"), 0.02, dt, seed=41))
-        wf_h = generate(NoiseSpec(250.0, cfg.generator_rms("H"), 0.02, dt, seed=42))
         cable = rg58(1000.0)
         builder = lambda ra, rb: build_distributed(ra, rb, cable)
-        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0,
-                       noise_overrides={"alice": wf_l, "bob": wf_h})
-        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0,
-                       noise_overrides={"alice": wf_h, "bob": wf_l})
+        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0)
+        words = KeyExchangeSession._noise_words
+        monkeypatch.setattr(KeyExchangeSession, "_noise_words",
+                            lambda self, slots: words(self, slots)[:, ::-1])
+        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0)
         out_lh = run_attack(m_lh)
         out_hl = run_attack(m_hl)
         assert out_hl.rho[0] == pytest.approx(-out_lh.rho[0], rel=1e-9)

@@ -32,6 +32,13 @@ class TestCableSpec:
         with pytest.raises(ValueError):
             CableSpec(0.021, 250e-9, 100e-12, 1000.0, 1e8, 10)
 
+    def test_velocity_must_match_lc(self):
+        with pytest.raises(ValueError, match="velocity"):
+            CableSpec(0.021, 250e-9, 100e-12, 1000.0, 0.0, 10)
+        with pytest.raises(ValueError, match="velocity"):
+            CableSpec(0.0, 0.0, 0.0, 10.0, -1.0, 4)
+        CableSpec(0.0, 0.0, 0.0, 10.0, 0.0, 4)  # ideal wire, no velocity
+
     def test_negative_per_meter_rejected(self):
         with pytest.raises(ValueError):
             CableSpec(-0.021, 250e-9, 100e-12, 1000.0, 2e8, 10)

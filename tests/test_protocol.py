@@ -5,7 +5,6 @@ import pytest
 
 from kljnsim import noise, protocol, seeding
 from kljnsim.network import CableSpec, build_distributed, rg58
-from kljnsim.noise import NoiseSpec, generate
 from kljnsim.protocol import (
     KeyExchangeSession,
     ProtocolConfig,
@@ -107,19 +106,17 @@ class TestRunBep:
         assert m.mean_sq_u[0] == pytest.approx(lv.uu_lh, rel=0.03)
         assert m.mean_sq_i[0] == pytest.approx(lv.ii_lh, rel=0.03)
 
-    def test_mirroring_swaps_probes(self):
+    def test_mirroring_swaps_probes(self, monkeypatch):
         # swapping LH -> HL while handing each party the other's noise
         # realization mirrors the loop geometrically
         cfg = ProtocolConfig(bep_units=20)
-        dt = cfg.t_s / 32.0
-        wf_l = generate(NoiseSpec(250.0, cfg.generator_rms("L"), 0.02, dt, seed=31))
-        wf_h = generate(NoiseSpec(250.0, cfg.generator_rms("H"), 0.02, dt, seed=32))
         cable = rg58(100.0)
         builder = lambda ra, rb: build_distributed(ra, rb, cable)
-        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0,
-                       noise_overrides={"alice": wf_l, "bob": wf_h})
-        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0,
-                       noise_overrides={"alice": wf_h, "bob": wf_l})
+        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0)
+        words = KeyExchangeSession._noise_words
+        monkeypatch.setattr(KeyExchangeSession, "_noise_words",
+                            lambda self, slots: words(self, slots)[:, ::-1])
+        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0)
         u_cha, i_cha, u_chb, i_chb = range(4)  # rows in PROBES order
         lh, hl = m_lh.probes[0], m_hl.probes[0]
         np.testing.assert_allclose(hl[u_cha], lh[u_chb], rtol=1e-10)

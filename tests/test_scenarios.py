@@ -54,11 +54,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="XOR rounds"):
             run_scenario(cfg)
 
+    def test_too_short_to_score_rejected_before_simulating(self, monkeypatch):
+        # Eve differentiates each probe, which takes at least 3 samples
+        monkeypatch.setattr(KeyExchangeSession, "run_bits", None)  # never reached
+        with pytest.raises(ValueError, match="bep_units"):
+            run_scenario(default_scenario(2, 100.0, n_bits=50))
+
     def test_defense_validation(self):
         with pytest.raises(ValueError):
             DefenseSpec(kind="tinfoil")
         with pytest.raises(ValueError):
             DefenseSpec(kind="xor", xor_rounds=0)
+
+    @pytest.mark.parametrize("kind, rounds", [("none", 2), ("capacitor_killer", 3)])
+    def test_ignored_xor_rounds_rejected(self, kind, rounds):
+        with pytest.raises(ValueError, match="xor_rounds"):
+            DefenseSpec(kind=kind, xor_rounds=rounds)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
