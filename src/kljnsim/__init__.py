@@ -49,7 +49,6 @@ from .protocol import (
     expected_levels,
     infer_remote_bit,
     infer_remote_resistance,
-    run_bep,
 )
 from .scenarios import (
     DEFAULT_MASTER_SEED,

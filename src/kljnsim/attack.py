@@ -37,10 +37,6 @@ class AttackOutcome:
         return success_rate(self.q)["p_E"]
 
     @property
-    def epsilon(self) -> float:
-        return success_rate(self.q)["epsilon"]
-
-    @property
     def binomial_std(self) -> float:
         return success_rate(self.q)["binomial_std"]
 

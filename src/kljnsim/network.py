@@ -149,9 +149,6 @@ class Netlist:
                 seen.setdefault(br.ctrl_b, None)
         return list(seen)
 
-    def source_names(self) -> list[str]:
-        return [br.name for br in self.branches if br.kind == "V"]
-
     def branch(self, name: str) -> Branch:
         for br in self.branches:
             if br.name == name:

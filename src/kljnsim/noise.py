@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -55,15 +55,8 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size * self.sample_interval_s
-
     def times(self) -> np.ndarray:
         return self.start_time_s + np.arange(self.samples.size) * self.sample_interval_s
-
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.samples**2)))
 
 
 @dataclass(frozen=True)
@@ -234,8 +227,7 @@ def _block_basis(n_pad: int, k_max: int, block: int, band: float):
     return P, turns
 
 
-def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int) -> np.ndarray:
     """The realizations ``generate`` gives for ``spec``, one per row of
     ``words``, cut in blocks and held as coefficients over the record
     basis ``Qt = record_basis(spec, block)``.
@@ -245,7 +237,6 @@ def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
     (len(words), n_blocks, r) with ``(out[i] @ Qt)[q, p]`` = sample
     ``q * block + p`` of ``generate(replace(spec, seed=seed_i))`` to
     round-off; samples past the last one continue the realization.
-    ``out`` may be any view with unit stride along its last axis.
 
     A short request keeps only the first n samples of its padded window,
     so instead of one inverse transform of n_pad points per realization,
@@ -259,10 +250,7 @@ def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int,
     n_blocks = -(-n // block)
     band = spec.bandwidth_hz * spec.sample_interval_s
     Qt = _record_basis(band, block)
-    if out is None:
-        out = np.empty((len(words), n_blocks, len(Qt)))
-    if out.shape != (len(words), n_blocks, len(Qt)):
-        raise ValueError(f"out must have shape {(len(words), n_blocks, len(Qt))}")
+    out = np.empty((len(words), n_blocks, len(Qt)))
 
     if 4 * n > n_pad:
         for i, w in enumerate(words):
@@ -300,7 +288,7 @@ class GaussianityReport:
     sample_mean: float
     sample_std: float
     chi2_pvalue: float
-    n_samples: int = field(default=0)
+    n_samples: int
 
 
 def gaussianity_report(w: Waveform, n_bins: int = 50) -> GaussianityReport:

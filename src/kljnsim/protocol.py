@@ -343,10 +343,9 @@ class KeyExchangeSession:
         """Inputs of ``propagate`` for one bit per row of ``words``
         (``_noise_words``), all with one arrangement: Alice's then Bob's
         noise coefficients over the record basis, per record."""
-        a = np.empty((len(words), n_units, 2, len(self._basis)))
-        for column, choice in enumerate(arrangement):
-            generate_blocks(self._noise_spec(choice, n_units), words[:, column],
-                            self.oversample, out=a[:, :, column])
+        a = np.stack([generate_blocks(self._noise_spec(choice, n_units), words[:, column],
+                                      self.oversample)
+                      for column, choice in enumerate(arrangement)], axis=2)
         return a.reshape(len(words), n_units, -1)
 
     def _noise_words(self, slots) -> np.ndarray:
@@ -479,19 +478,3 @@ class KeyExchangeSession:
         """Largest random-RHS residual of the LU factors built so far."""
         return max((s.factorization_residual for s, *_ in self._solvers.values()), default=0.0)
 
-
-def run_bep(
-    netlist_builder,
-    config: ProtocolConfig,
-    bit_index: int,
-    true_arrangement: tuple[str, str],
-    seed: int,
-    solver_config: SolverConfig | None = None,
-    warmup_units: int = 0,
-) -> BepRecords:
-    """Single standalone bit exchange from zero initial conditions: a
-    fresh session's optional warmup, then its ``run_bit``."""
-    session = KeyExchangeSession(netlist_builder, config, solver_config, master_seed=seed)
-    if warmup_units:
-        session.run_warmup(warmup_units, true_arrangement)
-    return session.run_bit(bit_index, true_arrangement)

@@ -328,9 +328,6 @@ class Table1Result:
     master_seed: int
     n_bits: int
 
-    def p_e(self, bep_units: int, length_m: float) -> float:
-        return self.cells[(bep_units, length_m)].p_e
-
     def rows(self) -> list[dict]:
         out = []
         for bep in (20, 50, 100):

@@ -70,7 +70,6 @@ class TransientResult:
 
     probes: dict[str, Waveform]
     factorization_residual: float
-    step_count: int
 
 
 class TransientSolver:
@@ -87,7 +86,7 @@ class TransientSolver:
         self.dt = float(internal_step_s)
         self.tolerance = tolerance
         self._build()
-        self.reset_state()
+        self.state = np.zeros(self.n_states)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -254,9 +253,6 @@ class TransientSolver:
     # ------------------------------------------------------------------
     # State handling
     # ------------------------------------------------------------------
-
-    def reset_state(self) -> None:
-        self.state = np.zeros(self.n_states)
 
     def get_state(self) -> np.ndarray:
         return self.state.copy()
@@ -452,19 +448,16 @@ class TransientSolver:
             h, h_prev = out[:, ny:], h
         return y, h, h_prev
 
-    def run(
-        self,
-        source_steps: np.ndarray,
-        record_stride: int = 1,
-        use_blocks: bool | None = None,
-    ) -> np.ndarray:
+    def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
         """Advance by ``len(source_steps)`` internal steps.
 
         ``source_steps[k, j]`` is the value of source j at the end of
         internal step k.  Returns probe samples at every
         ``record_stride``-th step (the last step of each stride group),
         shape (n_steps // stride, n_probes).  Internal state advances so
-        consecutive calls form one continuous timeline.
+        consecutive calls form one continuous timeline.  Runs of at least
+        4 records of more than one step take the block recurrence
+        (``propagate``); others step plainly.
         """
         u = np.atleast_2d(np.asarray(source_steps, dtype=np.float64))
         if u.ndim != 2 or u.shape[1] != len(self.source_names):
@@ -474,11 +467,9 @@ class TransientSolver:
         n_steps = u.shape[0]
         if n_steps % record_stride != 0:
             raise ValueError("n_steps must be a multiple of record_stride")
-        if use_blocks is None:
-            use_blocks = record_stride > 1 and n_steps >= 4 * record_stride
         n_rec = n_steps // record_stride
 
-        if use_blocks and n_rec:
+        if record_stride > 1 and n_rec >= 4:
             # The one-run case of ``propagate``.
             ub = u.reshape(1, n_rec, record_stride, -1).transpose(0, 1, 3, 2)
             ub = ub.reshape(1, n_rec, -1)
@@ -551,11 +542,7 @@ def transient_solve(
         name: Waveform(recs[:, i], sample_interval_s=t_s, start_time_s=t_s)
         for i, name in enumerate(solver.probe_names)
     }
-    return TransientResult(
-        probes=probes,
-        factorization_residual=solver.factorization_residual,
-        step_count=n_steps,
-    )
+    return TransientResult(probes=probes, factorization_residual=solver.factorization_residual)
 
 
 def frequency_response_check(

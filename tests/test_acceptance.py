@@ -31,7 +31,6 @@ from kljnsim.protocol import (
     KeyExchangeSession,
     ProtocolConfig,
     expected_levels,
-    run_bep,
 )
 from kljnsim.scenarios import DEFAULT_MASTER_SEED
 from kljnsim.solver import SolverConfig, TransientSolver, transient_solve
@@ -219,7 +218,8 @@ def test_criterion_8_protocol_sanity():
     builder = lambda ra, rb: build_distributed(ra, rb, ideal)
 
     cfg_long = ProtocolConfig(bep_units=100000)
-    m = run_bep(builder, cfg_long, 0, ("L", "H"), seed=DEFAULT_MASTER_SEED)
+    session = KeyExchangeSession(builder, cfg_long, master_seed=DEFAULT_MASTER_SEED)
+    m = session.run_bit(0, ("L", "H"))
     lv = expected_levels(cfg_long)
     u_dev = abs(m.mean_sq_u[0] / lv.uu_lh - 1.0)
     i_dev = abs(m.mean_sq_i[0] / lv.ii_lh - 1.0)

@@ -19,7 +19,6 @@ from kljnsim.protocol import (
     KeyExchangeSession,
     ProtocolConfig,
     derive_seed,
-    run_bep,
 )
 
 
@@ -178,11 +177,11 @@ class TestRunAttack:
         cfg = ProtocolConfig(bep_units=20)
         cable = rg58(1000.0)
         builder = lambda ra, rb: build_distributed(ra, rb, cable)
-        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0)
+        m_lh = KeyExchangeSession(builder, cfg, master_seed=0).run_bit(0, ("L", "H"))
         words = KeyExchangeSession._noise_words
         monkeypatch.setattr(KeyExchangeSession, "_noise_words",
                             lambda self, slots: words(self, slots)[:, ::-1])
-        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0)
+        m_hl = KeyExchangeSession(builder, cfg, master_seed=0).run_bit(0, ("H", "L"))
         out_lh = run_attack(m_lh)
         out_hl = run_attack(m_hl)
         assert out_hl.rho[0] == pytest.approx(-out_lh.rho[0], rel=1e-9)

@@ -50,7 +50,7 @@ def plain_session(builder, cfg, seed, n_bits, warmup):
                                           ("ub", arrangement[1], _NOISE_BOB))
         }
         u = solver.assemble_inputs(n_units * S, noise)
-        recs = solver.run(u, record_stride=S, use_blocks=False)
+        recs = solver.run(u, record_stride=1)[S - 1 :: S]
         state = solver.get_state()
         return recs, solver.probe_names
 

@@ -230,16 +230,6 @@ class TestGenerateBlocks:
             np.testing.assert_allclose((out[i] @ Qt).ravel()[:10000], ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
 
-    def test_writes_into_a_strided_view(self):
-        dt = 1 / 32e3
-        spec = NoiseSpec(250.0, 1.0, 640 * dt, dt)
-        r = len(record_basis(spec, 32))
-        buf = np.zeros((3, 20, 2, r))
-        words = pcg64_words([3, 4, 5])
-        generate_blocks(spec, words, 32, out=buf[:, :, 1])
-        np.testing.assert_array_equal(buf[:, :, 0], 0.0)
-        np.testing.assert_array_equal(buf[:, :, 1], generate_blocks(spec, words, 32))
-
 
 class TestRecordBasis:
     """The record basis spans every block of every realization of a band."""

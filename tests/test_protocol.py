@@ -12,7 +12,6 @@ from kljnsim.protocol import (
     expected_levels,
     infer_remote_bit,
     infer_remote_resistance,
-    run_bep,
 )
 
 IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
@@ -94,14 +93,14 @@ class TestInference:
 class TestRunBep:
     def test_zero_temperature_all_zero(self):
         cfg = ProtocolConfig(t_eff=0.0, bep_units=20)
-        m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=1)
+        m = KeyExchangeSession(ideal_builder, cfg, master_seed=1).run_bit(0, ("L", "H"))
         assert m.mean_sq_u[0] == 0.0
         assert m.mean_sq_i[0] == 0.0
         assert np.all(m.probes[0, 2] == 0.0)
 
     def test_levels_match_formula_long_bep(self):
         cfg = ProtocolConfig(bep_units=20000)
-        m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=2)
+        m = KeyExchangeSession(ideal_builder, cfg, master_seed=2).run_bit(0, ("L", "H"))
         lv = expected_levels(cfg)
         assert m.mean_sq_u[0] == pytest.approx(lv.uu_lh, rel=0.03)
         assert m.mean_sq_i[0] == pytest.approx(lv.ii_lh, rel=0.03)
@@ -112,11 +111,11 @@ class TestRunBep:
         cfg = ProtocolConfig(bep_units=20)
         cable = rg58(100.0)
         builder = lambda ra, rb: build_distributed(ra, rb, cable)
-        m_lh = run_bep(builder, cfg, 0, ("L", "H"), 0)
+        m_lh = KeyExchangeSession(builder, cfg, master_seed=0).run_bit(0, ("L", "H"))
         words = KeyExchangeSession._noise_words
         monkeypatch.setattr(KeyExchangeSession, "_noise_words",
                             lambda self, slots: words(self, slots)[:, ::-1])
-        m_hl = run_bep(builder, cfg, 0, ("H", "L"), 0)
+        m_hl = KeyExchangeSession(builder, cfg, master_seed=0).run_bit(0, ("H", "L"))
         u_cha, i_cha, u_chb, i_chb = range(4)  # rows in PROBES order
         lh, hl = m_lh.probes[0], m_hl.probes[0]
         np.testing.assert_allclose(hl[u_cha], lh[u_chb], rtol=1e-10)
@@ -125,7 +124,7 @@ class TestRunBep:
 
     def test_waveform_length_is_bep_units(self):
         cfg = ProtocolConfig(bep_units=20)
-        m = run_bep(ideal_builder, cfg, 0, ("L", "H"), seed=3)
+        m = KeyExchangeSession(ideal_builder, cfg, master_seed=3).run_bit(0, ("L", "H"))
         assert m.probes.shape == (1, 4, 20)
         assert m.t_s == cfg.t_s
 

@@ -16,6 +16,7 @@ from kljnsim.scenarios import (
     DefenseSpec,
     ScenarioConfig,
     default_scenario,
+    reproduce_defenses,
     reproduce_table1,
     run_scenario,
 )
@@ -252,19 +253,27 @@ class TestCli:
         assert "chi2 normality p" in out
         assert (tmp_path / "gaussianity.csv").exists()
 
-    def test_compare_models_command(self, capsys):
-        rc = cli_main(["compare-models", "--bandwidth", "250", "--seed", "3"])
-        assert rc == 0
-        assert "indistinguishable" in capsys.readouterr().out
+    def test_compare_models_command(self, capsys, tmp_path):
+        for out in ([], ["--out", str(tmp_path)]):
+            rc = cli_main(["compare-models", "--bandwidth", "250", "--seed", "3"] + out)
+            assert rc == 0
+            assert "indistinguishable" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("compare_gamma*.csv"))) == 1
 
     def test_run_command(self, tmp_path, capsys):
         cfg = default_scenario(20, 100.0, n_bits=3, master_seed=12)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.serialize())
-        rc = cli_main(["run", "--config", str(path)])
-        assert rc == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["n_bits"] == 3
+        out = tmp_path / "out"
+        for argv in ([], ["--out", str(out)]):
+            rc = cli_main(["run", "--config", str(path)] + argv)
+            assert rc == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["n_bits"] == 3
+        assert summary["config"]["output_dir"] == str(out)
+        assert {p.name for p in out.iterdir()} == {
+            "summary.json", "eve_bits.csv", "eve_summary.json", "bep_records.jsonl",
+            "manifest.json"}
 
     def test_run_seed_overrides_config_seed(self, tmp_path, capsys):
         cfg = default_scenario(20, 100.0, n_bits=2, master_seed=12)
@@ -295,7 +304,10 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "master_seed must be non-negative"}
 
-    def test_defenses_command_smoke(self, capsys):
-        rc = cli_main(["defenses", "--bits", "8", "--seed", "3"])
-        assert rc == 0
-        assert "capacitor killer" in capsys.readouterr().out
+    def test_defenses_command_smoke(self, capsys, tmp_path):
+        for out in ([], ["--out", str(tmp_path)]):
+            rc = cli_main(["defenses", "--bits", "8", "--seed", "3"] + out)
+            assert rc == 0
+            assert "capacitor killer" in capsys.readouterr().out
+        report = json.loads((tmp_path / "defenses.json").read_text())
+        assert report == reproduce_defenses(master_seed=3, n_bits=8)
