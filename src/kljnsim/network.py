@@ -209,17 +209,15 @@ def build_lumped(r_alice: float, r_bob: float, cable: CableSpec) -> Netlist:
     c_p = cable.total_c
 
     branches: list[Branch] = []
-    node = "a"
+    # A zero-impedance cable leaves both ends one node, "a".
+    b_node = "a"
     if r_s > 0:
-        branches.append(Branch("R", "rs", node, "n1", r_s))
-        node = "n1"
+        mid = "n1" if l_s > 0 else "b"
+        branches.append(Branch("R", "rs", b_node, mid, r_s))
+        b_node = mid
     if l_s > 0:
-        branches.append(Branch("L", "ls", node, "b", l_s))
-        node = "b"
-    if node != "b":
-        # Degenerate zero-impedance cable: both ends are one node.
-        node = "a"
-    b_node = "b" if node == "b" else "a"
+        branches.append(Branch("L", "ls", b_node, "b", l_s))
+        b_node = "b"
     if c_p > 0:
         branches.append(Branch("C", "cp", b_node, SHIELD, c_p))
         branches.append(Branch("V", "vsh", SHIELD, GROUND))

@@ -302,7 +302,7 @@ class KeyExchangeSession:
         self._basis = record_basis(self._noise_spec(LOW, 1), self.oversample)
         # Per arrangement: its solver and that solver's coefficient map.
         self._solvers: dict[tuple[str, str], tuple] = {}
-        # Session state in history coordinates (TransientSolver._history),
+        # Session state, the history vector of ``TransientSolver.state``
         # shared by every arrangement's solver; None until the first run.
         self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
@@ -391,8 +391,8 @@ class KeyExchangeSession:
             h0 = np.zeros((len(idx), m))
             if idx[0] == 0:
                 h0[0] = h
-            y[idx], z[idx], _ = solver.propagate(h0, self._inputs(words[idx], a, n_units),
-                                                 W_a, S, bias)
+            y[idx], z[idx] = solver.propagate(h0, self._inputs(words[idx], a, n_units),
+                                              W_a, S, bias)
 
         # Hand the state from bit to bit, then add the free responses.
         starts = np.empty((n, m))

@@ -3,26 +3,27 @@
 Modified nodal analysis with fixed-step trapezoidal integration.  The
 system matrix is constant for a fixed step, so it is factorized once;
 reactive elements are replaced by their trapezoidal companion models
-(conductance plus history current source).  Every matrix is built from
+(conductance g plus history current source).  Every matrix is built from
 one branch-node incidence matrix D: the step system and the t = 0
 system differ only in which branches contribute conductances and which
 become voltage constraints.
 
-Because the whole per-step update is linear and time invariant, the
-solver also precomputes an exact map for one record of ``stride``
-internal steps.  The state enters each step only through one history
-source per reactive element, so the maps act on those coordinates, half
-the state.  ``propagate`` steps many independent runs record by record
-with two GEMMs per record; ``handoff_maps`` gives a run's response to its
-start state.  A record's inputs enter through an input map: ``run``
-reads ``stride`` samples per source through ``W_u``, while
-``coefficient_map`` projects ``W_u`` onto a record basis, so that noise
-given as a few coefficients per record (``noise.record_basis``) drives
-the same recurrence and constant sources add one bias row.  This gives
-the same decimated output as plain stepping up to round-off (the tests
-hold it to 1e-13 absolute, 1e-12 relative over whole sessions) at a
-fraction of the cost; the plain path is kept as the reference
-implementation.
+The solver's state is the vector h of history sources, one per reactive
+element: h = g v + i per capacitor and per inductor, which is all a step
+reads of the past.  One step is h' = F h + Bh u with probes
+y = Yh h + Yu0 u, built straight from the step LU.  Because this update
+is linear and time invariant, the solver precomputes an exact map for
+one record of ``stride`` internal steps.  ``propagate`` steps many
+independent runs record by record with two GEMMs per record;
+``handoff_maps`` gives a run's response to its start state.  A record's
+inputs enter through an input map: ``run`` reads ``stride`` samples per
+source through ``W_u``, while ``coefficient_map`` projects ``W_u`` onto
+a record basis, so that noise given as a few coefficients per record
+(``noise.record_basis``) drives the same recurrence and constant sources
+add one bias row.  ``run`` is the one-run case of ``propagate``; at
+stride 1 it takes every step one at a time and is the reference the
+record maps are tested against (to 1e-13 absolute, and whole sessions
+to 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ class TransientResult:
 class TransientSolver:
     """Stateful stepping engine for one netlist at one internal step.
 
-    The companion state (capacitor voltage/current, inductor
-    current/voltage pairs) lives in a flat vector that can be exported
-    and re-imported, e.g. to continue a timeline on a netlist whose
-    resistor values changed between bits.
+    The state is the history vector h, one entry per reactive element
+    (capacitors first, then inductors, in netlist order).  It can be
+    exported and re-imported, e.g. to continue a timeline on a netlist
+    whose resistor values changed between bits: solvers with equal
+    ``history_weights`` share its meaning.
     """
 
     def __init__(self, netlist: Netlist, internal_step_s: float, tolerance: float = 1e-9):
@@ -133,23 +135,17 @@ class TransientSolver:
         self._src_rows = n_nodes + np.flatnonzero(kind[self._cons] == "V")
 
         caps, inds = self._caps, self._inds
-        nc, nl_ = len(caps), len(inds)
-        # State layout: [cap v, cap i, ind i, ind v].
-        self.n_states = 2 * nc + 2 * nl_
-        self._sl_cv = slice(0, nc)
-        self._sl_ci = slice(nc, 2 * nc)
-        self._sl_li = slice(2 * nc, 2 * nc + nl_)
-        self._sl_lv = slice(2 * nc + nl_, 2 * nc + 2 * nl_)
-        self._sl_h = slice(nc, 2 * nc + nl_)  # companion currents: cap i, ind i
-
-        g_cap = 2.0 * self._value[caps] / dt
-        g_ind = dt / (2.0 * self._value[inds])
-        # Weights of the history sources (see ``_history``); runs hand
-        # state between solvers with equal weights in these coordinates.
-        self.history_weights = np.concatenate([g_cap, g_ind])
+        react = np.concatenate([caps, inds])
+        self.n_states = len(react)
+        g = np.concatenate([2.0 * self._value[caps] / dt, dt / (2.0 * self._value[inds])])
+        # Weights of the history sources h = g v + i; runs hand state
+        # between solvers with equal weights.
+        self.history_weights = g
+        # A capacitor's companion current is g v' - h, an inductor's g v' + h.
+        sign = np.concatenate([-np.ones(len(caps)), np.ones(len(inds))])
         M = self._mna(
-            np.concatenate([self._res, caps, inds]),
-            np.concatenate([1.0 / self._value[self._res], g_cap, g_ind]),
+            np.concatenate([self._res, react]),
+            np.concatenate([1.0 / self._value[self._res], g]),
             self._cons,
         )
         lu, self.factorization_residual = self._factor(M, "step system")
@@ -158,49 +154,45 @@ class TransientSolver:
         n_u = len(M)
         Dx = np.zeros((len(branches), n_u))  # branch voltages from the unknowns
         Dx[:, :n_nodes] = self._D
-        Dc, Dl = Dx[caps], Dx[inds]
-        # History sources: rhs += gC v + i for capacitors, -= i + gL v for
-        # inductors, on the branch's a side and opposite on b.
-        E_s = np.hstack([Dc.T * g_cap, Dc.T, -Dl.T, -Dl.T * g_ind])
+        Dr = Dx[react]
         E_u = np.zeros((n_u, len(self._sources)))
         E_u[self._src_rows, np.arange(len(self._sources))] = 1.0
-        V_s = sla.lu_solve(lu, E_s)
         V_u = sla.lu_solve(lu, E_u)
+        # History sources enter the rhs as -sign h on a branch's a side
+        # and opposite on b.
+        V_h = sla.lu_solve(lu, -Dr.T * sign)
 
-        # State update s' = P V' + Q s.
-        P = np.vstack([Dc, g_cap[:, None] * Dc, g_ind[:, None] * Dl, Dl])
-        Q = np.zeros((self.n_states, self.n_states))
-        Q[self._sl_ci, self._sl_cv] = -np.diag(g_cap)
-        Q[self._sl_ci, self._sl_ci] = -np.eye(nc)
-        Q[self._sl_li, self._sl_li] = np.eye(nl_)
-        Q[self._sl_li, self._sl_lv] = np.diag(g_ind)
-        self._A = P @ V_s
-        self._A += Q
-        self._B = P @ V_u
+        # h' = g v' + i' = 2 g v' + sign h.
+        gDr = 2.0 * g[:, None] * Dr
+        self._A = gDr @ V_h
+        self._A[np.diag_indices(self.n_states)] += sign
+        self._B = gDr @ V_u
 
-        # Probe rows over [V, s]: y_k = Cv V_k + Cst s_k.  Column holding
-        # each branch current; resistor currents are D rows over R.
-        cur = np.full(len(branches), -1)
-        cur[self._cons] = np.arange(n_nodes, n_u)
-        cur[caps] = n_u + self._sl_ci.start + np.arange(nc)
-        cur[inds] = n_u + self._sl_li.start + np.arange(nl_)
+        # Probe rows y = Cv V + Ch h.  Resistor currents are D rows over R,
+        # V/E currents their unknowns, reactive ones g v + sign h.  pos
+        # holds a V/E branch's unknown and a reactive branch's entry of h.
+        pos = np.full(len(branches), -1)
+        pos[self._cons] = np.arange(n_nodes, n_u)
+        pos[react] = np.arange(self.n_states)
         row = {br.name: k for k, br in enumerate(branches)}
         self.probe_names = list(nl.probes)
-        Y = np.zeros((len(self.probe_names), n_u + self.n_states))
+        Cv = np.zeros((len(self.probe_names), n_u))
+        Ch = np.zeros((len(self.probe_names), self.n_states))
         for i, (pkind, ref) in enumerate(nl.probes.values()):
             if pkind == "v":
                 if ref in col:
-                    Y[i, col[ref]] = 1.0
-            elif kind[row[ref]] == "R":
-                Y[i, :n_u] = Dx[row[ref]] / self._value[row[ref]]
+                    Cv[i, col[ref]] = 1.0
+                continue
+            k = row[ref]
+            if kind[k] == "R":
+                Cv[i] = Dx[k] / self._value[k]
+            elif kind[k] in ("V", "E"):
+                Cv[i, pos[k]] = 1.0
             else:
-                Y[i, cur[row[ref]]] = 1.0
-        Cv, Cst = Y[:, :n_u], Y[:, n_u:]
-
-        # y_k in terms of (s_{k-1}, u_k).
-        Cy_V = Cv + Cst @ P
-        self._Ys0 = Cy_V @ V_s + Cst @ Q
-        self._Yu0 = Cy_V @ V_u
+                Cv[i] = g[pos[k]] * Dx[k]
+                Ch[i, pos[k]] = sign[pos[k]]
+        self._Yh = Cv @ V_h + Ch
+        self._Yu0 = Cv @ V_u
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
 
@@ -263,14 +255,15 @@ class TransientSolver:
         self.state = state.copy()
 
     def initialize_companions(self, u0: np.ndarray) -> None:
-        """Make companion currents consistent with the sources at t = 0.
+        """Start from rest with companion sources consistent with the
+        sources at t = 0.
 
-        Capacitor voltages and inductor currents (the true initial
-        conditions) are kept; the instantaneous circuit is solved with
-        capacitors as voltage constraints and inductors as current
-        injections to obtain the capacitor currents and inductor
-        voltages at t = 0.  Without this, a source that is already
-        nonzero at t = 0 is seen as ramping up over the first step.
+        Every capacitor voltage and inductor current is zero; the
+        instantaneous circuit, capacitors as zero-volt constraints and
+        inductors open, gives the capacitor currents and inductor voltages
+        at t = 0, and with them the history h = g v + i.  Without this, a
+        source that is already nonzero at t = 0 is seen as ramping up over
+        the first step.
         """
         if self.n_states == 0:
             return
@@ -285,12 +278,12 @@ class TransientSolver:
         n_nodes = len(self._nodes)
         n_fixed = n_nodes + len(self._cons)  # first capacitor current unknown
         rhs = np.zeros(n_fixed + len(self._caps))
-        rhs[:n_nodes] = -self._D[self._inds].T @ self.state[self._sl_li]
         rhs[self._src_rows] = np.asarray(u0, dtype=np.float64)
-        rhs[n_fixed:] = self.state[self._sl_cv]
         sol = sla.lu_solve(self._lu0, rhs)
-        self.state[self._sl_ci] = sol[n_fixed:]
-        self.state[self._sl_lv] = self._D[self._inds] @ sol[:n_nodes]
+        g_ind = self.history_weights[len(self._caps):]
+        self.state = np.concatenate(
+            [sol[n_fixed:], g_ind * (self._D[self._inds] @ sol[:n_nodes])]
+        )
 
     def assemble_inputs(self, n_steps: int, waveforms: dict[str, np.ndarray]) -> np.ndarray:
         """Input matrix for ``run``: driven sources from waveform samples,
@@ -307,42 +300,29 @@ class TransientSolver:
         return u
 
     def stored_energy(self) -> float:
-        """Sum of C v^2 / 2 and L i^2 / 2 over all reactive branches."""
-        cv, li = self.state[self._sl_cv], self.state[self._sl_li]
+        """Sum of C v^2 / 2 and L i^2 / 2 over all reactive branches one
+        step later with every source at zero: h alone does not fix the
+        present v and i, and that step's g v per capacitor and i per
+        inductor is (F h + h) / 2."""
+        w = 0.5 * (self._A @ self.state + self.state)
+        nc = len(self._caps)
+        cv = w[:nc] / self.history_weights[:nc]
         return 0.5 * float(
-            self._value[self._caps] @ cv**2 + self._value[self._inds] @ li**2
+            self._value[self._caps] @ cv**2 + self._value[self._inds] @ w[nc:] ** 2
         )
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
 
-    def _history(self, x: np.ndarray) -> np.ndarray:
-        """History sources h = H x of states x (one per column): gC v + i
-        per capacitor, i + gL v per inductor.
-
-        The state enters the next step only through h, so the one-step map
-        factors as A = U H with U = A[:, companion-current columns]
-        (201 of 402 columns on the 100-section ladder), and every record
-        depends on the state through h alone.
-        """
-        w = self.history_weights.reshape((-1,) + (1,) * (x.ndim - 1))
-        return x[self._sl_h] + w * np.concatenate([x[self._sl_cv], x[self._sl_lv]])
-
-    def _history_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step in history coordinates: (F, Bh, Yh) with F = H U and
-        Bh = H B, so that h' = F h + Bh u and y = Yh h + Yu0 u."""
-        return (self._history(self._A[:, self._sl_h]), self._history(self._B),
-                self._Ys0[:, self._sl_h])
-
     def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact maps for one record of ``stride`` steps, in history
-        coordinates h (see ``_history``).
+        """Exact maps for one record of ``stride`` steps.
 
-        The step is h' = F h + Bh u, y = Yh h + Yu0 u (``_history_system``).
-        A record's inputs u are ``stride * n_sources`` values,
-        source-major (step p of source j at j * stride + p).  With g the
-        history one step before the record ends, g = F^(stride-1) h + Sm u:
+        The step is h' = F h + Bh u, y = Yh h + Yu0 u (``_A``, ``_B``,
+        ``_Yh``, ``_Yu0``).  A record's inputs u are ``stride * n_sources``
+        values, source-major (step p of source j at j * stride + p).  With
+        g the history one step before the record ends, g = F^(stride-1) h
+        + Sm u:
             y  = Yh g + Yu0 u_last   = Y_h h + Y_u u
             h' = F g + Bh u_last     = F_blk h + S_h u
         Returns the stacked transposes W_h = [Y_h; F_blk]^T and
@@ -351,7 +331,7 @@ class TransientSolver:
         cached = self._block_cache.get(stride)
         if cached is not None:
             return cached
-        F, Bh, Yh = self._history_system()
+        F, Bh, Yh = self._A, self._B, self._Yh
         m, nu = Bh.shape
 
         Sm = np.zeros((m, nu, stride))
@@ -430,23 +410,21 @@ class TransientSolver:
         through ``W_in`` (n_in, n_probes + m): the sample map ``W_u`` of
         ``_block_maps`` or a ``coefficient_map``, whose ``bias`` is added
         every record.  Each record costs two GEMMs across the runs.
-        Returns the probes (k, n_probes, n_rec), the end histories and the
-        histories at the start of the last record.  ``self.state`` is
-        untouched.
+        Returns the probes (k, n_probes, n_rec) and the end histories.
+        ``self.state`` is untouched.
         """
         W_h, _ = self._block_maps(stride)
         ny = len(self.probe_names)
         n_rec = u.shape[1]
         y = np.empty((len(h), ny, n_rec))
-        h_prev = h
         for r in range(n_rec):
             out = h @ W_h
             out += u[:, r] @ W_in
             if bias is not None:
                 out += bias
             y[:, :, r] = out[:, :ny]
-            h, h_prev = out[:, ny:], h
-        return y, h, h_prev
+            h = out[:, ny:]
+        return y, h
 
     def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
         """Advance by ``len(source_steps)`` internal steps.
@@ -455,52 +433,32 @@ class TransientSolver:
         internal step k.  Returns probe samples at every
         ``record_stride``-th step (the last step of each stride group),
         shape (n_steps // stride, n_probes).  Internal state advances so
-        consecutive calls form one continuous timeline.  Runs of at least
-        4 records of more than one step take the block recurrence
-        (``propagate``); others step plainly.
+        consecutive calls form one continuous timeline.  This is the
+        one-run case of ``propagate``; at stride 1 every step is taken one
+        at a time.
         """
+        if not (isinstance(record_stride, (int, np.integer)) and record_stride > 0):
+            raise ValueError("record_stride must be a positive integer")
         u = np.atleast_2d(np.asarray(source_steps, dtype=np.float64))
-        if u.ndim != 2 or u.shape[1] != len(self.source_names):
-            raise ValueError(
-                f"source_steps must be (n_steps, {len(self.source_names)})"
-            )
+        n_src = len(self.source_names)
+        if u.ndim != 2 or u.shape[1] != n_src:
+            raise ValueError(f"source_steps must be (n_steps, {n_src})")
         n_steps = u.shape[0]
         if n_steps % record_stride != 0:
             raise ValueError("n_steps must be a multiple of record_stride")
         n_rec = n_steps // record_stride
 
-        if record_stride > 1 and n_rec >= 4:
-            # The one-run case of ``propagate``.
-            ub = u.reshape(1, n_rec, record_stride, -1).transpose(0, 1, 3, 2)
-            ub = ub.reshape(1, n_rec, -1)
-            _, W_u = self._block_maps(record_stride)
-            y, _, h_last = self.propagate(self._history(self.state)[None], ub, W_u,
-                                          record_stride)
-            out = y[0].T
-            # A s depends on s only through H s, so after the first step of
-            # the last record the state is U h_last + B u; step the rest.
-            k0 = n_steps - record_stride
-            s = self._A[:, self._sl_h] @ h_last[0] + self._B @ u[k0]
-            for k in range(k0 + 1, n_steps):
-                s = self._A @ s + self._B @ u[k]
-            self.state = s
-        else:
-            out = np.empty((n_rec, len(self.probe_names)))
-            s = self.state
-            r = 0
-            for k in range(n_steps):
-                y = self._Ys0 @ s + self._Yu0 @ u[k]
-                s = self._A @ s + self._B @ u[k]
-                if (k + 1) % record_stride == 0:
-                    out[r] = y
-                    r += 1
-            self.state = s
-
+        # Record-major, then source-major within a record (``_block_maps``).
+        ub = u.reshape(n_rec, record_stride, n_src).transpose(0, 2, 1)
+        _, W_u = self._block_maps(record_stride)
+        y, h = self.propagate(self.state[None], ub.reshape(1, n_rec, n_src * record_stride),
+                              W_u, record_stride)
+        self.state = h[0]
         if not np.all(np.isfinite(self.state)):
             raise DivergenceError("non-finite state during integration")
-        if not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(y)):
             raise DivergenceError("non-finite probe values during integration")
-        return out
+        return y[0].T
 
 
 def transient_solve(
@@ -522,6 +480,8 @@ def transient_solve(
         raise ValueError("t_s must be an integer multiple of the internal step")
     n_steps = int(round(duration_s / dt))
     n_steps -= n_steps % stride
+    if n_steps == 0:
+        raise ValueError(f"duration_s {duration_s} is shorter than t_s {t_s}")
 
     solver = TransientSolver(netlist, dt, config.tolerance)
     arrays = {}
@@ -557,9 +517,9 @@ def frequency_response_check(
     The steady-state gain of the trapezoidal step map, which is what a
     unit sinusoid stepped through ``run`` settles to, frequency warping
     of the discretization included: with z = e^(2 pi i f dt) and the
-    history-coordinate step h' = F h + Bh u, y = Yh h + Yu0 u
-    (``TransientSolver._history_system``), H = Yu0 + Yh (zI - F)^-1 Bh,
-    one complex solve.  The default step is 1 / (64 f).
+    step h' = F h + Bh u, y = Yh h + Yu0 u (``TransientSolver._A``,
+    ``_B``, ``_Yh`` and ``_Yu0``), H = Yu0 + Yh (zI - F)^-1 Bh, one
+    complex solve.  The default step is 1 / (64 f).
     """
     if not f_hz > 0:
         raise ValueError(f"test frequency must be positive, got {f_hz}")
@@ -572,10 +532,11 @@ def frequency_response_check(
     solver = TransientSolver(netlist, dt, config.tolerance)
     if probe not in solver.probe_names:
         raise ValueError(f"unknown probe {probe!r}")
+    if source is not None and source not in solver.source_names:
+        raise ValueError(f"unknown source {source!r}")
     j_src = 0 if source is None else solver.source_names.index(source)
     j_probe = solver.probe_names.index(probe)
 
-    F, Bh, Yh = solver._history_system()
     z = np.exp(2j * math.pi * f_hz * dt)
-    x = np.linalg.solve(z * np.eye(len(F)) - F, Bh[:, j_src])
-    return complex(solver._Yu0[j_probe, j_src] + Yh[j_probe] @ x)
+    x = np.linalg.solve(z * np.eye(solver.n_states) - solver._A, solver._B[:, j_src])
+    return complex(solver._Yu0[j_probe, j_src] + solver._Yh[j_probe] @ x)

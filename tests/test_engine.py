@@ -26,7 +26,7 @@ from kljnsim.solver import DivergenceError, TransientSolver
 
 def plain_session(builder, cfg, seed, n_bits, warmup):
     """Probes of ``KeyExchangeSession.run_bits`` by plain stepping: one
-    ``generate`` call per party and bit, the full state handed from
+    ``generate`` call per party and bit, the history vector handed from
     solver to solver, every internal step taken one by one."""
     S = 32
     dt = cfg.t_s / S

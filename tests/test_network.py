@@ -70,6 +70,14 @@ class TestBuildLumped:
         nl = build_lumped(1000.0, 9000.0, rg58(1000.0))
         assert set(nl.probes) == {"u_cha", "i_cha", "u_chb", "i_chb"}
 
+    def test_resistive_cable_without_inductance_ends_at_b(self):
+        # the series resistor must join the two ends, not dangle
+        nl = build_lumped(1000.0, 9000.0, CableSpec(0.021, 0.0, 100e-12, 1000.0, 0.0, 1))
+        br = {b.name: b for b in nl.branches}
+        assert (br["rs"].a, br["rs"].b) == ("a", "b")
+        assert br["cp"].a == "b"
+        assert nl.probes["u_chb"] == ("v", "b")
+
 
 class TestBuildDistributed:
     def test_sum_rule_exact(self):

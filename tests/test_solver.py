@@ -159,6 +159,21 @@ class TestPassivity:
         assert e[0] > 0
         assert np.all(np.diff(e) <= 1e-12 * e[:-1] + 1e-30)
 
+    @pytest.mark.parametrize(
+        "build, probe, energy",
+        [
+            (rc_netlist, "v", lambda y: 100e-9 * y**2 / 2.0),
+            (rl_netlist, "i", lambda y: 1e-3 * y**2 / 2.0),
+        ],
+        ids=["rc", "rl"],
+    )
+    def test_stored_energy_is_one_zero_input_step_later(self, build, probe, energy):
+        solver = TransientSolver(build(), 1e-6)
+        solver.run(np.ones((50, 1)))
+        stored = solver.stored_energy()
+        y = solver.run(np.zeros((1, 1)))[0, solver.probe_names.index(probe)]
+        assert stored == pytest.approx(energy(y), rel=1e-12)
+
 
 class TestDiscretization:
     def test_step_halving_below_point1_percent(self):
@@ -213,8 +228,10 @@ class TestDiscretization:
         y_one = one.run(u, record_stride=32)
         two = TransientSolver(net, 31.25e-6)
         y_a = two.run(u[:160], record_stride=32)
+        y_0 = two.run(u[:0], record_stride=32)
         y_b = two.run(u[160:], record_stride=32)
-        np.testing.assert_allclose(np.vstack([y_a, y_b]), y_one, atol=1e-13)
+        assert y_0.shape == (0, len(two.probe_names))
+        np.testing.assert_allclose(np.vstack([y_a, y_0, y_b]), y_one, atol=1e-13)
 
 
 def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
@@ -361,6 +378,26 @@ class TestErrors:
         with pytest.raises(SingularNetworkError) as exc_info:
             TransientSolver(nl, 1e-6)
         assert exc_info.value.node == "ghost"
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.ones((64, 1)), 0),
+             "record_stride must be a positive integer"),
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.ones((64, 1)), -32),
+             "record_stride must be a positive integer"),
+            (lambda: transient_solve(rc_netlist(), {"u": Waveform(np.ones(100), 1e-6)},
+                                     SolverConfig(internal_step_s=1e-6),
+                                     duration_s=5e-6, t_s=1e-5),
+             "duration_s"),
+            (lambda: frequency_response_check(rc_netlist(), "v", 100.0, source="nope"),
+             "unknown source 'nope'"),
+        ],
+        ids=["stride_zero", "stride_negative", "duration_below_t_s", "unknown_source"],
+    )
+    def test_invalid_input_named_before_compute(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_missing_source_waveform(self):
         with pytest.raises(ValueError, match="no waveform"):
