@@ -24,7 +24,7 @@ import numpy as np
 from . import noise as _noise
 from . import seeding
 from .noise import NoiseSpec, generate_blocks, record_basis, rms_for_resistor
-from .solver import DivergenceError, SolverConfig, TransientSolver
+from .solver import DivergenceError, SolverConfig, TransientSolver, single_blas_thread
 
 LOW, HIGH = "L", "H"
 
@@ -358,6 +358,7 @@ class KeyExchangeSession:
         words = seeding.pcg64_words(seeding.derive_states(self.master_seed, slots, purposes))
         return words.reshape(-1, 2, 4)
 
+    @single_blas_thread()
     def _exchange(
         self,
         words: np.ndarray,

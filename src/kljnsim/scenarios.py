@@ -35,7 +35,7 @@ from .protocol import (
     expected_levels,
     infer_remote_resistance,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, blas_pools
 
 # Default master seed for the built-in campaigns; results are
 # deterministic given the seed, so documented numbers reproduce exactly.
@@ -302,8 +302,10 @@ def persist_scenario(
 
 
 def _provenance() -> dict:
-    """What produced a run: package and library versions, and the BLAS
-    thread settings in the environment (recorded, never set here)."""
+    """What produced a run: package and library versions, the BLAS
+    thread settings in the environment, and the thread count the engine
+    ran each OpenBLAS pool with (``single_blas_thread``; null when no
+    pool was found, and the count was then left as it was)."""
     from . import __version__
 
     # numpy before 1.26 has no build CONFIG; its BLAS is then recorded as null
@@ -317,6 +319,7 @@ def _provenance() -> dict:
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
         },
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "engine_blas_threads": {pool.name: 1 for pool in blas_pools()} or None,
     }
 
 

@@ -24,12 +24,22 @@ add one bias row.  ``run`` is the one-run case of ``propagate``; at
 stride 1 it takes every step one at a time and is the reference the
 record maps are tested against (to 1e-13 absolute, and whole sessions
 to 1e-12 relative).
+
+The engine's products are small: 21 to 201 states, a few dozen runs.
+OpenBLAS splits them over its default thread pool anyway, and the
+synchronisation costs more than the split saves, so ``transient_solve``
+and the bit engine run inside ``single_blas_thread``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 import math
 import warnings
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +47,71 @@ import scipy.linalg as sla
 
 from .network import Netlist
 from .noise import Waveform
+
+
+# Extension modules linked against the BLAS numpy and scipy use, and the
+# (prefix, suffix) of the thread-count symbols of the OpenBLAS builds
+# they may carry: the scipy-openblas wheels (numpy's ILP64, scipy's
+# LP64), and plain OpenBLAS as in older wheels and distro builds.
+_BLAS_MODULES = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas")
+_OPENBLAS_BUILDS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                    ("openblas", "64_"), ("openblas", ""))
+
+
+@dataclass(frozen=True)
+class BlasPool:
+    """One loaded OpenBLAS library's thread pool."""
+
+    name: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def blas_pools() -> tuple[BlasPool, ...]:
+    """The OpenBLAS thread pools numpy and scipy compute with.
+
+    dlsym through a handle of a BLAS-linked extension module also
+    searches that module's dependencies, so this finds the library a
+    module actually calls without listing the process's mappings.  A
+    library reached from both modules counts once; an empty tuple means
+    no OpenBLAS was found.
+    """
+    pools: dict[int, BlasPool] = {}
+    for module in _BLAS_MODULES:
+        try:
+            handle = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix, suffix in _OPENBLAS_BUILDS:
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            address = ctypes.cast(get, ctypes.c_void_p).value
+            pools.setdefault(address, BlasPool(prefix + suffix, get, put))
+    return tuple(pools.values())
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with every OpenBLAS pool at one thread, then give
+    each pool back the count it had, also when the body raises.
+
+    The counts belong to the process, so scopes that overlap in
+    concurrent Python threads can hand each other the wrong count.
+    """
+    pools = blas_pools()
+    before = [pool.get_threads() for pool in pools]
+    for pool in pools:
+        pool.set_threads(1)
+    try:
+        yield
+    finally:
+        for pool, n in zip(pools, before):
+            pool.set_threads(n)
 
 
 class SingularNetworkError(RuntimeError):
@@ -461,6 +536,7 @@ class TransientSolver:
         return y[0].T
 
 
+@single_blas_thread()
 def transient_solve(
     netlist: Netlist,
     sources: dict[str, Waveform],

@@ -5,6 +5,7 @@ import pytest
 
 from kljnsim import noise, protocol, seeding
 from kljnsim.network import CableSpec, build_distributed, rg58
+from kljnsim.noise import Waveform
 from kljnsim.protocol import (
     KeyExchangeSession,
     ProtocolConfig,
@@ -13,6 +14,7 @@ from kljnsim.protocol import (
     infer_remote_bit,
     infer_remote_resistance,
 )
+from kljnsim.solver import SolverConfig, TransientSolver, blas_pools, transient_solve
 
 IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
 
@@ -219,3 +221,60 @@ class TestSession:
     def test_bad_master_seed(self):
         with pytest.raises(ValueError):
             KeyExchangeSession(ideal_builder, ProtocolConfig(), master_seed=-1)
+
+
+class TestBlasScope:
+    """The engine runs every OpenBLAS pool on one thread and gives each
+    pool its count back afterwards."""
+
+    @pytest.fixture
+    def pools(self):
+        # Two threads outside the engine, so that a restore shows.
+        pools = blas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS thread pool loaded")
+        before = [pool.get_threads() for pool in pools]
+        for pool in pools:
+            pool.set_threads(2)
+        yield pools
+        for pool, n in zip(pools, before):
+            pool.set_threads(n)
+
+    @staticmethod
+    def record_threads(monkeypatch, pools, fail=False):
+        """Patch ``propagate`` to note every pool's count when called."""
+        seen = []
+        propagate = TransientSolver.propagate
+
+        def recording(self, *args):
+            seen.append([pool.get_threads() for pool in pools])
+            if fail:
+                raise RuntimeError("injected failure")
+            return propagate(self, *args)
+
+        monkeypatch.setattr(TransientSolver, "propagate", recording)
+        return seen
+
+    def test_session_runs_on_one_thread(self, pools, monkeypatch):
+        seen = self.record_threads(monkeypatch, pools)
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(6, warmup_units=3)
+        assert len(seen) >= 3 and all(s == [1] * len(pools) for s in seen)
+        assert [pool.get_threads() for pool in pools] == [2] * len(pools)
+
+    def test_counts_restored_when_run_raises(self, pools, monkeypatch):
+        seen = self.record_threads(monkeypatch, pools, fail=True)
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
+        with pytest.raises(RuntimeError, match="injected"):
+            sess.run_bits(4)
+        assert seen == [[1] * len(pools)]
+        assert [pool.get_threads() for pool in pools] == [2] * len(pools)
+
+    def test_transient_solve_runs_on_one_thread(self, pools, monkeypatch):
+        seen = self.record_threads(monkeypatch, pools)
+        dt = 1e-5
+        waves = {name: Waveform(np.ones(64), dt) for name in ("ua", "ub")}
+        transient_solve(ideal_builder(1e3, 9e3), waves, SolverConfig(internal_step_s=dt),
+                        duration_s=64 * dt, t_s=32 * dt)
+        assert seen == [[1] * len(pools)]
+        assert [pool.get_threads() for pool in pools] == [2] * len(pools)

@@ -20,6 +20,7 @@ from kljnsim.scenarios import (
     reproduce_table1,
     run_scenario,
 )
+from kljnsim.solver import blas_pools
 
 
 def random_scenario(n_bits, seed, xor_rounds=0, output_dir=None):
@@ -118,6 +119,11 @@ class TestRunScenario:
         assert set(manifest["versions"]["blas"]) == {"name", "version"}
         assert set(manifest["blas_threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        pools = [pool.name for pool in blas_pools()]
+        if pools:
+            assert manifest["engine_blas_threads"] == {name: 1 for name in pools}
+        else:
+            assert manifest["engine_blas_threads"] is None
 
     def test_eve_csv_shape(self, tmp_path):
         out = tmp_path / "s"
