@@ -17,7 +17,7 @@ import numpy as np
 from .network import CableSpec, build_distributed, build_lumped, wavelength_ratio
 from .noise import NoiseSpec, generate, rms_for_resistor
 from .protocol import T_EFF_DEFAULT, derive_seed
-from .solver import TransientSolver
+from .solver import TransientSolver, single_blas_thread
 
 # Verdict thresholds on nrmsd, calibrated once against the
 # segment-refinement reference (2x segments).
@@ -52,6 +52,7 @@ def _verdict(nrmsd: float) -> str:
     return "waves"
 
 
+@single_blas_thread()
 def compare_models(
     cable: CableSpec,
     r_alice: float,

@@ -1,9 +1,11 @@
 """Circuit netlists for the key exchange loop and its cable models.
 
 Builds the loop (two noise generators behind the party resistors) around
-either a single-section lumped cable or an N-section ladder, provides the
-quasi-static diagnostics (wavelength ratio, capacitive cutoff), and the
-shield-drive transform that cancels capacitive currents.
+a cable ladder, provides the quasi-static diagnostics (wavelength ratio,
+capacitive cutoff), and the shield-drive transform that cancels
+capacitive currents.  Both cable models come from one ladder builder:
+the distributed model is N pi sections, the lumped model one half-T
+section (half the series R and L, then the whole C at Bob's end).
 
 Current probes at the two ends are oriented *into* the cable from each
 party's branch, so the attack statistic built on them is antisymmetric
@@ -128,6 +130,10 @@ class Netlist:
             if br.name in names:
                 raise ValueError(f"duplicate branch name {br.name!r}")
             names.add(br.name)
+            if br.kind not in ("R", "L", "C", "V", "E"):
+                raise ValueError(f"branch {br.name!r} has unknown kind {br.kind!r}")
+            if br.kind == "E" and (br.ctrl_a is None or br.ctrl_b is None):
+                raise ValueError(f"controlled source {br.name!r} needs ctrl_a and ctrl_b")
         for pname, (kind, ref) in self.probes.items():
             if kind == "v":
                 if ref not in self.nodes():
@@ -176,56 +182,56 @@ class Netlist:
         return "\n".join(lines) + "\n"
 
 
-def _party_branches(r_alice: float, r_bob: float, node_a: str, node_b: str) -> list[Branch]:
+def _ladder(r_alice: float, r_bob: float, r_seg: float, l_seg: float,
+            shunt: list[float]) -> Netlist:
+    """The loop around a ladder of ``len(shunt) - 1`` sections.
+
+    Each section is a series R then L between consecutive wire nodes
+    ``a, w1, ..., b``; ``shunt[i]`` ties wire node i to the shield, and
+    zero entries are left out.  A section without series impedance joins
+    its two wire nodes, so a cable with R = L = 0 is the single node "a".
+    """
+    if r_alice <= 0 or r_bob <= 0:
+        raise ValueError("party resistances must be positive")
+    n = len(shunt) - 1
+    if r_seg > 0 or l_seg > 0:
+        wire = ["a"] + [f"w{i}" for i in range(1, n)] + ["b"]
+    else:
+        wire = ["a"] * (n + 1)
     # Generator behind each party resistor; resistor current a->b reads
     # "into the cable" at both ends.
-    return [
+    branches = [
         Branch("V", "ua", "sa", GROUND, source_ref="ua"),
-        Branch("R", "ra", "sa", node_a, r_alice),
+        Branch("R", "ra", "sa", "a", r_alice),
         Branch("V", "ub", "sb", GROUND, source_ref="ub"),
-        Branch("R", "rb", "sb", node_b, r_bob),
+        Branch("R", "rb", "sb", wire[n], r_bob),
     ]
-
-
-_KLJN_PROBES = {
-    "u_cha": ("v", "a"),
-    "i_cha": ("i", "ra"),
-    "u_chb": ("v", "b"),
-    "i_chb": ("i", "rb"),
-}
+    for i in range(n):
+        node = wire[i]
+        if r_seg > 0:
+            mid = f"m{i}" if l_seg > 0 else wire[i + 1]
+            branches.append(Branch("R", f"rs{i}", node, mid, r_seg))
+            node = mid
+        if l_seg > 0:
+            branches.append(Branch("L", f"ls{i}", node, wire[i + 1], l_seg))
+    branches += [Branch("C", f"cs{i}", wire[i], SHIELD, c) for i, c in enumerate(shunt) if c > 0]
+    if any(c > 0 for c in shunt):
+        branches.append(Branch("V", "vsh", SHIELD, GROUND))
+    probes = {"u_cha": ("v", "a"), "i_cha": ("i", "ra"),
+              "u_chb": ("v", wire[n]), "i_chb": ("i", "rb")}
+    return Netlist(branches=tuple(branches), probes=probes)
 
 
 def build_lumped(r_alice: float, r_bob: float, cable: CableSpec) -> Netlist:
     """Single-section cable model: series half-R, half-L, then shunt C.
 
-    The series elements carry half the cable totals and the shunt
-    capacitor the full total, placed at the load end (a half-T section).
-    For 1000 m of RG58 this gives 10.5 ohm, 125 uH and 100 nF.
+    A one-section ladder whose series elements carry half the cable
+    totals and whose one shunt capacitor, ``cs1``, the full total at the
+    load end (a half-T section).  For 1000 m of RG58 this gives 10.5 ohm,
+    125 uH and 100 nF.
     """
-    if r_alice <= 0 or r_bob <= 0:
-        raise ValueError("party resistances must be positive")
-    r_s = cable.total_r / 2.0
-    l_s = cable.total_l / 2.0
-    c_p = cable.total_c
-
-    branches: list[Branch] = []
-    # A zero-impedance cable leaves both ends one node, "a".
-    b_node = "a"
-    if r_s > 0:
-        mid = "n1" if l_s > 0 else "b"
-        branches.append(Branch("R", "rs", b_node, mid, r_s))
-        b_node = mid
-    if l_s > 0:
-        branches.append(Branch("L", "ls", b_node, "b", l_s))
-        b_node = "b"
-    if c_p > 0:
-        branches.append(Branch("C", "cp", b_node, SHIELD, c_p))
-        branches.append(Branch("V", "vsh", SHIELD, GROUND))
-
-    branches = _party_branches(r_alice, r_bob, "a", b_node) + branches
-    probes = dict(_KLJN_PROBES)
-    probes["u_chb"] = ("v", b_node)
-    return Netlist(branches=tuple(branches), probes=probes)
+    return _ladder(r_alice, r_bob, cable.total_r / 2.0, cable.total_l / 2.0,
+                   [0.0, cable.total_c])
 
 
 def build_distributed(r_alice: float, r_bob: float, cable: CableSpec) -> Netlist:
@@ -235,56 +241,11 @@ def build_distributed(r_alice: float, r_bob: float, cable: CableSpec) -> Netlist
     ends), so section totals sum exactly to the per-meter values times
     length and the ladder is mirror symmetric.
     """
-    if r_alice <= 0 or r_bob <= 0:
-        raise ValueError("party resistances must be positive")
     n = cable.n_segments
     dx = cable.length_m / n
-    r_seg = cable.r_per_m * dx
-    l_seg = cable.l_per_m * dx
     c_seg = cable.c_per_m * dx
-
-    def wire_node(i: int) -> str:
-        if i == 0:
-            return "a"
-        if i == n:
-            return "b"
-        return f"w{i}"
-
-    branches: list[Branch] = []
-    alias: dict[str, str] = {}
-
-    def resolve(node: str) -> str:
-        while node in alias:
-            node = alias[node]
-        return node
-
-    for i in range(n):
-        left = resolve(wire_node(i))
-        right = wire_node(i + 1)
-        node = left
-        if r_seg > 0:
-            mid = f"m{i}" if l_seg > 0 else right
-            branches.append(Branch("R", f"rs{i}", node, mid, r_seg))
-            node = mid
-        if l_seg > 0:
-            branches.append(Branch("L", f"ls{i}", node, right, l_seg))
-            node = right
-        if node != right:
-            # Zero series impedance: merge the right node into the left.
-            alias[right] = left
-
-    end_b = resolve(wire_node(n))
-    if c_seg > 0:
-        for i in range(n + 1):
-            node = resolve(wire_node(i))
-            c_val = c_seg if 0 < i < n else c_seg / 2.0
-            branches.append(Branch("C", f"cs{i}", node, SHIELD, c_val))
-        branches.append(Branch("V", "vsh", SHIELD, GROUND))
-
-    branches = _party_branches(r_alice, r_bob, "a", end_b) + branches
-    probes = dict(_KLJN_PROBES)
-    probes["u_chb"] = ("v", end_b)
-    return Netlist(branches=tuple(branches), probes=probes)
+    return _ladder(r_alice, r_bob, cable.r_per_m * dx, cable.l_per_m * dx,
+                   [c_seg / 2.0] + [c_seg] * (n - 1) + [c_seg / 2.0])
 
 
 def wavelength_ratio(cable: CableSpec, bandwidth_hz: float) -> float:
@@ -312,19 +273,13 @@ def apply_capacitor_killer(netlist: Netlist, tap_end: str = "alice") -> Netlist:
     then bridges inner wire to driven shield, so the capacitive current
     vanishes at the tap and is strongly suppressed elsewhere.
     """
-    has_shield_caps = any(
-        br.kind == "C" and SHIELD in (br.a, br.b) for br in netlist.branches
-    )
-    if not has_shield_caps:
+    if tap_end not in ("alice", "bob"):
+        raise ValueError("tap_end must be 'alice' or 'bob'")
+    if not any(br.kind == "C" and SHIELD in (br.a, br.b) for br in netlist.branches):
         warnings.warn("netlist has no shield capacitors; killer transform is a no-op")
         return netlist
 
-    if tap_end == "alice":
-        tap_node = netlist.probes["u_cha"][1]
-    elif tap_end == "bob":
-        tap_node = netlist.probes["u_chb"][1]
-    else:
-        raise ValueError("tap_end must be 'alice' or 'bob'")
+    tap_node = netlist.probes["u_cha" if tap_end == "alice" else "u_chb"][1]
 
     branches = []
     for br in netlist.branches:

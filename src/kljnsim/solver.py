@@ -27,8 +27,9 @@ to 1e-12 relative).
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
-synchronisation costs more than the split saves, so ``transient_solve``
-and the bit engine run inside ``single_blas_thread``.
+synchronisation costs more than the split saves, so ``transient_solve``,
+``frequency_response_check``, ``compare.compare_models`` and the bit
+engine run inside ``single_blas_thread``.
 """
 
 from __future__ import annotations
@@ -581,6 +582,7 @@ def transient_solve(
     return TransientResult(probes=probes, factorization_residual=solver.factorization_residual)
 
 
+@single_blas_thread()
 def frequency_response_check(
     netlist: Netlist,
     probe: str,

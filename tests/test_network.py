@@ -52,14 +52,14 @@ class TestBuildLumped:
     def test_canonical_values_at_1000m(self):
         nl = build_lumped(1000.0, 9000.0, rg58(1000.0))
         vals = {br.name: br.value for br in nl.branches}
-        assert vals["rs"] == pytest.approx(10.5)
-        assert vals["ls"] == pytest.approx(125e-6)
-        assert vals["cp"] == pytest.approx(100e-9)
+        assert vals["rs0"] == pytest.approx(10.5)
+        assert vals["ls0"] == pytest.approx(125e-6)
+        assert vals["cs1"] == pytest.approx(100e-9)
 
     def test_capacitance_scales_with_length(self):
         nl = build_lumped(1000.0, 9000.0, rg58(100.0))
         vals = {br.name: br.value for br in nl.branches}
-        assert vals["cp"] == pytest.approx(10e-9)
+        assert vals["cs1"] == pytest.approx(10e-9)
 
     def test_zero_capacitance_no_cap_branch(self):
         cable = dataclasses.replace(rg58(1000.0), c_per_m=0.0)
@@ -74,8 +74,8 @@ class TestBuildLumped:
         # the series resistor must join the two ends, not dangle
         nl = build_lumped(1000.0, 9000.0, CableSpec(0.021, 0.0, 100e-12, 1000.0, 0.0, 1))
         br = {b.name: b for b in nl.branches}
-        assert (br["rs"].a, br["rs"].b) == ("a", "b")
-        assert br["cp"].a == "b"
+        assert (br["rs0"].a, br["rs0"].b) == ("a", "b")
+        assert br["cs1"].a == "b"
         assert nl.probes["u_chb"] == ("v", "b")
 
 
@@ -173,6 +173,12 @@ class TestCapacitorKiller:
         with pytest.raises(ValueError):
             apply_capacitor_killer(nl, "eve")
 
+    def test_unknown_tap_rejected_without_shield_capacitors(self):
+        cable = dataclasses.replace(rg58(1000.0), c_per_m=0.0)
+        nl = build_distributed(1000.0, 9000.0, cable)
+        with pytest.raises(ValueError, match="tap_end"):
+            apply_capacitor_killer(nl, "carol")
+
 
 class TestNetlistFormat:
     def test_text_dump_golden(self):
@@ -206,6 +212,21 @@ class TestNetlistFormat:
                     Branch("R", "r1", "a", "0", 2.0),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            Branch("r", "r1", "x", "0", 1.0),
+            Branch("I", "i1", "x", "0", 1e-3),
+            Branch("E", "e1", "y", "0", 1.0),
+            Branch("E", "e1", "y", "0", 1.0, ctrl_a="x"),
+        ],
+        ids=["lowercase_kind", "current_source", "e_without_control", "e_without_ctrl_b"],
+    )
+    def test_malformed_branch_rejected(self, branch):
+        # an unknown kind used to be an open circuit without a word
+        with pytest.raises(ValueError, match=repr(branch.name)):
+            Netlist(branches=(Branch("V", "u", "x", "0", 1.0), branch))
 
     def test_probe_unknown_node_rejected(self):
         with pytest.raises(ValueError):

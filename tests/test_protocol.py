@@ -14,7 +14,14 @@ from kljnsim.protocol import (
     infer_remote_bit,
     infer_remote_resistance,
 )
-from kljnsim.solver import SolverConfig, TransientSolver, blas_pools, transient_solve
+from kljnsim.compare import compare_models
+from kljnsim.solver import (
+    SolverConfig,
+    TransientSolver,
+    blas_pools,
+    frequency_response_check,
+    transient_solve,
+)
 
 IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
 
@@ -241,18 +248,19 @@ class TestBlasScope:
             pool.set_threads(n)
 
     @staticmethod
-    def record_threads(monkeypatch, pools, fail=False):
-        """Patch ``propagate`` to note every pool's count when called."""
+    def record_threads(monkeypatch, pools, fail=False, method="propagate"):
+        """Patch a ``TransientSolver`` method to note every pool's count
+        when called."""
         seen = []
-        propagate = TransientSolver.propagate
+        original = getattr(TransientSolver, method)
 
         def recording(self, *args):
             seen.append([pool.get_threads() for pool in pools])
             if fail:
                 raise RuntimeError("injected failure")
-            return propagate(self, *args)
+            return original(self, *args)
 
-        monkeypatch.setattr(TransientSolver, "propagate", recording)
+        monkeypatch.setattr(TransientSolver, method, recording)
         return seen
 
     def test_session_runs_on_one_thread(self, pools, monkeypatch):
@@ -277,4 +285,17 @@ class TestBlasScope:
         transient_solve(ideal_builder(1e3, 9e3), waves, SolverConfig(internal_step_s=dt),
                         duration_s=64 * dt, t_s=32 * dt)
         assert seen == [[1] * len(pools)]
+        assert [pool.get_threads() for pool in pools] == [2] * len(pools)
+
+    def test_frequency_response_check_runs_on_one_thread(self, pools, monkeypatch):
+        seen = self.record_threads(monkeypatch, pools, method="_build")
+        frequency_response_check(build_distributed(1e3, 9e3, rg58(100.0)), "u_cha", 1e3,
+                                 source="ua")
+        assert seen == [[1] * len(pools)]
+        assert [pool.get_threads() for pool in pools] == [2] * len(pools)
+
+    def test_compare_models_runs_on_one_thread(self, pools, monkeypatch):
+        seen = self.record_threads(monkeypatch, pools)
+        compare_models(rg58(10.0), 1e3, 9e3, 250e3, duration_s=2e-5)
+        assert len(seen) == 2 and all(s == [1] * len(pools) for s in seen)
         assert [pool.get_threads() for pool in pools] == [2] * len(pools)

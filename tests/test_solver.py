@@ -311,7 +311,7 @@ class TestCapacitorKiller:
 
         nl = apply_capacitor_killer(build_lumped(1000.0, 9000.0, rg58(1000.0)), "bob")
         probes = dict(nl.probes)
-        probes["i_cap"] = ("i", "cp")
+        probes["i_cap"] = ("i", "cs1")
         nl = dataclasses.replace(nl, probes=probes)
         solver = TransientSolver(nl, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.02, 31.25e-6, seed=13)).samples
@@ -330,7 +330,7 @@ class TestCapacitorKiller:
 
         nl = apply_capacitor_killer(build_lumped(1000.0, 9000.0, rg58(1000.0)), "alice")
         probes = dict(nl.probes)
-        probes["i_cap"] = ("i", "cp")
+        probes["i_cap"] = ("i", "cs1")
         nl = dataclasses.replace(nl, probes=probes)
         solver = TransientSolver(nl, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.06, 31.25e-6, seed=13)).samples
