@@ -45,9 +45,7 @@ from .protocol import (
     NoiseLevels,
     ProtocolConfig,
     T_EFF_DEFAULT,
-    classify_exchange,
     expected_levels,
-    infer_remote_bit,
     infer_remote_resistance,
 )
 from .scenarios import (

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import CableSpec, build_distributed, build_lumped, wavelength_ratio
-from .noise import NoiseSpec, generate, rms_for_resistor
+from .noise import NoiseSpec, Waveform, generate, rms_for_resistor
 from .protocol import T_EFF_DEFAULT, derive_seed
-from .solver import TransientSolver, single_blas_thread
+from .solver import SolverConfig, transient_solve
 
 # Verdict thresholds on nrmsd, calibrated once against the
 # segment-refinement reference (2x segments).
@@ -52,7 +52,6 @@ def _verdict(nrmsd: float) -> str:
     return "waves"
 
 
-@single_blas_thread()
 def compare_models(
     cable: CableSpec,
     r_alice: float,
@@ -70,8 +69,6 @@ def compare_models(
     if duration_s is None:
         duration_s = 200.0 / (4.0 * bandwidth_hz)  # 200 autocorrelation times
     dt = 1.0 / (_STEPS_PER_BAND * bandwidth_hz)
-    n_steps = int(round(duration_s / dt))
-    n_steps -= n_steps % _RECORD_STRIDE
 
     # Smooth generator switch-on inside the discarded settle window, so
     # the cold start does not kick the stiff ladder modes.
@@ -87,19 +84,18 @@ def compare_models(
             sample_interval_s=dt,
             seed=derive_seed(seed, 0, purpose),
         )
-        samples = generate(spec).samples[:n_steps].copy()
+        samples = generate(spec).samples.copy()
         samples[:ramp_steps] *= ramp
-        sources[name] = samples
+        sources[name] = Waveform(samples, dt)
 
-    traces = {}
-    for label, builder in (("lumped", build_lumped), ("distributed", build_distributed)):
-        netlist = builder(r_alice, r_bob, cable)
-        solver = TransientSolver(netlist, dt)
-        u = solver.assemble_inputs(n_steps, sources)
-        recs = solver.run(u, record_stride=_RECORD_STRIDE)
-        traces[label] = recs[:, solver.probe_names.index("u_cha")]
+    traces = {
+        label: transient_solve(builder(r_alice, r_bob, cable), sources,
+                               SolverConfig(internal_step_s=dt), duration_s,
+                               dt * _RECORD_STRIDE).probes["u_cha"].samples
+        for label, builder in (("lumped", build_lumped), ("distributed", build_distributed))
+    }
 
-    n_rec = n_steps // _RECORD_STRIDE
+    n_rec = len(traces["lumped"])
     n_skip = max(n_rec // 10, int(math.ceil(ramp_steps / _RECORD_STRIDE)))
     lump = traces["lumped"][n_skip:]
     dist = traces["distributed"][n_skip:]

@@ -141,51 +141,6 @@ def expected_levels(config: ProtocolConfig) -> NoiseLevels:
     )
 
 
-def classify_exchange(alice_choice: str, bob_choice: str) -> str:
-    """LL and HH expose the bit and are discarded; LH and HL are secure."""
-    for c in (alice_choice, bob_choice):
-        if c not in (LOW, HIGH):
-            raise ValueError(f"choice must be 'L' or 'H', got {c!r}")
-    return "discard" if alice_choice == bob_choice else "secure"
-
-
-def _own_choice(own_resistance: float, levels: NoiseLevels) -> str:
-    if abs(own_resistance - levels.r_low) <= abs(own_resistance - levels.r_high):
-        return LOW
-    return HIGH
-
-
-def infer_remote_bit(
-    own_resistance: float,
-    mean_sq: float,
-    levels: NoiseLevels,
-    quantity: str = "voltage",
-) -> str:
-    """Classify one mean-square reading to the nearest expected level.
-
-    Knowing its own resistor, a party faces two candidate levels (remote
-    low or remote high).  The threshold sits at their geometric mean;
-    a reading exactly on the threshold resolves to the larger level.
-    """
-    if quantity not in ("voltage", "current"):
-        raise ValueError("quantity must be 'voltage' or 'current'")
-    own = _own_choice(own_resistance, levels)
-    if quantity == "voltage":
-        cand = {LOW: levels.uu_ll, HIGH: levels.uu_lh} if own == LOW else {
-            LOW: levels.uu_lh,
-            HIGH: levels.uu_hh,
-        }
-    else:
-        cand = {LOW: levels.ii_ll, HIGH: levels.ii_lh} if own == LOW else {
-            LOW: levels.ii_lh,
-            HIGH: levels.ii_hh,
-        }
-    threshold = math.sqrt(cand[LOW] * cand[HIGH])
-    upper = LOW if cand[LOW] >= cand[HIGH] else HIGH
-    lower = HIGH if upper == LOW else LOW
-    return upper if mean_sq >= threshold else lower
-
-
 def infer_remote_resistance(own_resistance, mean_sq_u, mean_sq_i, levels: NoiseLevels):
     """Combined voltage/current inference, elementwise over arrays of bits.
 
@@ -194,16 +149,17 @@ def infer_remote_resistance(own_resistance, mean_sq_u, mean_sq_i, levels: NoiseL
     resistance estimates the remote resistor directly.  Both parties get
     the same 9:1 hypothesis separation this way, which is what makes the
     legitimate bit error rate negligible at practical BEP durations.
-    A bit with no current falls back to the voltage level alone.
+    A bit with no current falls back to its voltage level, split at the
+    geometric mean of the two levels the own resistor allows; a reading
+    on the split goes to the larger level, remote high.
     """
     u, i = np.asarray(mean_sq_u, dtype=np.float64), np.asarray(mean_sq_i, dtype=np.float64)
+    own = np.asarray(own_resistance, dtype=np.float64)
+    own_low = np.abs(own - levels.r_low) <= np.abs(own - levels.r_high)
+    u_split = np.sqrt(levels.uu_lh * np.where(own_low, levels.uu_ll, levels.uu_hh))
     with np.errstate(divide="ignore", invalid="ignore"):
-        remote_est = (u / i) / own_resistance
-    high = np.where(
-        i <= 0,
-        u >= math.sqrt(levels.uu_ll * levels.uu_hh),
-        remote_est >= math.sqrt(levels.r_low * levels.r_high),
-    )
+        remote_est = (u / i) / own
+    high = np.where(i <= 0, u >= u_split, remote_est >= math.sqrt(levels.r_low * levels.r_high))
     return np.where(high, HIGH, LOW)[()]  # a str for scalar input
 
 

@@ -102,6 +102,9 @@ class ScenarioConfig:
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
+        missing = [key for key in ("protocol", "cable", "solver") if key not in d]
+        if missing:
+            raise ValueError(f"missing scenario keys: {', '.join(missing)}")
         return cls(
             protocol=ProtocolConfig(**d["protocol"]),
             cable=CableSpec(**d["cable"]),

@@ -27,9 +27,9 @@ to 1e-12 relative).
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
-synchronisation costs more than the split saves, so ``transient_solve``,
-``frequency_response_check``, ``compare.compare_models`` and the bit
-engine run inside ``single_blas_thread``.
+synchronisation costs more than the split saves, so ``transient_solve``
+(and with it ``compare.compare_models``), ``frequency_response_check``
+and the bit engine run inside ``single_blas_thread``.
 """
 
 from __future__ import annotations
@@ -585,19 +585,19 @@ def transient_solve(
 @single_blas_thread()
 def frequency_response_check(
     netlist: Netlist,
-    probe: str,
     f_hz: float,
-    source: str | None = None,
     config: SolverConfig | None = None,
-) -> complex:
-    """Complex gain from one source to one probe at ``f_hz``.
+) -> dict[tuple[str, str], complex]:
+    """Complex gain from every source to every probe at ``f_hz``, keyed
+    ``(probe, source)``.
 
     The steady-state gain of the trapezoidal step map, which is what a
     unit sinusoid stepped through ``run`` settles to, frequency warping
     of the discretization included: with z = e^(2 pi i f dt) and the
     step h' = F h + Bh u, y = Yh h + Yu0 u (``TransientSolver._A``,
     ``_B``, ``_Yh`` and ``_Yu0``), H = Yu0 + Yh (zI - F)^-1 Bh, one
-    complex solve.  The default step is 1 / (64 f).
+    complex solve with a right-hand side per source.  The default step
+    is 1 / (64 f).
     """
     if not f_hz > 0:
         raise ValueError(f"test frequency must be positive, got {f_hz}")
@@ -608,13 +608,9 @@ def frequency_response_check(
         raise ValueError("test frequency must be below the internal-step Nyquist")
 
     solver = TransientSolver(netlist, dt, config.tolerance)
-    if probe not in solver.probe_names:
-        raise ValueError(f"unknown probe {probe!r}")
-    if source is not None and source not in solver.source_names:
-        raise ValueError(f"unknown source {source!r}")
-    j_src = 0 if source is None else solver.source_names.index(source)
-    j_probe = solver.probe_names.index(probe)
-
     z = np.exp(2j * math.pi * f_hz * dt)
-    x = np.linalg.solve(z * np.eye(solver.n_states) - solver._A, solver._B[:, j_src])
-    return complex(solver._Yu0[j_probe, j_src] + solver._Yh[j_probe] @ x)
+    x = np.linalg.solve(z * np.eye(solver.n_states) - solver._A, solver._B)
+    H = solver._Yu0 + solver._Yh @ x
+    return {(probe, source): complex(H[i, j])
+            for i, probe in enumerate(solver.probe_names)
+            for j, source in enumerate(solver.source_names)}

@@ -74,13 +74,12 @@ def loop_gains(stages, source, r_alice, r_bob):
 
 IDEAL_WIRE = CableSpec(0.0, 0.0, 100e-12, 1000.0, 0.0, 4)  # R = L = 0
 CASES = [
-    ("ladder_10m", build_distributed, rg58(10.0), pi_sections, ARRANGEMENTS),
-    ("ladder_100m", build_distributed, rg58(100.0), pi_sections, ARRANGEMENTS),
-    # 1000 m builds cost ~10 ms each; one arrangement keeps tier-1 quick.
-    ("ladder_1000m", build_distributed, rg58(1000.0), pi_sections, ["LH"]),
-    ("lumped_1000m", build_lumped, rg58(1000.0), half_t, ARRANGEMENTS),
-    ("ideal_wire_ladder", build_distributed, IDEAL_WIRE, one_shunt, ARRANGEMENTS),
-    ("ideal_wire_lumped", build_lumped, IDEAL_WIRE, one_shunt, ARRANGEMENTS),
+    ("ladder_10m", build_distributed, rg58(10.0), pi_sections),
+    ("ladder_100m", build_distributed, rg58(100.0), pi_sections),
+    ("ladder_1000m", build_distributed, rg58(1000.0), pi_sections),
+    ("lumped_1000m", build_lumped, rg58(1000.0), half_t),
+    ("ideal_wire_ladder", build_distributed, IDEAL_WIRE, one_shunt),
+    ("ideal_wire_lumped", build_lumped, IDEAL_WIRE, one_shunt),
 ]
 
 
@@ -88,8 +87,8 @@ CASES = [
     "builder, cable, stages, arrangement",
     [
         pytest.param(builder, cable, stages, arr, id=f"{name}-{arr}")
-        for name, builder, cable, stages, arrangements in CASES
-        for arr in arrangements
+        for name, builder, cable, stages in CASES
+        for arr in ARRANGEMENTS
     ],
 )
 def test_gains_match_abcd_at_warped_frequency(builder, cable, stages, arrangement):
@@ -99,10 +98,10 @@ def test_gains_match_abcd_at_warped_frequency(builder, cable, stages, arrangemen
     for f in FREQS_HZ:
         dt = 1.0 / (64.0 * f)  # frequency_response_check's default step
         w_a = (2.0 / dt) * math.tan(math.pi * f * dt)
+        gains = frequency_response_check(netlist, f)
         for source in ("ua", "ub"):
             expected = loop_gains(stages(cable, w_a), source, r_alice, r_bob)
             for probe, h in expected.items():
-                got = frequency_response_check(netlist, probe, f, source=source)
-                err = abs(got - h) / abs(h)
+                err = abs(gains[(probe, source)] - h) / abs(h)
                 worst = max(worst, (err, (f, source, probe)), key=lambda e: e[0])
     assert worst[0] <= ORACLE_RTOL, f"relative error {worst[0]:.3g} at (f, source, probe) = {worst[1]}"

@@ -9,9 +9,7 @@ from kljnsim.noise import Waveform
 from kljnsim.protocol import (
     KeyExchangeSession,
     ProtocolConfig,
-    classify_exchange,
     expected_levels,
-    infer_remote_bit,
     infer_remote_resistance,
 )
 from kljnsim.compare import compare_models
@@ -48,38 +46,10 @@ class TestExpectedLevels:
         assert lv.ii_ll > lv.ii_lh > lv.ii_hh
 
 
-class TestClassifyExchange:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [("L", "L", "discard"), ("H", "H", "discard"),
-         ("L", "H", "secure"), ("H", "L", "secure")],
-    )
-    def test_cases(self, a, b, expected):
-        assert classify_exchange(a, b) == expected
-
-    def test_bad_choice(self):
-        with pytest.raises(ValueError):
-            classify_exchange("L", "X")
-
-
 class TestInference:
     def setup_method(self):
         self.cfg = ProtocolConfig()
         self.lv = expected_levels(self.cfg)
-
-    def test_exact_levels(self):
-        assert infer_remote_bit(1000.0, self.lv.uu_ll, self.lv) == "L"
-        assert infer_remote_bit(1000.0, self.lv.uu_lh, self.lv) == "H"
-        assert infer_remote_bit(9000.0, self.lv.uu_hh, self.lv) == "H"
-
-    def test_geometric_mean_ties_up(self):
-        gm = np.sqrt(self.lv.uu_ll * self.lv.uu_lh)
-        assert infer_remote_bit(1000.0, gm, self.lv) == "H"
-
-    def test_current_quantity_reverses_ordering(self):
-        # for current, the higher level means the remote resistor is low
-        assert infer_remote_bit(1000.0, self.lv.ii_ll, self.lv, "current") == "L"
-        assert infer_remote_bit(1000.0, self.lv.ii_lh, self.lv, "current") == "H"
 
     def test_combined_ratio_estimator(self):
         assert infer_remote_resistance(1000.0, self.lv.uu_lh, self.lv.ii_lh, self.lv) == "H"
@@ -87,16 +57,22 @@ class TestInference:
 
     def test_combined_estimator_is_elementwise(self):
         lv = self.lv
-        own = np.array([1000.0, 9000.0, 1000.0, 9000.0])
-        u = np.array([lv.uu_lh, lv.uu_lh, lv.uu_ll, lv.uu_hh])
-        i = np.array([lv.ii_lh, lv.ii_lh, 0.0, 0.0])  # no current: voltage alone
+        # No current: the voltage level alone, split at the geometric mean
+        # of the own resistor's two levels, ties going to the larger one.
+        gm_low = np.sqrt(lv.uu_ll * lv.uu_lh)
+        cases = [
+            (1000.0, lv.uu_lh, lv.ii_lh, "H"),
+            (9000.0, lv.uu_lh, lv.ii_lh, "L"),
+            (1000.0, lv.uu_ll, 0.0, "L"),
+            (1000.0, lv.uu_lh, 0.0, "H"),
+            (9000.0, lv.uu_lh, 0.0, "L"),
+            (9000.0, lv.uu_hh, 0.0, "H"),
+            (1000.0, gm_low, 0.0, "H"),
+        ]
+        own, u, i, expected = (np.array(c) for c in zip(*cases))
         got = infer_remote_resistance(own, u, i, lv)
         assert got.tolist() == [infer_remote_resistance(*x, lv) for x in zip(own, u, i)]
-        assert got.tolist() == ["H", "L", "L", "H"]
-
-    def test_unknown_quantity(self):
-        with pytest.raises(ValueError):
-            infer_remote_bit(1000.0, 1.0, self.lv, "power")
+        assert got.tolist() == expected.tolist()
 
 
 class TestRunBep:
@@ -289,8 +265,7 @@ class TestBlasScope:
 
     def test_frequency_response_check_runs_on_one_thread(self, pools, monkeypatch):
         seen = self.record_threads(monkeypatch, pools, method="_build")
-        frequency_response_check(build_distributed(1e3, 9e3, rg58(100.0)), "u_cha", 1e3,
-                                 source="ua")
+        frequency_response_check(build_distributed(1e3, 9e3, rg58(100.0)), 1e3)
         assert seen == [[1] * len(pools)]
         assert [pool.get_threads() for pool in pools] == [2] * len(pools)
 

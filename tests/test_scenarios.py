@@ -303,6 +303,15 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
 
+    def test_missing_config_key_named(self, tmp_path, capsys):
+        d = default_scenario(20, 100.0).to_dict()
+        del d["cable"], d["solver"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "missing scenario keys: cable, solver"}
+
     @pytest.mark.parametrize("command", ["table1", "defenses"])
     def test_negative_seed_named(self, command, capsys):
         rc = cli_main([command, "--bits", "4", "--seed", "-1"])

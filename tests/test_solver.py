@@ -253,14 +253,14 @@ def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
 class TestFrequencyResponse:
     def test_rc_matches_stepped_fit(self):
         fc = 1.0 / (2.0 * np.pi * 900.0 * 100e-9)
-        gain = frequency_response_check(rc_netlist(), "v", fc)
+        gain = frequency_response_check(rc_netlist(), fc)[("v", "u")]
         fitted = stepped_gain(rc_netlist(), "v", fc, "u", 1.0 / (64.0 * fc))
         assert abs(gain - fitted) < 1e-5 * abs(fitted)
 
     def test_ladder_matches_stepped_fit(self):
         net = build_distributed(1000.0, 9000.0, rg58(1000.0))
         cfg = SolverConfig(internal_step_s=1e-6)
-        gain = frequency_response_check(net, "u_cha", 1768.0, source="ua", config=cfg)
+        gain = frequency_response_check(net, 1768.0, config=cfg)[("u_cha", "ua")]
         fitted = stepped_gain(net, "u_cha", 1768.0, "ua", 1e-6)
         assert abs(gain - fitted) < 1e-5 * abs(fitted)
 
@@ -268,18 +268,18 @@ class TestFrequencyResponse:
     def test_nonpositive_frequency_rejected(self, f_hz):
         cfg = SolverConfig(internal_step_s=1e-6)
         with pytest.raises(ValueError, match="frequency must be positive"):
-            frequency_response_check(rc_netlist(), "v", f_hz)
+            frequency_response_check(rc_netlist(), f_hz)
         with pytest.raises(ValueError, match="frequency must be positive"):
-            frequency_response_check(rc_netlist(), "v", f_hz, config=cfg)
+            frequency_response_check(rc_netlist(), f_hz, config=cfg)
 
     def test_rc_gain_at_cutoff(self):
         r, c = 900.0, 100e-9
         fc = 1.0 / (2.0 * np.pi * r * c)
-        gain = frequency_response_check(rc_netlist(r, c), "v", fc)
+        gain = frequency_response_check(rc_netlist(r, c), fc)[("v", "u")]
         assert abs(gain) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.01)
 
     def test_dc_limit_is_divider(self):
-        gain = frequency_response_check(divider_netlist(), "v", 5.0)
+        gain = frequency_response_check(divider_netlist(), 5.0)[("v", "u")]
         assert abs(gain) == pytest.approx(0.9, rel=0.01)
 
     def test_cable_pole_three_db(self):
@@ -287,18 +287,18 @@ class TestFrequencyResponse:
         # the capacitive cutoff relative to its DC value
         net = build_distributed(1000.0, 9000.0, rg58(1000.0))
         cfg = SolverConfig(internal_step_s=1e-6)
-        g_dc = frequency_response_check(net, "u_cha", 20.0, source="ua", config=cfg)
-        g_fc = frequency_response_check(net, "u_cha", 1768.0, source="ua", config=cfg)
+        dc = frequency_response_check(net, 20.0, config=cfg)
+        fc = frequency_response_check(net, 1768.0, config=cfg)
+        g_dc, g_fc = dc[("u_cha", "ua")], fc[("u_cha", "ua")]
         # probe the transfer u_b -> u_cha too: the cross-cable path
-        h_dc = frequency_response_check(net, "u_cha", 20.0, source="ub", config=cfg)
-        h_fc = frequency_response_check(net, "u_cha", 1768.0, source="ub", config=cfg)
+        h_dc, h_fc = dc[("u_cha", "ub")], fc[("u_cha", "ub")]
         assert abs(h_fc) / abs(h_dc) == pytest.approx(1.0 / np.sqrt(2.0), rel=0.05)
         assert abs(g_fc) < abs(g_dc)
 
     def test_above_nyquist_rejected(self):
         cfg = SolverConfig(internal_step_s=1e-3)
         with pytest.raises(ValueError):
-            frequency_response_check(rc_netlist(), "v", 600.0, config=cfg)
+            frequency_response_check(rc_netlist(), 600.0, config=cfg)
 
 
 class TestCapacitorKiller:
@@ -390,10 +390,8 @@ class TestErrors:
                                      SolverConfig(internal_step_s=1e-6),
                                      duration_s=5e-6, t_s=1e-5),
              "duration_s"),
-            (lambda: frequency_response_check(rc_netlist(), "v", 100.0, source="nope"),
-             "unknown source 'nope'"),
         ],
-        ids=["stride_zero", "stride_negative", "duration_below_t_s", "unknown_source"],
+        ids=["stride_zero", "stride_negative", "duration_below_t_s"],
     )
     def test_invalid_input_named_before_compute(self, call, match):
         with pytest.raises(ValueError, match=match):
