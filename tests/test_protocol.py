@@ -51,6 +51,16 @@ class TestInference:
         self.cfg = ProtocolConfig()
         self.lv = expected_levels(self.cfg)
 
+    def test_exact_levels(self):
+        # No current: the voltage level alone decides.
+        assert infer_remote_resistance(1000.0, self.lv.uu_ll, 0.0, self.lv) == "L"
+        assert infer_remote_resistance(1000.0, self.lv.uu_lh, 0.0, self.lv) == "H"
+        assert infer_remote_resistance(9000.0, self.lv.uu_hh, 0.0, self.lv) == "H"
+
+    def test_geometric_mean_ties_up(self):
+        gm = np.sqrt(self.lv.uu_ll * self.lv.uu_lh)
+        assert infer_remote_resistance(1000.0, gm, 0.0, self.lv) == "H"
+
     def test_combined_ratio_estimator(self):
         assert infer_remote_resistance(1000.0, self.lv.uu_lh, self.lv.ii_lh, self.lv) == "H"
         assert infer_remote_resistance(9000.0, self.lv.uu_lh, self.lv.ii_lh, self.lv) == "L"
