@@ -7,7 +7,8 @@ noise with an exact brick-wall cutoff, and provides the statistical
 checks (sigma accuracy, spectral confinement, normality) used to
 validate them.  The bit engine takes its noise as a few coefficients
 per record over the band's record basis (``record_basis``,
-``generate_blocks``) rather than as samples.
+``generate_blocks``) rather than as samples, evaluated from the in-band
+spectral lines of a group of records at a time by one GEMM.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ BOLTZMANN = 1.380649e-23  # J/K, CODATA
 # Frequency-domain synthesis of short blocks is done over a padded window
 # so the brick-wall band always holds at least this many spectral lines.
 _MIN_INBAND_BINS = 256
+
+# ``generate_blocks`` evaluates a short request in groups of this many
+# blocks, through the line map of one group (``_line_map``).
+_GROUP_BLOCKS = 10
 
 
 @dataclass(frozen=True)
@@ -201,30 +206,37 @@ def record_basis(spec: NoiseSpec, block: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _block_basis(n_pad: int, k_max: int, block: int, band: float):
-    """Tables for evaluating a padded realization block by block.
+def _line_map(n_pad: int, k_max: int, block: int, band: float) -> np.ndarray:
+    """Map ``M`` (2 k_max, _GROUP_BLOCKS * r) from the lines of a padded
+    window to the record coefficients of its first ``_GROUP_BLOCKS``
+    blocks, over ``Qt`` from ``_record_basis``.
 
-    Returns ``P`` = basis @ Qt^T (2 k_max, r), with ``Qt`` from
-    ``_record_basis``, and ``turns``.  ``basis`` (2 k_max, block) has
-    rows alternating cos(theta k p) and -sin(theta k p) with
-    theta = 2 pi / n_pad, so a block's coefficients over ``Qt`` are its
-    modulated lines times ``P``.
-    ``turns`` holds e^(2 pi i m / M) for m < M, the phases a block start
-    can take: e^(i theta k q block) = turns[(k q block / g) mod M] with
-    g = gcd(block, n_pad) and M = n_pad / g.  Phases are reduced in
-    integers, so they stay exact for long windows.
+    Rows alternate x_k and y_k, the real and imaginary parts of line c_k
+    as a complex array's float view holds them; columns are r per block.
+    With theta = 2 pi / n_pad, block q of a line's realization
+    Re(c_k e^(i theta k t)) has coefficients Re(c_k Z_qk) over ``Qt``,
+    where Z_0k = e^(i theta k p) @ Qt^T over the block's samples p and
+    Z_qk = e^(i theta k block) Z_(q-1)k.  So block q's x rows are Re Z_qk
+    and its y rows -Im Z_qk.  Phases are reduced in integers, so they
+    stay exact for long windows; the products of phases add a rounding
+    each.
     """
-    k = np.arange(1, k_max + 1)
-    basis = np.empty((k_max, 2, block))
-    rot = np.exp(2j * math.pi / n_pad * ((k[:, None] * np.arange(block)) % n_pad))
-    basis[:, 0] = rot.real
-    basis[:, 1] = -rot.imag
-    P = basis.reshape(2 * k_max, block) @ _record_basis(band, block).T
-    M = n_pad // math.gcd(block, n_pad)
-    turns = np.exp(2j * math.pi / M * np.arange(M))
-    for table in (P, turns):
-        table.setflags(write=False)  # shared by every caller through the cache
-    return P, turns
+    Qt = _record_basis(band, block)
+    k = np.arange(1, k_max + 1)[:, None, None]
+    # e^(i theta k p) for p = 8 b + a as a product of two small tables:
+    # 8 + block / 8 exponentials per line instead of block.
+    coarse = np.exp(2j * math.pi / n_pad * (k * np.arange(0, block, 8)[:, None] % n_pad))
+    fine = np.exp(2j * math.pi / n_pad * (k * np.arange(8) % n_pad))
+    Z = (coarse * fine).reshape(k_max, -1)[:, :block] @ Qt.T
+    step = np.exp(2j * math.pi / n_pad * (k[:, 0] * block % n_pad))
+    M = np.empty((k_max, 2, _GROUP_BLOCKS, len(Qt)))
+    for q in range(_GROUP_BLOCKS):
+        M[:, 0, q] = Z.real
+        np.negative(Z.imag, out=M[:, 1, q])
+        Z *= step
+    M = M.reshape(2 * k_max, -1)
+    M.setflags(write=False)  # shared by every caller through the cache
+    return M
 
 
 def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int) -> np.ndarray:
@@ -241,35 +253,49 @@ def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int) -> np.ndarra
     A short request keeps only the first n samples of its padded window,
     so instead of one inverse transform of n_pad points per realization,
     the coefficients are evaluated directly from the ~_MIN_INBAND_BINS
-    in-band lines: the lines modulated to each block start, then one GEMM
-    against ``P``.  Requests longer than a quarter of their window take
-    the inverse transform ``generate`` takes, where it is the cheaper of
-    the two, and project its blocks onto ``Qt``.
+    in-band lines (the spectral representation of Shinozuka & Deodatis,
+    Appl. Mech. Rev. 44, 1991, on the record basis).  Every row's lines
+    are drawn into one array and turned to the first block of each group
+    of ``_GROUP_BLOCKS`` blocks; one GEMM against the line map
+    (``_line_map``) then gives every row and group at once, and a short
+    last group is cut off.  Requests longer than a quarter of their
+    window take the inverse transform ``generate`` takes, where it is the
+    cheaper of the two, and project its blocks onto ``Qt``.
     """
     n, n_pad, k_max = _window(spec)
     n_blocks = -(-n // block)
     band = spec.bandwidth_hz * spec.sample_interval_s
     Qt = _record_basis(band, block)
-    out = np.empty((len(words), n_blocks, len(Qt)))
 
     if 4 * n > n_pad:
+        out = np.empty((len(words), n_blocks, len(Qt)))
         for i, w in enumerate(words):
             # The whole periodic window, so a last partial block continues it.
             window = _synthesize(_draw_lines(generator(w), k_max), spec.rms_volts, n_pad, n_pad)
             np.matmul(np.resize(window, (n_blocks, block)), Qt.T, out=out[i])
         return out
 
-    # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t).
-    P, turns = _block_basis(n_pad, k_max, block, band)
-    M = len(turns)
-    step = np.arange(1, k_max + 1) * (block * M // n_pad)
-    phase = turns[np.arange(n_blocks)[:, None] * step % M]  # e^(i theta k q block)
-    mod = np.empty_like(phase)  # the lines seen from each block start
-    scale = spec.rms_volts / math.sqrt(k_max)
+    # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t),
+    # with c_k = x_k + i y_k drawn as ``_draw_lines`` draws them.
+    draws = np.empty((len(words), 2, k_max))
     for i, w in enumerate(words):
-        np.multiply(phase, _draw_lines(generator(w), k_max) * scale, out=mod)
-        np.matmul(mod.view(np.float64), P, out=out[i])
-    return out
+        rng = generator(w)
+        rng.standard_normal(out=draws[i, 0])
+        rng.standard_normal(out=draws[i, 1])
+    lines = np.empty((len(words), k_max), dtype=np.complex128)
+    lines.real = draws[:, 0]
+    lines.imag = draws[:, 1]
+
+    # The scaled lines seen from the first block of each group,
+    # e^(i theta k q0 block) c_k rms / sqrt(k_max), then one GEMM for every
+    # row and group; a short last group is cut off.
+    n_groups = -(-n_blocks // _GROUP_BLOCKS)
+    q0 = np.arange(n_groups)[:, None] * (_GROUP_BLOCKS * block) % n_pad
+    turn = np.exp(2j * math.pi / n_pad * (q0 * np.arange(1, k_max + 1) % n_pad))
+    turned = lines[:, None] * (turn * (spec.rms_volts / math.sqrt(k_max)))
+    M = _line_map(n_pad, k_max, block, band)
+    blocks = turned.view(np.float64).reshape(-1, 2 * k_max) @ M
+    return blocks.reshape(len(words), n_groups * _GROUP_BLOCKS, len(Qt))[:, :n_blocks]
 
 
 @dataclass(frozen=True)

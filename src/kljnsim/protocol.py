@@ -24,7 +24,8 @@ import numpy as np
 from . import noise as _noise
 from . import seeding
 from .noise import NoiseSpec, generate_blocks, record_basis, rms_for_resistor
-from .solver import DivergenceError, SolverConfig, TransientSolver, single_blas_thread
+from .solver import (DivergenceError, SolverConfig, TransientSolver, group_size,
+                     single_blas_thread)
 
 LOW, HIGH = "L", "H"
 
@@ -68,8 +69,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.r_low <= 0 or self.r_high <= 0:
             raise ValueError("resistances must be positive")
-        if self.r_low == self.r_high:
-            raise ValueError("r_low and r_high must differ")
+        if not self.r_low < self.r_high:
+            raise ValueError(f"r_low ({self.r_low}) must be below r_high ({self.r_high})")
         if self.t_eff < 0:
             raise ValueError("t_eff must be non-negative")
         if self.bandwidth_hz <= 0 or self.t_s <= 0:
@@ -223,17 +224,22 @@ class KeyExchangeSession:
     bit the network is linear and time invariant, so a bit's probes are
     its zero-state response plus the free response to its start state.
     A chunk groups its bits by arrangement, runs each group's zero-state
-    responses as one GEMM recurrence with the bits as columns
+    responses as one GEMM recurrence with the bits as rows
     (``TransientSolver.propagate``), hands the state from bit to bit with
     one matvec each, and adds the free responses with one GEMM per group
     (``TransientSolver.handoff_maps``).  The first bit of a chunk starts
-    from the session state, so a one-bit run needs no handoff maps.
+    from the session state, so a one-bit run needs no handoff maps.  The
+    recurrence steps a bit's records G = ``solver.group_size`` at a time,
+    one pair of GEMMs per group against the group's block-Toeplitz input
+    map and its state map (``TransientSolver.group_maps``), built once per
+    arrangement and G.
 
     Each party's noise enters as r coefficients per measurement interval
     over the band's record basis (``noise.record_basis``), never as
     internal-rate samples: the recurrence reads them through
     ``TransientSolver.coefficient_map``, 2r inputs per record in place of
-    ``oversample`` samples per source.
+    ``oversample`` samples per source, plus a constant 1 when the map
+    carries a bias row.
     """
 
     def __init__(
@@ -256,16 +262,18 @@ class KeyExchangeSession:
             raise ValueError("t_s must be an integer multiple of the internal step")
         self.master_seed = master_seed
         self._basis = record_basis(self._noise_spec(LOW, 1), self.oversample)
-        # Per arrangement: its solver and that solver's coefficient map.
+        # Per arrangement: its solver and that solver's coefficient map;
+        # per arrangement and group size: the solver and its group maps.
         self._solvers: dict[tuple[str, str], tuple] = {}
+        self._groups: dict[tuple[tuple[str, str], int], tuple] = {}
         # Session state, the history vector of ``TransientSolver.state``
         # shared by every arrangement's solver; None until the first run.
         self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
 
     def _solver_for(self, alice_choice: str, bob_choice: str) -> tuple:
-        """The arrangement's solver and its ``coefficient_map`` (W_a, bias)
-        for Alice's then Bob's noise coefficients."""
+        """The arrangement's solver and its ``coefficient_map`` W_a for
+        Alice's then Bob's noise coefficients."""
         key = (alice_choice, bob_choice)
         entry = self._solvers.get(key)
         if entry is None:
@@ -281,8 +289,19 @@ class KeyExchangeSession:
                         "netlist_builder changed the reactive elements between "
                         "resistor pairs; the state cannot carry across them"
                     )
-            entry = (solver, *solver.coefficient_map(self.oversample, self._basis, _PARTY_SOURCES))
+            entry = (solver, solver.coefficient_map(self.oversample, self._basis, _PARTY_SOURCES))
             self._solvers[key] = entry
+        return entry
+
+    def _maps_for(self, arrangement: tuple[str, str], G: int) -> tuple:
+        """The arrangement's solver and the ``group_maps`` (W_h, W_in) of
+        its coefficient map for groups of ``G`` records."""
+        key = (arrangement, G)
+        entry = self._groups.get(key)
+        if entry is None:
+            solver, W_a = self._solver_for(*arrangement)
+            entry = (solver, *solver.group_maps(self.oversample, W_a, G))
+            self._groups[key] = entry
         return entry
 
     def _noise_spec(self, choice: str, n_units: int) -> NoiseSpec:
@@ -295,14 +314,17 @@ class KeyExchangeSession:
         )
 
     def _inputs(self, words: np.ndarray, arrangement: tuple[str, str],
-                n_units: int) -> np.ndarray:
+                n_units: int, n_in: int) -> np.ndarray:
         """Inputs of ``propagate`` for one bit per row of ``words``
-        (``_noise_words``), all with one arrangement: Alice's then Bob's
-        noise coefficients over the record basis, per record."""
-        a = np.stack([generate_blocks(self._noise_spec(choice, n_units), words[:, column],
-                                      self.oversample)
-                      for column, choice in enumerate(arrangement)], axis=2)
-        return a.reshape(len(words), n_units, -1)
+        (``_noise_words``), all with one arrangement: per record, Alice's
+        then Bob's noise coefficients over the record basis, then 1s up to
+        ``n_in`` inputs for the coefficient map's bias row, if it has one."""
+        r = len(self._basis)
+        a = np.ones((len(words), n_units, n_in))
+        for column, choice in enumerate(arrangement):
+            a[:, :, column * r : (column + 1) * r] = generate_blocks(
+                self._noise_spec(choice, n_units), words[:, column], self.oversample)
+        return a
 
     def _noise_words(self, slots) -> np.ndarray:
         """The PCG64 seed words of both parties' noise in each slot, as
@@ -330,10 +352,11 @@ class KeyExchangeSession:
         """
         n = len(words)
         S = self.oversample
+        G = group_size(n_units)
         groups: dict[tuple[str, str], list[int]] = {}
         for k, arrangement in enumerate(arrangements):
             groups.setdefault(arrangement, []).append(k)
-        maps = {a: self._solver_for(*a) for a in groups}
+        maps = {a: self._maps_for(a, G) for a in groups}
         solvers = {a: entry[0] for a, entry in maps.items()}
         first = solvers[arrangements[0]]
         m = len(first.history_weights)
@@ -344,12 +367,12 @@ class KeyExchangeSession:
         y = np.empty((n, len(first.probe_names), n_units))
         z = np.empty((n, m))
         for a, idx in groups.items():
-            solver, W_a, bias = maps[a]
+            solver, W_h, W_in = maps[a]
             h0 = np.zeros((len(idx), m))
             if idx[0] == 0:
                 h0[0] = h
-            y[idx], z[idx] = solver.propagate(h0, self._inputs(words[idx], a, n_units),
-                                              W_a, S, bias)
+            u = self._inputs(words[idx], a, n_units, len(W_in) // G)
+            y[idx], z[idx] = solver.propagate(h0, u, W_h, W_in)
 
         # Hand the state from bit to bit, then add the free responses.
         starts = np.empty((n, m))

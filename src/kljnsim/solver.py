@@ -14,16 +14,19 @@ reads of the past.  One step is h' = F h + Bh u with probes
 y = Yh h + Yu0 u, built straight from the step LU.  Because this update
 is linear and time invariant, the solver precomputes an exact map for
 one record of ``stride`` internal steps.  ``propagate`` steps many
-independent runs record by record with two GEMMs per record;
-``handoff_maps`` gives a run's response to its start state.  A record's
-inputs enter through an input map: ``run`` reads ``stride`` samples per
-source through ``W_u``, while ``coefficient_map`` projects ``W_u`` onto
-a record basis, so that noise given as a few coefficients per record
-(``noise.record_basis``) drives the same recurrence and constant sources
-add one bias row.  ``run`` is the one-run case of ``propagate``; at
-stride 1 it takes every step one at a time and is the reference the
-record maps are tested against (to 1e-13 absolute, and whole sessions
-to 1e-12 relative).
+independent runs a group of records at a time, with two GEMMs per
+group; ``handoff_maps`` gives a run's response to its start state.  A
+record's inputs enter through an input map: ``run`` reads ``stride``
+samples per source through ``W_u``, while ``coefficient_map`` projects
+``W_u`` onto a record basis, so that noise given as a few coefficients
+per record (``noise.record_basis``) drives the same recurrence and
+constant sources add one bias row, read against a constant 1.
+``group_maps`` turns a record's maps into those of G records: a
+block-Toeplitz input map and the group's state map.  ``run`` is the
+one-run case of ``propagate`` with one record per group; at stride 1 it
+takes every step one at a time and is the reference the record maps are
+tested against (to 1e-13 absolute, and whole sessions to 1e-12
+relative).
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
@@ -57,6 +60,18 @@ from .noise import Waveform
 _BLAS_MODULES = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas")
 _OPENBLAS_BUILDS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                     ("openblas", "64_"), ("openblas", ""))
+
+
+# ``propagate`` steps a run's records in groups of the largest divisor
+# of their count up to this many (``group_size``).
+_GROUP_RECORDS = 5
+
+
+def group_size(n_rec: int) -> int:
+    """Records per group for a run of ``n_rec`` records: the largest
+    divisor of ``n_rec`` up to ``_GROUP_RECORDS``, so a prime length
+    runs one record at a time."""
+    return max(d for d in range(1, _GROUP_RECORDS + 1) if n_rec % d == 0)
 
 
 @dataclass(frozen=True)
@@ -271,6 +286,7 @@ class TransientSolver:
         self._Yu0 = Cv @ V_u
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
+        self._state_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
@@ -339,9 +355,12 @@ class TransientSolver:
         inductors open, gives the capacitor currents and inductor voltages
         at t = 0, and with them the history h = g v + i.  Without this, a
         source that is already nonzero at t = 0 is seen as ramping up over
-        the first step.
+        the first step.  With every source at zero the circuit is at rest
+        and h = 0, so the t = 0 system is neither built nor factored.
         """
-        if self.n_states == 0:
+        u0 = np.asarray(u0, dtype=np.float64)
+        if self.n_states == 0 or not np.any(u0):
+            self.state = np.zeros(self.n_states)
             return
         if self._lu0 is None:
             M0 = self._mna(
@@ -354,7 +373,7 @@ class TransientSolver:
         n_nodes = len(self._nodes)
         n_fixed = n_nodes + len(self._cons)  # first capacitor current unknown
         rhs = np.zeros(n_fixed + len(self._caps))
-        rhs[self._src_rows] = np.asarray(u0, dtype=np.float64)
+        rhs[self._src_rows] = u0
         sol = sla.lu_solve(self._lu0, rhs)
         g_ind = self.history_weights[len(self._caps):]
         self.state = np.concatenate(
@@ -433,73 +452,133 @@ class TransientSolver:
         Returns (A_R, O): the run ends at history A_R h0 + z and records
         probes h0 @ O + y (``O`` of shape (m, n_probes, n_rec)), where z
         and y are its zero-state end history and probes from
-        ``propagate``.  Raises ``DivergenceError`` if the maps overflow.
+        ``propagate``; both are views of ``_state_map``.  Raises
+        ``DivergenceError`` if the maps overflow.
         """
         key = (stride, n_rec)
         cached = self._handoff_cache.get(key)
-        if cached is not None:
-            return cached
-        W_h, _ = self._block_maps(stride)
-        ny = len(self.probe_names)
-        F_blk_t = W_h[:, ny:]
-        O = np.empty((len(W_h), ny, n_rec))
-        rows = W_h[:, :ny]  # (Y_h F_blk^r)^T
-        for r in range(n_rec):
-            O[:, :, r] = rows
-            rows = F_blk_t @ rows
-        A_R = np.linalg.matrix_power(F_blk_t.T, n_rec)
-        if not (np.all(np.isfinite(A_R)) and np.all(np.isfinite(O))):
-            raise DivergenceError(
-                f"the {n_rec}-record state map overflows (unstable network)"
-            )
-        self._handoff_cache[key] = (A_R, O)
-        return A_R, O
+        if cached is None:
+            W = self._state_map(stride, n_rec)
+            if not np.all(np.isfinite(W)):
+                raise DivergenceError(
+                    f"the {n_rec}-record state map overflows (unstable network)"
+                )
+            ny = len(self.probe_names)
+            cached = (W[:, ny * n_rec :].T, W[:, : ny * n_rec].reshape(len(W), ny, n_rec))
+            self._handoff_cache[key] = cached
+        return cached
 
-    def coefficient_map(self, stride: int, Qt: np.ndarray, driven) -> tuple:
+    def coefficient_map(self, stride: int, Qt: np.ndarray, driven) -> np.ndarray:
         """Record map reading the sources named in ``driven`` as
         coefficients over the record basis ``Qt`` (r, stride), the other
         sources held at their constant value.
 
-        Returns (W_a, bias): ``W_a`` (r * len(driven), n_probes + m)
-        stacks ``Qt @ W_u[source j's stride rows]`` per driven source, in
-        the order of ``driven``, and ``bias`` is what the constant sources
-        add every record, ``value * sum of their W_u rows``, or None when
-        it is zero.  Inputs whose records lie in the span of ``Qt`` step
-        as ``propagate(h, a, W_a, stride, bias)`` with ``a`` their
-        coefficients, to round-off.
+        Returns ``W_a`` (n_in, n_probes + m): ``Qt @ W_u[source j's stride
+        rows]`` per driven source, in the order of ``driven``, then one
+        bias row when the constant sources add anything, ``value * sum of
+        their W_u rows``.  Inputs whose records lie in the span of ``Qt``
+        step as ``propagate(h, a, W_h, W_a)`` (``W_h`` from
+        ``_block_maps``) with ``a`` their coefficients, followed by a 1
+        per record for the bias row, to round-off.
         """
         _, W_u = self._block_maps(stride)
         W_u = W_u.reshape(len(self._sources), stride, -1)
         j_driven = [self.source_names.index(name) for name in driven]
-        W_a = np.concatenate([Qt @ W_u[j] for j in j_driven])
+        W_a = [Qt @ W_u[j] for j in j_driven]
         const = np.array([0.0 if j in j_driven else br.value
                           for j, br in enumerate(self._sources)])
         bias = const @ W_u.sum(axis=1)
-        return W_a, (bias if np.any(bias) else None)
+        if np.any(bias):
+            W_a.append(bias[None])
+        return np.concatenate(W_a)
 
-    def propagate(self, h: np.ndarray, u: np.ndarray, W_in: np.ndarray, stride: int,
-                  bias: np.ndarray | None = None):
-        """Block recurrence over records for k independent runs at once.
+    def _state_map(self, stride: int, n_rec: int) -> np.ndarray:
+        """[O | F^n_rec], the probes and end history of ``n_rec`` records
+        from their start history: h @ [O | F^n_rec], with Y and F as in
+        ``group_maps`` and O's record j F^j Y, probe-major.  F^n_rec is
+        the (n_rec / G)-th power of the map of G = ``group_size(n_rec)``
+        records.  Cached per stride and ``n_rec``.
+        """
+        key = (stride, n_rec)
+        W = self._state_cache.get(key)
+        if W is None:
+            W_h, _ = self._block_maps(stride)
+            ny, m = len(self.probe_names), self.n_states
+            F = W_h[:, ny:]
+            W = np.empty((m, ny * n_rec + m))
+            O = W[:, : ny * n_rec].reshape(m, ny, n_rec)
+            rows = W_h[:, :ny]
+            for j in range(n_rec):
+                O[:, :, j] = rows
+                rows = F @ rows
+            # A run longer than its group powers the group's cached map,
+            # which takes fewer products than powering F.
+            G = group_size(n_rec)
+            F_G = np.linalg.matrix_power(F, G) if G == n_rec else \
+                self._state_map(stride, G)[:, ny * G :]
+            W[:, ny * n_rec :] = np.linalg.matrix_power(F_G, n_rec // G)
+            self._state_cache[key] = W
+        return W
 
-        ``h`` (k, m) holds the start histories of the runs, one per row,
-        and ``u`` (k, n_rec, n_in) their inputs, one record per row, read
-        through ``W_in`` (n_in, n_probes + m): the sample map ``W_u`` of
-        ``_block_maps`` or a ``coefficient_map``, whose ``bias`` is added
-        every record.  Each record costs two GEMMs across the runs.
-        Returns the probes (k, n_probes, n_rec) and the end histories.
-        ``self.state`` is untouched.
+    def group_maps(self, stride: int, W_in: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray]:
+        """Maps of a group of ``G`` records read through the input map
+        ``W_in`` (n_in, n_probes + m), ``_block_maps``' W_u or a
+        ``coefficient_map``.
+
+        A record steps as [y, h'] = h @ W_h + u @ W_in, with W_h =
+        [Y | F] (``_block_maps``, Y = Y_h^T and F = F_blk^T) and
+        W_in = [K_0 | S].  Over G records the probes are the inputs
+        convolved with the kernel K_0, K_d = S F^(d-1) Y (the
+        convolutional view of a state-space model; Gu, Goel & Re, ICLR
+        2022).  Returns the group's maps
+            W_hG  = [O | F^G]  with O's record j F^j Y,
+            W_inG = [T | R]    with T's block (i, j) K_(j-i) for j >= i
+                               and R's block i S F^(G-1-i),
+        so that [y, h'] = h @ W_hG + u @ W_inG, with the group's inputs u
+        record-major and its probes y probe-major (probe p of record j in
+        column p G + j).  At G = 1 they are W_h and ``W_in`` bitwise.
         """
         W_h, _ = self._block_maps(stride)
+        ny, m, n_in = len(self.probe_names), self.n_states, len(W_in)
+        Y, F = W_h[:, :ny], W_h[:, ny:]
+        W_inG = np.zeros((G * n_in, ny * G + m))
+        T = W_inG[:, : ny * G].reshape(G, n_in, ny, G)
+        R = W_inG[:, ny * G :].reshape(G, n_in, m)
+        K, S = W_in[:, :ny], W_in[:, ny:]  # K_d and S F^d, from d = 0
+        for d in range(G):
+            for i in range(G - d):
+                T[i, :, :, i + d] = K
+            R[G - 1 - d] = S
+            K = S @ Y
+            S = S @ F
+        return self._state_map(stride, G), W_inG
+
+    def propagate(self, h: np.ndarray, u: np.ndarray, W_h: np.ndarray, W_in: np.ndarray):
+        """Block recurrence over groups of records for k independent runs
+        at once.
+
+        ``h`` (k, m) holds the start histories of the runs, one per row,
+        and ``u`` (k, n_rec, n_in) their inputs, one record per row.  A
+        group of G records steps as [y, h'] = h @ W_h + u @ W_in with the
+        ``group_maps`` (W_h, W_in); at G = 1 these are ``_block_maps``' W_h
+        and an input map.  n_rec must be a multiple of G.  Each group
+        costs two GEMMs across the runs.  Returns the probes
+        (k, n_probes, n_rec) and the end histories.  ``self.state`` is
+        untouched.
+        """
+        k, n_rec, n_in = u.shape
         ny = len(self.probe_names)
-        n_rec = u.shape[1]
-        y = np.empty((len(h), ny, n_rec))
-        for r in range(n_rec):
+        G = len(W_in) // n_in
+        if len(W_in) != G * n_in or W_h.shape[1] != ny * G + len(W_h) or n_rec % G:
+            raise ValueError(f"maps of {len(W_in)} inputs and {W_h.shape[1]} outputs do "
+                             f"not fit {n_rec} records of {n_in} inputs")
+        u = u.reshape(k, n_rec // G, G * n_in)
+        y = np.empty((k, ny, n_rec))
+        for g in range(n_rec // G):
             out = h @ W_h
-            out += u[:, r] @ W_in
-            if bias is not None:
-                out += bias
-            y[:, :, r] = out[:, :ny]
-            h = out[:, ny:]
+            out += u[:, g] @ W_in
+            y[:, :, g * G : (g + 1) * G] = out[:, : ny * G].reshape(k, ny, G)
+            h = out[:, ny * G :]
         return y, h
 
     def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
@@ -526,9 +605,8 @@ class TransientSolver:
 
         # Record-major, then source-major within a record (``_block_maps``).
         ub = u.reshape(n_rec, record_stride, n_src).transpose(0, 2, 1)
-        _, W_u = self._block_maps(record_stride)
         y, h = self.propagate(self.state[None], ub.reshape(1, n_rec, n_src * record_stride),
-                              W_u, record_stride)
+                              *self._block_maps(record_stride))
         self.state = h[0]
         if not np.all(np.isfinite(self.state)):
             raise DivergenceError("non-finite state during integration")

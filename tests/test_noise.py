@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import periodogram
 
+from kljnsim import noise
 from kljnsim.noise import (
     BOLTZMANN,
     NoiseSpec,
@@ -215,6 +216,19 @@ class TestGenerateBlocks:
         out = generate_blocks(spec, pcg64_words(seeds), block)
         assert out.shape == (len(seeds), -(-n // block), len(Qt))
         for i, seed in enumerate(seeds):
+            ref = generate(dataclasses.replace(spec, seed=seed)).samples
+            np.testing.assert_allclose((out[i] @ Qt).ravel()[:n], ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_short_last_group(self):
+        # one block past whole groups of the line map, and a partial last block
+        dt = 1 / 32e3
+        n = (2 * noise._GROUP_BLOCKS + 1) * 32 - 7
+        spec = NoiseSpec(250.0, 2.0, n * dt, dt)
+        Qt = record_basis(spec, 32)
+        out = generate_blocks(spec, pcg64_words([5, 6, 7]), 32)
+        assert out.shape == (3, 2 * noise._GROUP_BLOCKS + 1, len(Qt))
+        for i, seed in enumerate([5, 6, 7]):
             ref = generate(dataclasses.replace(spec, seed=seed)).samples
             np.testing.assert_allclose((out[i] @ Qt).ravel()[:n], ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kljnsim import noise, protocol, seeding
+from kljnsim import solver as solver_module
 from kljnsim.network import CableSpec, build_distributed, rg58
 from kljnsim.noise import Waveform
 from kljnsim.protocol import (
@@ -26,6 +27,15 @@ IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
 
 def ideal_builder(ra, rb):
     return build_distributed(ra, rb, IDEAL)
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize("r_low, r_high", [(9000.0, 1000.0), (1000.0, 1000.0)])
+    def test_r_low_must_be_below_r_high(self, r_low, r_high):
+        # the inference splits at sqrt(r_low r_high) and reads "above" as
+        # high, so swapped resistors would invert every bit
+        with pytest.raises(ValueError, match="r_low .* must be below r_high"):
+            ProtocolConfig(r_low=r_low, r_high=r_high)
 
 
 class TestExpectedLevels:
@@ -210,6 +220,21 @@ class TestSession:
         sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
         sess.run_bits(6, warmup_units=3)
         assert calls == ["pcg64_words"]
+
+    @pytest.mark.parametrize("bep_units", [7, 12, 21])
+    def test_record_groups_match_one_record_at_a_time(self, bep_units, monkeypatch):
+        # 7 records run one at a time, 12 in groups of 4, 21 in groups of
+        # 3, and the 10-unit warmup in groups of 5
+        cfg = ProtocolConfig(bep_units=bep_units, arrangement="random")
+
+        def builder(ra, rb):
+            return build_distributed(ra, rb, rg58(1000.0))
+
+        grouped = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
+        monkeypatch.setattr(solver_module, "_GROUP_RECORDS", 1)
+        single = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
+        peak = np.max(np.abs(single.probes), axis=-1, keepdims=True)
+        assert np.all(np.abs(grouped.probes - single.probes) <= 1e-12 * peak)
 
     def test_bad_master_seed(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_bit"):
             ScenarioConfig.from_dict(d)
 
+    def test_swapped_resistors_rejected(self):
+        d = json.loads(default_scenario(20, 100.0).serialize())
+        d["protocol"]["r_low"], d["protocol"]["r_high"] = 9000.0, 1000.0
+        with pytest.raises(ValueError, match="r_low .* must be below r_high"):
+            ScenarioConfig.from_dict(d)
+
     def test_xor_rounds_checked_against_bits(self, monkeypatch):
         cfg = default_scenario(20, 100.0, n_bits=3,
                                defense=DefenseSpec(kind="xor", xor_rounds=2))

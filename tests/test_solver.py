@@ -1,5 +1,7 @@
 """Transient engine: analytic oracles, linearity, passivity, convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from kljnsim.network import (
     build_lumped,
     rg58,
 )
-from kljnsim.noise import NoiseSpec, Waveform, generate
+from kljnsim.noise import NoiseSpec, Waveform, generate, record_basis
 from kljnsim.solver import (
     SingularNetworkError,
     SolverConfig,
     TransientSolver,
     frequency_response_check,
+    group_size,
     transient_solve,
 )
 
@@ -234,6 +237,60 @@ class TestDiscretization:
         np.testing.assert_allclose(np.vstack([y_a, y_0, y_b]), y_one, atol=1e-13)
 
 
+def shield_lifted_ladder():
+    # the stock shield sits at 0 V; lifted to 0.3 V it adds a bias row to
+    # the coefficient map
+    net = build_distributed(1000.0, 9000.0, rg58(1000.0))
+    return dataclasses.replace(net, branches=tuple(
+        dataclasses.replace(br, value=0.3) if br.name == "vsh" else br for br in net.branches))
+
+
+class TestGroupMaps:
+    """Groups of G records against the one-record recurrence (G = 1)."""
+
+    STRIDE = 32
+
+    @staticmethod
+    def coefficient_map(solver):
+        Qt = record_basis(NoiseSpec(250.0, 1.0, 1e-3, 31.25e-6), TestGroupMaps.STRIDE)
+        return solver.coefficient_map(TestGroupMaps.STRIDE, Qt, ("ua", "ub"))
+
+    def test_one_record_groups_are_the_record_maps(self):
+        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
+        W_h, W_u = solver._block_maps(self.STRIDE)
+        for W_in in (W_u, self.coefficient_map(solver)):
+            W_hG, W_inG = solver.group_maps(self.STRIDE, W_in, 1)
+            assert np.array_equal(W_hG, W_h) and np.array_equal(W_inG, W_in)
+
+    @pytest.mark.parametrize("G", [2, 3, 5, 7])
+    @pytest.mark.parametrize("build", [lambda: build_distributed(1000.0, 9000.0, rg58(1000.0)),
+                                       shield_lifted_ladder], ids=["ladder", "bias_row"])
+    def test_groups_match_one_record_at_a_time(self, build, G):
+        solver = TransientSolver(build(), 31.25e-6)
+        W_h, _ = solver._block_maps(self.STRIDE)
+        W_a = self.coefficient_map(solver)
+        rng = np.random.default_rng(G)
+        n_rec = 6 * G
+        h0 = rng.standard_normal((3, solver.n_states))
+        a = np.ones((3, n_rec, len(W_a)))
+        a[:, :, :24] = rng.standard_normal((3, n_rec, 24))  # a bias row reads the 1s
+        y1, h1 = solver.propagate(h0, a, W_h, W_a)
+        yG, hG = solver.propagate(h0, a, *solver.group_maps(self.STRIDE, W_a, G))
+        np.testing.assert_allclose(yG, y1, rtol=0, atol=1e-12 * np.max(np.abs(y1)))
+        np.testing.assert_allclose(hG, h1, rtol=0, atol=1e-12 * np.max(np.abs(h1)))
+
+    def test_group_size_divides_the_run(self):
+        assert [group_size(n) for n in (1, 4, 7, 10, 12, 13, 20, 21, 100)] == \
+            [1, 4, 1, 5, 4, 1, 5, 3, 5]
+
+    def test_groups_must_tile_the_run(self):
+        solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(100.0)), 31.25e-6)
+        W_h, W_u = solver.group_maps(self.STRIDE, solver._block_maps(self.STRIDE)[1], 3)
+        u = np.zeros((1, 7, len(W_u) // 3))
+        with pytest.raises(ValueError, match="7 records"):
+            solver.propagate(np.zeros((1, solver.n_states)), u, W_h, W_u)
+
+
 def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
     """Gain fitted from a sinusoid stepped through ``run``: drop
     ``n_settle`` time constants (1 / (2 pi f) each), then fit a sine and
@@ -365,6 +422,27 @@ class TestErrors:
                 duration_s=64 * dt,
                 t_s=32 * dt,
             )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            killer_ladder,
+            lambda: apply_capacitor_killer(build_lumped(1000.0, 9000.0, rg58(1000.0)), "bob"),
+        ],
+        ids=["killer_ladder", "killer_lumped"],
+    )
+    def test_rest_start_skips_t0_system(self, build):
+        # with every source at zero at t = 0 the circuit starts from rest,
+        # so a killer netlist whose t = 0 system is singular still runs
+        dt = 31.25e-6
+        ramp = Waveform(np.arange(64) / 64.0, dt)
+        res = transient_solve(build(), {"ua": ramp, "ub": ramp},
+                              SolverConfig(internal_step_s=dt), duration_s=64 * dt, t_s=32 * dt)
+        assert all(np.all(np.isfinite(w.samples)) for w in res.probes.values())
+        solver = TransientSolver(build(), dt)
+        solver.state[:] = 1.0
+        solver.initialize_companions(np.zeros(len(solver.source_names)))
+        assert solver._lu0 is None and not np.any(solver.state)
 
     def test_floating_node_named(self):
         nl = Netlist(
