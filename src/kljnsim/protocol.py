@@ -374,18 +374,18 @@ class KeyExchangeSession:
             u = self._inputs(words[idx], a, n_units, len(W_in) // G)
             y[idx], z[idx] = solver.propagate(h0, u, W_h, W_in)
 
-        # Hand the state from bit to bit, then add the free responses.
+        # Hand the state from bit to bit, then add the free responses;
+        # only the arrangements of bits after the first need the maps.
+        handoffs = {a: solvers[a].handoff_maps(S, n_units)
+                    for a in dict.fromkeys(arrangements[1:])}
         starts = np.empty((n, m))
         h = z[0]
         for k in range(1, n):
             starts[k] = h
-            A_R, _ = solvers[arrangements[k]].handoff_maps(S, n_units)
-            h = A_R @ h + z[k]
-        for a, idx in groups.items():
-            later = [k for k in idx if k > 0]
-            if later:
-                _, O = solvers[a].handoff_maps(S, n_units)
-                y[later] += np.tensordot(starts[later], O, 1)
+            h = handoffs[arrangements[k]][0] @ h + z[k]
+        for a, (_, O) in handoffs.items():
+            later = [k for k in groups[a] if k > 0]
+            y[later] += np.tensordot(starts[later], O, 1)
 
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")

@@ -73,6 +73,13 @@ class DefenseSpec:
         return self.kind in ("capacitor_killer", "both")
 
 
+def _check_keys(name: str, d: dict, section) -> None:
+    """Name the keys of ``d`` that are not fields of the dataclass ``section``."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(section)})
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full parameterization of one attack experiment."""
@@ -99,21 +106,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
+        _check_keys("scenario", d, cls)
         missing = [key for key in ("protocol", "cable", "solver") if key not in d]
         if missing:
             raise ValueError(f"missing scenario keys: {', '.join(missing)}")
-        return cls(
-            protocol=ProtocolConfig(**d["protocol"]),
-            cable=CableSpec(**d["cable"]),
-            solver=SolverConfig(**d["solver"]),
-            n_bits=d.get("n_bits", 1000),
-            defense=DefenseSpec(**d.get("defense", {})),
-            master_seed=d.get("master_seed", DEFAULT_MASTER_SEED),
-            output_dir=d.get("output_dir"),
-        )
+        sections = {"protocol": ProtocolConfig, "cable": CableSpec,
+                    "solver": SolverConfig, "defense": DefenseSpec}
+        given = [key for key in sections if key in d]
+        for key in given:
+            _check_keys(key, d[key], sections[key])
+        return cls(**{**d, **{key: sections[key](**d[key]) for key in given}})
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -152,10 +154,7 @@ def default_scenario(
 def default_warmup_units(protocol: ProtocolConfig, cable: CableSpec) -> int:
     """Settling interval: five time constants of the slowest cable pole,
     with a floor that also covers the cold-start numerical transient."""
-    c_total = cable.c_per_m * cable.length_m
-    if c_total <= 0:
-        return 10
-    tau = (protocol.r_high / 2.0) * c_total
+    tau = (protocol.r_high / 2.0) * (cable.c_per_m * cable.length_m)
     return max(int(math.ceil(5.0 * tau / protocol.t_s)), 10)
 
 

@@ -11,19 +11,19 @@ become voltage constraints.
 The solver's state is the vector h of history sources, one per reactive
 element: h = g v + i per capacitor and per inductor, which is all a step
 reads of the past.  One step is h' = F h + Bh u with probes
-y = Yh h + Yu0 u, built straight from the step LU.  Because this update
-is linear and time invariant, the solver precomputes an exact map for
-one record of ``stride`` internal steps.  ``propagate`` steps many
+y = Yh h + Yu0 u, built straight from the step LU.  The update is
+linear and time invariant, so one kernel, ``_compose``, composes it
+exactly: ``stride`` steps into a record (``_block_maps``), G records
+into a group (``group_maps``) and a bit's records into its response to
+its start state (``handoff_maps``).  ``propagate`` steps many
 independent runs a group of records at a time, with two GEMMs per
-group; ``handoff_maps`` gives a run's response to its start state.  A
-record's inputs enter through an input map: ``run`` reads ``stride``
-samples per source through ``W_u``, while ``coefficient_map`` projects
-``W_u`` onto a record basis, so that noise given as a few coefficients
-per record (``noise.record_basis``) drives the same recurrence and
-constant sources add one bias row, read against a constant 1.
-``group_maps`` turns a record's maps into those of G records: a
-block-Toeplitz input map and the group's state map.  ``run`` is the
-one-run case of ``propagate`` with one record per group; at stride 1 it
+group.  A record's inputs enter through an input map: ``run`` reads
+``stride`` samples per source through ``W_u``, while ``coefficient_map``
+projects ``W_u`` onto a record basis, so that noise given as a few
+coefficients per record (``noise.record_basis``) drives the same
+recurrence and constant sources add one bias row, read against a
+constant 1.  ``run`` is the one-run case of ``propagate`` with one
+record per group; at stride 1 it
 takes every step one at a time and is the reference the record maps are
 tested against (to 1e-13 absolute, and whole sessions to 1e-12
 relative).
@@ -286,7 +286,6 @@ class TransientSolver:
         self._Yu0 = Cv @ V_u
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
-        self._state_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
@@ -410,41 +409,54 @@ class TransientSolver:
     # Stepping
     # ------------------------------------------------------------------
 
-    def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact maps for one record of ``stride`` steps.
+    def _compose(self, W_h: np.ndarray, W_in: np.ndarray | None, G: int):
+        """The step [y, h'] = h @ W_h + u @ W_in, W_h = [Y | F] and
+        W_in = [K | S], composed ``G`` times.  The probes are the inputs
+        convolved with the kernel K_0 = K, K_d = S F^(d-1) Y (the
+        convolutional view of a state-space model; Gu, Goel & Re, ICLR
+        2022).  Returns [O | F^G], O's step j F^j Y probe-major (probe p
+        of step j in column p G + j), and W_k, row block i
+        [K_(G-1-i) | S F^(G-1-i)], the map from the G steps' inputs to
+        the last step's probes and the end history (None without
+        ``W_in``).  At G = 1 they are W_h and ``W_in`` bitwise.
+        """
+        ny, m = len(self.probe_names), self.n_states
+        Y, F = W_h[:, :ny], W_h[:, ny:]
+        W_hG = np.empty((m, ny * G + m))
+        O = W_hG[:, : ny * G].reshape(m, ny, G)
+        rows = Y
+        for j in range(G):
+            O[:, :, j] = rows
+            rows = F @ rows
+        W_hG[:, ny * G :] = np.linalg.matrix_power(F, G)
+        if W_in is None:
+            return W_hG, None
+        W_k = np.empty((G, len(W_in), ny + m))
+        K, S = W_in[:, :ny], W_in[:, ny:]  # K_d and S F^d, from d = 0
+        for d in range(G):
+            W_k[G - 1 - d, :, :ny] = K
+            W_k[G - 1 - d, :, ny:] = S
+            K = S @ Y
+            S = S @ F
+        return W_hG, W_k.reshape(G * len(W_in), ny + m)
 
-        The step is h' = F h + Bh u, y = Yh h + Yu0 u (``_A``, ``_B``,
-        ``_Yh``, ``_Yu0``).  A record's inputs u are ``stride * n_sources``
-        values, source-major (step p of source j at j * stride + p).  With
-        g the history one step before the record ends, g = F^(stride-1) h
-        + Sm u:
-            y  = Yh g + Yu0 u_last   = Y_h h + Y_u u
-            h' = F g + Bh u_last     = F_blk h + S_h u
-        Returns the stacked transposes W_h = [Y_h; F_blk]^T and
-        W_u = [Y_u; S_h]^T, so that [y, h'] = h @ W_h + u @ W_u.
+    def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """Maps W_h and W_u of one record of ``stride`` steps, [y, h'] =
+        h @ W_h + u @ W_u with y the probes of its last step: the step
+        h' = F h + Bh u, y = Yh h + Yu0 u (``_A``, ``_B``, ``_Yh``,
+        ``_Yu0``) composed ``stride`` times.  A record's inputs u are
+        step-major (step p of source j at p * n_sources + j).  At stride
+        1 they are the step maps bitwise.
         """
         cached = self._block_cache.get(stride)
-        if cached is not None:
-            return cached
-        F, Bh, Yh = self._A, self._B, self._Yh
-        m, nu = Bh.shape
-
-        Sm = np.zeros((m, nu, stride))
-        acc = Bh  # F^(stride-2-p) Bh, starting at p = stride - 2
-        for p in range(stride - 2, -1, -1):
-            Sm[:, :, p] = acc
-            acc = F @ acc
-        Sm = Sm.reshape(m, nu * stride)
-        Fm = np.linalg.matrix_power(F, stride - 1)
-
-        YF = np.vstack([Yh, F])
-        W_h = YF @ Fm
-        W_u = YF @ Sm
-        last = np.arange(nu) * stride + stride - 1  # the u_last entries
-        W_u[:, last] += np.vstack([self._Yu0, Bh])
-        maps = (np.ascontiguousarray(W_h.T), np.ascontiguousarray(W_u.T))
-        self._block_cache[stride] = maps
-        return maps
+        if cached is None:
+            ny = len(self.probe_names)
+            W_h, W_u = self._compose(np.vstack([self._Yh, self._A]).T,
+                                     np.vstack([self._Yu0, self._B]).T, stride)
+            last = W_h[:, stride - 1 : ny * stride : stride]
+            cached = (np.hstack([last, W_h[:, ny * stride :]]), W_u)
+            self._block_cache[stride] = cached
+        return cached
 
     def handoff_maps(self, stride: int, n_rec: int) -> tuple[np.ndarray, np.ndarray]:
         """Response of a run of ``n_rec`` records to its start history h0.
@@ -452,13 +464,13 @@ class TransientSolver:
         Returns (A_R, O): the run ends at history A_R h0 + z and records
         probes h0 @ O + y (``O`` of shape (m, n_probes, n_rec)), where z
         and y are its zero-state end history and probes from
-        ``propagate``; both are views of ``_state_map``.  Raises
-        ``DivergenceError`` if the maps overflow.
+        ``propagate``; both are views of the record maps composed
+        ``n_rec`` times.  Raises ``DivergenceError`` if the maps overflow.
         """
         key = (stride, n_rec)
         cached = self._handoff_cache.get(key)
         if cached is None:
-            W = self._state_map(stride, n_rec)
+            W, _ = self._compose(self._block_maps(stride)[0], None, n_rec)
             if not np.all(np.isfinite(W)):
                 raise DivergenceError(
                     f"the {n_rec}-record state map overflows (unstable network)"
@@ -482,55 +494,21 @@ class TransientSolver:
         per record for the bias row, to round-off.
         """
         _, W_u = self._block_maps(stride)
-        W_u = W_u.reshape(len(self._sources), stride, -1)
+        W_u = W_u.reshape(stride, len(self._sources), -1)
         j_driven = [self.source_names.index(name) for name in driven]
-        W_a = [Qt @ W_u[j] for j in j_driven]
+        W_a = [Qt @ W_u[:, j] for j in j_driven]
         const = np.array([0.0 if j in j_driven else br.value
                           for j, br in enumerate(self._sources)])
-        bias = const @ W_u.sum(axis=1)
+        bias = const @ W_u.sum(axis=0)
         if np.any(bias):
             W_a.append(bias[None])
         return np.concatenate(W_a)
 
-    def _state_map(self, stride: int, n_rec: int) -> np.ndarray:
-        """[O | F^n_rec], the probes and end history of ``n_rec`` records
-        from their start history: h @ [O | F^n_rec], with Y and F as in
-        ``group_maps`` and O's record j F^j Y, probe-major.  F^n_rec is
-        the (n_rec / G)-th power of the map of G = ``group_size(n_rec)``
-        records.  Cached per stride and ``n_rec``.
-        """
-        key = (stride, n_rec)
-        W = self._state_cache.get(key)
-        if W is None:
-            W_h, _ = self._block_maps(stride)
-            ny, m = len(self.probe_names), self.n_states
-            F = W_h[:, ny:]
-            W = np.empty((m, ny * n_rec + m))
-            O = W[:, : ny * n_rec].reshape(m, ny, n_rec)
-            rows = W_h[:, :ny]
-            for j in range(n_rec):
-                O[:, :, j] = rows
-                rows = F @ rows
-            # A run longer than its group powers the group's cached map,
-            # which takes fewer products than powering F.
-            G = group_size(n_rec)
-            F_G = np.linalg.matrix_power(F, G) if G == n_rec else \
-                self._state_map(stride, G)[:, ny * G :]
-            W[:, ny * n_rec :] = np.linalg.matrix_power(F_G, n_rec // G)
-            self._state_cache[key] = W
-        return W
-
     def group_maps(self, stride: int, W_in: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray]:
         """Maps of a group of ``G`` records read through the input map
         ``W_in`` (n_in, n_probes + m), ``_block_maps``' W_u or a
-        ``coefficient_map``.
-
-        A record steps as [y, h'] = h @ W_h + u @ W_in, with W_h =
-        [Y | F] (``_block_maps``, Y = Y_h^T and F = F_blk^T) and
-        W_in = [K_0 | S].  Over G records the probes are the inputs
-        convolved with the kernel K_0, K_d = S F^(d-1) Y (the
-        convolutional view of a state-space model; Gu, Goel & Re, ICLR
-        2022).  Returns the group's maps
+        ``coefficient_map``: the record maps composed ``G`` times.
+        Returns
             W_hG  = [O | F^G]  with O's record j F^j Y,
             W_inG = [T | R]    with T's block (i, j) K_(j-i) for j >= i
                                and R's block i S F^(G-1-i),
@@ -538,20 +516,13 @@ class TransientSolver:
         record-major and its probes y probe-major (probe p of record j in
         column p G + j).  At G = 1 they are W_h and ``W_in`` bitwise.
         """
-        W_h, _ = self._block_maps(stride)
-        ny, m, n_in = len(self.probe_names), self.n_states, len(W_in)
-        Y, F = W_h[:, :ny], W_h[:, ny:]
-        W_inG = np.zeros((G * n_in, ny * G + m))
-        T = W_inG[:, : ny * G].reshape(G, n_in, ny, G)
-        R = W_inG[:, ny * G :].reshape(G, n_in, m)
-        K, S = W_in[:, :ny], W_in[:, ny:]  # K_d and S F^d, from d = 0
-        for d in range(G):
-            for i in range(G - d):
-                T[i, :, :, i + d] = K
-            R[G - 1 - d] = S
-            K = S @ Y
-            S = S @ F
-        return self._state_map(stride, G), W_inG
+        W_hG, W_k = self._compose(self._block_maps(stride)[0], W_in, G)
+        ny, n_in = len(self.probe_names), len(W_in)
+        K = W_k[:, :ny].reshape(G, n_in, ny)  # K_(G-1-i) in block i
+        T = np.zeros((G, n_in, ny, G))
+        for i in range(G):
+            T[i, :, :, i:] = K[i:][::-1].transpose(1, 2, 0)
+        return W_hG, np.hstack([T.reshape(G * n_in, ny * G), W_k[:, ny:]])
 
     def propagate(self, h: np.ndarray, u: np.ndarray, W_h: np.ndarray, W_in: np.ndarray):
         """Block recurrence over groups of records for k independent runs
@@ -603,9 +574,8 @@ class TransientSolver:
             raise ValueError("n_steps must be a multiple of record_stride")
         n_rec = n_steps // record_stride
 
-        # Record-major, then source-major within a record (``_block_maps``).
-        ub = u.reshape(n_rec, record_stride, n_src).transpose(0, 2, 1)
-        y, h = self.propagate(self.state[None], ub.reshape(1, n_rec, n_src * record_stride),
+        # Record-major, then step-major within a record (``_block_maps``).
+        y, h = self.propagate(self.state[None], u.reshape(1, n_rec, record_stride * n_src),
                               *self._block_maps(record_stride))
         self.state = h[0]
         if not np.all(np.isfinite(self.state)):

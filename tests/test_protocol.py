@@ -236,6 +236,19 @@ class TestSession:
         peak = np.max(np.abs(single.probes), axis=-1, keepdims=True)
         assert np.all(np.abs(grouped.probes - single.probes) <= 1e-12 * peak)
 
+    def test_handoff_maps_fetched_once_per_chunk(self, monkeypatch):
+        # one fetch per arrangement of a chunk's later bits; a one-bit run,
+        # warmup included, needs none
+        calls = []
+        handoff_maps = solver_module.TransientSolver.handoff_maps
+        monkeypatch.setattr(solver_module.TransientSolver, "handoff_maps",
+                            lambda self, *a: calls.append(a) or handoff_maps(self, *a))
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(1, warmup_units=3)
+        assert calls == []
+        bits = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(12)
+        assert len(calls) == len(set(bits.arrangement[1:])) > 1
+
     def test_bad_master_seed(self):
         with pytest.raises(ValueError):
             KeyExchangeSession(ideal_builder, ProtocolConfig(), master_seed=-1)

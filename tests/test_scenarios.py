@@ -9,13 +9,15 @@ import pytest
 
 from kljnsim import scenarios
 from kljnsim.cli import main as cli_main
+from kljnsim.network import rg58
 from kljnsim.privacy import empirical_amplification
-from kljnsim.protocol import KeyExchangeSession, infer_remote_resistance
+from kljnsim.protocol import KeyExchangeSession, ProtocolConfig, infer_remote_resistance
 from kljnsim.scenarios import (
     DEFAULT_MASTER_SEED,
     DefenseSpec,
     ScenarioConfig,
     default_scenario,
+    default_warmup_units,
     reproduce_defenses,
     reproduce_table1,
     run_scenario,
@@ -48,6 +50,11 @@ class TestConfig:
         d["n_bit"] = 5
         with pytest.raises(ValueError, match="n_bit"):
             ScenarioConfig.from_dict(d)
+
+    def test_warmup_covers_the_cable_pole_above_a_floor(self):
+        protocol = ProtocolConfig(bep_units=20)
+        cables = (dataclasses.replace(rg58(1000.0), c_per_m=0.0), rg58(1000.0), rg58(10_000.0))
+        assert [default_warmup_units(protocol, c) for c in cables] == [10, 10, 23]
 
     def test_swapped_resistors_rejected(self):
         d = json.loads(default_scenario(20, 100.0).serialize())
@@ -317,6 +324,16 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "missing scenario keys: cable, solver"}
+
+    @pytest.mark.parametrize("section", ["protocol", "cable", "solver", "defense"])
+    def test_unknown_section_key_named(self, section, tmp_path, capsys):
+        d = default_scenario(20, 100.0).to_dict()
+        d[section]["bep"] = 30
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"unknown {section} keys: bep"}
 
     @pytest.mark.parametrize("command", ["table1", "defenses"])
     def test_negative_seed_named(self, command, capsys):

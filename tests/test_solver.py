@@ -279,6 +279,24 @@ class TestGroupMaps:
         np.testing.assert_allclose(yG, y1, rtol=0, atol=1e-12 * np.max(np.abs(y1)))
         np.testing.assert_allclose(hG, h1, rtol=0, atol=1e-12 * np.max(np.abs(h1)))
 
+    def test_one_step_records_are_the_step_maps(self):
+        # so run(u, 1) is plain stepping, the oracle the record maps meet
+        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
+        W_h, W_u = solver._block_maps(1)
+        assert np.array_equal(W_h, np.vstack([solver._Yh, solver._A]).T)
+        assert np.array_equal(W_u, np.vstack([solver._Yu0, solver._B]).T)
+
+    @pytest.mark.parametrize("n_rec", [7, 100])
+    def test_handoff_maps_are_the_free_response(self, n_rec):
+        solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
+        W_h, W_u = solver._block_maps(self.STRIDE)
+        h0 = np.random.default_rng(n_rec).standard_normal((3, solver.n_states))
+        y, h = solver.propagate(h0, np.zeros((3, n_rec, len(W_u))), W_h, W_u)
+        A_R, O = solver.handoff_maps(self.STRIDE, n_rec)
+        np.testing.assert_allclose(np.tensordot(h0, O, 1), y, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(y)))
+        np.testing.assert_allclose(h0 @ A_R.T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
     def test_group_size_divides_the_run(self):
         assert [group_size(n) for n in (1, 4, 7, 10, 12, 13, 20, 21, 100)] == \
             [1, 4, 1, 5, 4, 1, 5, 3, 5]
