@@ -1,15 +1,28 @@
 """Session-wide campaign runs at the default master seed.
 
-The six-cell sweep, the defense comparison and the zero-capacitance
-sweep each run once per test session; the acceptance suite and the
-golden-artifact test share them.
+The six-cell sweep, the defense comparison, the zero-capacitance sweep
+and one random-arrangement scenario each run once per test session; the
+acceptance suite and the golden-artifact test share them.
 """
+
+import dataclasses
 
 import pytest
 
-from kljnsim.scenarios import DEFAULT_MASTER_SEED, reproduce_defenses, reproduce_table1
+from kljnsim.scenarios import (DEFAULT_MASTER_SEED, DefenseSpec, default_scenario,
+                               reproduce_defenses, reproduce_table1, run_scenario)
 
 N_BITS = 1000
+
+
+def random_arrangement_scenario():
+    """The protocol as the paper plays it: both parties draw their resistor
+    every bit, and the secure bits go through two XOR rounds (1000 m,
+    50 BEP, 400 bits)."""
+    cfg = default_scenario(50, 1000.0, n_bits=400, master_seed=DEFAULT_MASTER_SEED,
+                           defense=DefenseSpec(kind="xor", xor_rounds=2))
+    return dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol,
+                                                                 arrangement="random"))
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +33,11 @@ def table1():
 @pytest.fixture(scope="session")
 def defenses():
     return reproduce_defenses(master_seed=DEFAULT_MASTER_SEED, n_bits=N_BITS)
+
+
+@pytest.fixture(scope="session")
+def random_run():
+    return run_scenario(random_arrangement_scenario())
 
 
 @pytest.fixture(scope="session")

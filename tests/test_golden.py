@@ -2,9 +2,12 @@
 
 ``golden_default_seed.json`` holds, for every cell of the six-cell sweep
 at 1000 bits, p_E and Eve's guesses on the secure bits ("1" = LH, in bit
-order), plus the defense report.  A change that moves any of them fails
-here and names the flipped bits.  The sweep is the acceptance suite's
-(session fixtures in ``conftest.py``), so it runs once.
+order), plus the defense report.  It also holds one random-arrangement
+scenario (``conftest.random_arrangement_scenario``): Eve's guesses, p_E,
+p_E after each XOR round and the parties' inference errors.  A change
+that moves any of them fails here and names the flipped bits.  The runs
+are the acceptance suite's (session fixtures in ``conftest.py``), so each
+runs once.
 
 Re-record only for a change meant to move these numbers, and list the
 flipped bits with it:  PYTHONPATH=src python tests/test_golden.py
@@ -20,7 +23,15 @@ def guess_string(outcome) -> str:
     return "".join("1" if g == "LH" else "0" for g in outcome.guesses)
 
 
-def snapshot(table1, defenses) -> dict:
+def random_row(result) -> dict:
+    cfg = result.config
+    return {"bep_units": cfg.protocol.bep_units, "length_m": cfg.cable.length_m,
+            "n_bits": cfg.n_bits, "p_E": result.p_e, "xor_p_E": result.amplification,
+            "n_inference_errors": result.n_inference_errors,
+            "guesses": guess_string(result.outcome)}
+
+
+def snapshot(table1, defenses, random_run) -> dict:
     return {
         "master_seed": table1.master_seed,
         "n_bits": table1.n_bits,
@@ -30,26 +41,35 @@ def snapshot(table1, defenses) -> dict:
             for (bep, length), cell in table1.cells.items()
         ],
         "defenses": defenses,
+        "random_arrangement": random_row(random_run),
     }
 
 
-def test_default_seed_outputs_match_golden(table1, defenses):
+def row_problems(name: str, want: dict, got: dict, outcome) -> list[str]:
+    """What differs between a live row and its golden row, naming the
+    flipped bits by their index in the exchange."""
+    if len(got["guesses"]) != len(want["guesses"]):
+        return [f"{name}: {len(got['guesses'])} secure bits, golden {len(want['guesses'])}"]
+    problems = []
+    flipped = [int(outcome.bit_indices[k])
+               for k, (a, b) in enumerate(zip(got["guesses"], want["guesses"])) if a != b]
+    if flipped:
+        problems.append(f"{name}: {len(flipped)} guesses flipped at bits {flipped}")
+    for key in sorted(want.keys() - {"guesses"}):
+        if got[key] != want[key]:
+            problems.append(f"{name}: {key} {got[key]!r}, golden {want[key]!r}")
+    return problems
+
+
+def test_default_seed_outputs_match_golden(table1, defenses, random_run):
     golden = json.loads(GOLDEN.read_text())
-    live = json.loads(json.dumps(snapshot(table1, defenses)))
+    live = json.loads(json.dumps(snapshot(table1, defenses, random_run)))
     problems = []
     for want, got in zip(golden["table1"], live["table1"]):
         cell = (want["bep_units"], want["length_m"])
-        outcome = table1.cells[cell].outcome
-        if len(got["guesses"]) != len(want["guesses"]):
-            problems.append(f"cell {cell}: {len(got['guesses'])} secure bits, "
-                            f"golden {len(want['guesses'])}")
-            continue
-        flipped = [int(outcome.bit_indices[k])
-                   for k, (a, b) in enumerate(zip(got["guesses"], want["guesses"])) if a != b]
-        if flipped:
-            problems.append(f"cell {cell}: {len(flipped)} guesses flipped at bits {flipped}")
-        if got["p_E"] != want["p_E"]:
-            problems.append(f"cell {cell}: p_E {got['p_E']!r}, golden {want['p_E']!r}")
+        problems += row_problems(f"cell {cell}", want, got, table1.cells[cell].outcome)
+    problems += row_problems("random arrangement", golden["random_arrangement"],
+                             live["random_arrangement"], random_run.outcome)
     if live["defenses"] != golden["defenses"]:
         problems.append(f"defenses {live['defenses']}, golden {golden['defenses']}")
     if {k: live[k] for k in ("master_seed", "n_bits")} != \
@@ -59,8 +79,12 @@ def test_default_seed_outputs_match_golden(table1, defenses):
 
 
 if __name__ == "__main__":
-    from kljnsim.scenarios import DEFAULT_MASTER_SEED, reproduce_defenses, reproduce_table1
+    from conftest import random_arrangement_scenario
+
+    from kljnsim.scenarios import (DEFAULT_MASTER_SEED, reproduce_defenses, reproduce_table1,
+                                   run_scenario)
 
     table1 = reproduce_table1(master_seed=DEFAULT_MASTER_SEED, n_bits=1000)
     defenses = reproduce_defenses(master_seed=DEFAULT_MASTER_SEED, n_bits=1000)
-    GOLDEN.write_text(json.dumps(snapshot(table1, defenses), indent=1) + "\n")
+    random_run = run_scenario(random_arrangement_scenario())
+    GOLDEN.write_text(json.dumps(snapshot(table1, defenses, random_run), indent=1) + "\n")
