@@ -43,8 +43,8 @@ _WARMUP_SLOT = 0  # bit i uses slot 1 + i
 # The noise-driven sources, Alice's then Bob's.
 _PARTY_SOURCES = ("ua", "ub")
 
-# Bits are stepped in chunks of about this many internal steps (at least
-# one bit), which bounds the chunk's input buffer.
+# An arrangement's bits are stepped in batches of about this many internal
+# steps (at least one bit), which bounds the batch's input buffer.
 _CHUNK_STEPS = 2**15
 
 
@@ -220,19 +220,19 @@ class KeyExchangeSession:
     resistor pair, so the reactive state can carry across arrangement
     switches.
 
-    Bits run in chunks of about ``_CHUNK_STEPS`` internal steps.  Within a
-    bit the network is linear and time invariant, so a bit's probes are
-    its zero-state response plus the free response to its start state.
-    A chunk groups its bits by arrangement, runs each group's zero-state
-    responses as one GEMM recurrence with the bits as rows
-    (``TransientSolver.propagate``), hands the state from bit to bit with
-    one matvec each, and adds the free responses with one GEMM per group
-    (``TransientSolver.handoff_maps``).  The first bit of a chunk starts
-    from the session state, so a one-bit run needs no handoff maps.  The
-    recurrence steps a bit's records G = ``solver.group_size`` at a time,
-    one pair of GEMMs per group against the group's block-Toeplitz input
-    map and its state map (``TransientSolver.group_maps``), built once per
-    arrangement and G.
+    A run of bits is one pass (a warmup and ``run_bit`` are one-bit runs).
+    A bit's probes are its zero-state response plus the free response to
+    its start state, as the network is linear within a bit.  A run groups
+    its bits by arrangement once and, in batches of about ``_CHUNK_STEPS``
+    internal steps, runs each group's zero-state responses as a GEMM
+    recurrence with the bits as rows (``TransientSolver.propagate``).  It
+    hands the state from bit to bit with one matvec each, then adds the
+    free responses with one GEMM per batch (``TransientSolver.handoff_maps``,
+    fetched once per run and arrangement).  Bit 0 starts from the session
+    state, so a one-bit run needs no handoff maps.  The recurrence steps a
+    bit's records G = ``solver.group_size`` at a time, one pair of GEMMs
+    per group against the group's block-Toeplitz input map and its state
+    map (``TransientSolver.group_maps``), built once per arrangement and G.
 
     Each party's noise enters as r coefficients per measurement interval
     over the band's record basis (``noise.record_basis``), never as
@@ -326,132 +326,131 @@ class KeyExchangeSession:
                 self._noise_spec(choice, n_units), words[:, column], self.oversample)
         return a
 
+    def _seeds(self, slots, *purposes: int) -> np.ndarray:
+        """``derive_seed(master_seed, slot, purpose)`` for Alice's then Bob's
+        purpose in each slot, (2 len(slots), 4) uint32 words in one pass."""
+        slots = np.repeat(np.asarray(slots, dtype=np.int64), 2)
+        return seeding.derive_states(self.master_seed, slots, np.tile(purposes, len(slots) // 2))
+
     def _noise_words(self, slots) -> np.ndarray:
         """The PCG64 seed words of both parties' noise in each slot, as
         (len(slots), 2, 4) uint64 with Alice's in column 0 and Bob's in 1:
         what ``default_rng(derive_seed(master_seed, slot, purpose))`` starts
         from, derived for every slot in two vectorized hash passes."""
-        slots = np.repeat(np.asarray(slots, dtype=np.int64), 2)
-        purposes = np.tile([_NOISE_ALICE, _NOISE_BOB], len(slots) // 2)
-        words = seeding.pcg64_words(seeding.derive_states(self.master_seed, slots, purposes))
-        return words.reshape(-1, 2, 4)
+        return seeding.pcg64_words(self._seeds(slots, _NOISE_ALICE, _NOISE_BOB)).reshape(-1, 2, 4)
 
     @single_blas_thread()
-    def _exchange(
-        self,
-        words: np.ndarray,
-        arrangements: list[tuple[str, str]],
-        n_units: int,
-    ) -> tuple[np.ndarray, list[str]]:
+    def _exchange(self, words: np.ndarray, choices: np.ndarray, n_units: int) -> np.ndarray:
         """Run consecutive periods of ``n_units`` measurement intervals,
-        one per row of noise seed words (``_noise_words``), and advance
-        the session.
+        one per row of noise seed words (``_noise_words``) and of
+        ``choices``, and advance the session.
 
-        Returns the probes, (len(words), n_probes, n_units), and the probe
-        names.
+        Returns the probes, (len(words), len(PROBES), n_units) in
+        ``PROBES`` order.
         """
         n = len(words)
         S = self.oversample
         G = group_size(n_units)
-        groups: dict[tuple[str, str], list[int]] = {}
-        for k, arrangement in enumerate(arrangements):
-            groups.setdefault(arrangement, []).append(k)
-        maps = {a: self._maps_for(a, G) for a in groups}
-        solvers = {a: entry[0] for a, entry in maps.items()}
-        first = solvers[arrangements[0]]
-        m = len(first.history_weights)
+        keys, group_of = np.unique(np.char.add(choices[:, 0], choices[:, 1]),
+                                   return_inverse=True)
+        arrangements = [tuple(key) for key in keys]
+        maps = [self._maps_for(a, G) for a in arrangements]
+        members = [np.flatnonzero(group_of == j) for j in range(len(keys))]
+        order = [maps[0][0].probe_names.index(p) for p in PROBES]
+        m = len(maps[0][0].history_weights)
         h = np.zeros(m) if self._hist is None else self._hist
 
-        # Zero-state responses, one GEMM recurrence per arrangement with
-        # the bits as rows; bit 0 starts from h.
-        y = np.empty((n, len(first.probe_names), n_units))
+        # Zero-state responses, GEMM recurrences per arrangement with the
+        # bits as rows, in batches; bit 0 starts from h.
+        per_batch = max(1, _CHUNK_STEPS // (n_units * S))
+        y = np.empty((n, len(PROBES), n_units))
         z = np.empty((n, m))
-        for a, idx in groups.items():
-            solver, W_h, W_in = maps[a]
-            h0 = np.zeros((len(idx), m))
-            if idx[0] == 0:
-                h0[0] = h
-            u = self._inputs(words[idx], a, n_units, len(W_in) // G)
-            y[idx], z[idx] = solver.propagate(h0, u, W_h, W_in)
+        for a, (solver, W_h, W_in), idx in zip(arrangements, maps, members):
+            for start in range(0, len(idx), per_batch):
+                rows = idx[start : start + per_batch]
+                h0 = np.zeros((len(rows), m))
+                if rows[0] == 0:
+                    h0[0] = h
+                u = self._inputs(words[rows], a, n_units, len(W_in) // G)
+                y_rows, z[rows] = solver.propagate(h0, u, W_h, W_in)
+                y[rows] = y_rows[:, order]
 
-        # Hand the state from bit to bit, then add the free responses;
-        # only the arrangements of bits after the first need the maps.
-        handoffs = {a: solvers[a].handoff_maps(S, n_units)
-                    for a in dict.fromkeys(arrangements[1:])}
-        starts = np.empty((n, m))
+        # Hand the state from bit to bit, leaving each bit's start state in
+        # z, then add the free responses; bits after the first need maps.
+        handoffs = {j: maps[j][0].handoff_maps(S, n_units) for j in set(group_of[1:])}
         h = z[0]
         for k in range(1, n):
-            starts[k] = h
-            h = handoffs[arrangements[k]][0] @ h + z[k]
-        for a, (_, O) in handoffs.items():
-            later = [k for k in groups[a] if k > 0]
-            y[later] += np.tensordot(starts[later], O, 1)
+            h, z[k] = handoffs[group_of[k]][0] @ h + z[k], h
+        for j, (_, O) in handoffs.items():
+            later = members[j][members[j] > 0]
+            for start in range(0, len(later), per_batch):
+                rows = later[start : start + per_batch]
+                y[rows] += np.tensordot(z[rows], O, 1)[:, order]
 
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")
         self._hist = h
         self._time_units += n * n_units
-        return y, first.probe_names
+        return y
 
     def run_warmup(self, n_units: int, arrangement: tuple[str, str] = (LOW, HIGH)) -> None:
         """Discarded settling interval before the first measured bit."""
         if n_units <= 0:
             return
-        self._exchange(self._noise_words([_WARMUP_SLOT]), [arrangement], n_units)
+        self._exchange(self._noise_words([_WARMUP_SLOT]), np.array([arrangement]), n_units)
+
+    def draw_choices(self, bits) -> np.ndarray:
+        """Both parties' choices for each of ``bits``, as (len(bits), 2)
+        with Alice's in column 0: per-party fair coins
+        ``derive_seed(master_seed, 1 + bit, purpose) & 1`` (random mode),
+        hashed in one pass, or the fixed LH pattern."""
+        bits = np.asarray(bits, dtype=np.int64)
+        if self.config.arrangement == "fixed_lh":
+            return np.tile([LOW, HIGH], (len(bits), 1))
+        coins = self._seeds(1 + bits, _COIN_ALICE, _COIN_BOB)[:, 0].reshape(-1, 2) & 1
+        return np.where(coins == 1, HIGH, LOW)
 
     def draw_arrangement(self, bit_index: int) -> tuple[str, str]:
-        """Per-party fair coins (random mode) or the fixed LH pattern."""
-        if self.config.arrangement == "fixed_lh":
-            return (LOW, HIGH)
-        slot = 1 + bit_index
-        a = derive_seed(self.master_seed, slot, _COIN_ALICE) & 1
-        b = derive_seed(self.master_seed, slot, _COIN_BOB) & 1
-        return (HIGH if a else LOW, HIGH if b else LOW)
+        """Bit ``bit_index``'s choices (``draw_choices``) as a tuple."""
+        return tuple(self.draw_choices([bit_index])[0].tolist())
 
-    def _measure(self, bits, arrangements: list[tuple[str, str]],
-                 words: np.ndarray) -> BepRecords:
-        """Exchange consecutive bits in chunks, filling one record; row i
-        of ``words`` seeds bit ``bits[i]``."""
+    def _measure(self, bits, choices: np.ndarray, words: np.ndarray) -> BepRecords:
+        """Exchange consecutive bits as one run; row i of ``choices`` and
+        ``words`` belongs to bit ``bits[i]``."""
         cfg = self.config
-        n, units = len(bits), cfg.bep_units
-        records = BepRecords(
+        start_time_s = (self._time_units + np.arange(len(bits)) * cfg.bep_units + 1) * cfg.t_s
+        return BepRecords(
             bit_index=np.array(bits, dtype=np.int64),
-            alice_choice=np.array([a for a, _ in arrangements], dtype="<U1"),
-            bob_choice=np.array([b for _, b in arrangements], dtype="<U1"),
-            probes=np.empty((n, len(PROBES), units)),
-            start_time_s=(self._time_units + np.arange(n) * units + 1) * cfg.t_s,
+            alice_choice=choices[:, 0],
+            bob_choice=choices[:, 1],
+            probes=self._exchange(words, choices, cfg.bep_units),
+            start_time_s=start_time_s,
             t_s=cfg.t_s,
         )
-        per_chunk = max(1, _CHUNK_STEPS // (units * self.oversample))
-        for start in range(0, n, per_chunk):
-            rows = slice(start, start + per_chunk)
-            y, names = self._exchange(words[rows], arrangements[rows], units)
-            records.probes[rows] = y[:, [names.index(p) for p in PROBES]]
-        return records
 
     def run_bit(self, bit_index: int, arrangement: tuple[str, str] | None = None) -> BepRecords:
         """Exchange one bit; a one-row record of what the parties and Eve see."""
-        if arrangement is None:
-            arrangement = self.draw_arrangement(bit_index)
-        words = self._noise_words([1 + bit_index])
-        return self._measure([bit_index], [arrangement], words)
+        choices = (self.draw_choices([bit_index]) if arrangement is None
+                   else np.array([arrangement]))
+        return self._measure([bit_index], choices, self._noise_words([1 + bit_index]))
 
-    def run_bits(self, n_bits: int, warmup_units: int = 0,
-                 arrangements: list[tuple[str, str]] | None = None) -> BepRecords:
-        """Warm up, then exchange bits 0 .. n_bits - 1 in chunks, in
-        ``arrangements`` if the caller has drawn them (``draw_arrangement``).
+    def run_bits(self, n_bits: int, warmup_units: int = 0, arrangements=None) -> BepRecords:
+        """Warm up, then exchange bits 0 .. n_bits - 1 as one run, with the
+        (n_bits, 2) choices ``arrangements`` if the caller has drawn them
+        (``draw_choices``).
 
         The noise seeds of the whole run, warmup included, are derived up
         front in one ``_noise_words`` call."""
-        if arrangements is None:
-            arrangements = [self.draw_arrangement(i) for i in range(n_bits)]
-        if len(arrangements) != n_bits:
-            raise ValueError(f"{len(arrangements)} arrangements for {n_bits} bits")
+        if n_bits < 1:
+            raise ValueError("n_bits must be at least 1; run_warmup settles alone")
+        choices = (self.draw_choices(range(n_bits)) if arrangements is None
+                   else np.asarray(arrangements))
+        if choices.shape != (n_bits, 2):
+            raise ValueError(f"{len(choices)} arrangements for {n_bits} bits")
         words = self._noise_words(range(1 + n_bits))  # slot 0 is the warmup's
         if warmup_units > 0:
-            self._exchange(words[:1], [arrangements[0] if n_bits else self.draw_arrangement(0)],
-                           warmup_units)
-        return self._measure(range(n_bits), arrangements, words[1:])
+            self._exchange(words[:1], choices[:1], warmup_units)
+        return self._measure(range(n_bits), choices, words[1:])
 
     @property
     def factorization_residual(self) -> float:

@@ -74,7 +74,10 @@ class DefenseSpec:
 
 
 def _check_keys(name: str, d: dict, section) -> None:
-    """Name the keys of ``d`` that are not fields of the dataclass ``section``."""
+    """Name the keys of ``d`` that are not fields of the dataclass ``section``,
+    or say that ``d`` is not a JSON object."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object")
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(section)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
@@ -219,8 +222,8 @@ def run_scenario(
     )
     # Attack and XOR rounds see the secure bits only; count them before
     # simulating, from the draws the exchange then uses.
-    arrangements = [session.draw_arrangement(i) for i in range(config.n_bits)]
-    n_secure = sum(a != b for a, b in arrangements)
+    choices = session.draw_choices(range(config.n_bits))
+    n_secure = int(np.count_nonzero(choices[:, 0] != choices[:, 1]))
     if n_secure == 0:
         raise ValueError(f"no secure bits among {config.n_bits}")
     supported = min(rounds, n_secure.bit_length() - 1)
@@ -233,7 +236,7 @@ def run_scenario(
         )
 
     warmup = default_warmup_units(config.protocol, config.cable)
-    records = session.run_bits(config.n_bits, warmup_units=warmup, arrangements=arrangements)
+    records = session.run_bits(config.n_bits, warmup_units=warmup, arrangements=choices)
 
     outcome = run_attack(records, tie_seed_base=config.master_seed)
     amplification = empirical_amplification(outcome, supported) if supported else []

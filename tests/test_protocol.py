@@ -179,6 +179,8 @@ class TestSession:
         assert forced.arrangement.tolist() == ["HL"] * 4
         with pytest.raises(ValueError, match="arrangements"):
             sess.run_bits(3, arrangements=drawn)
+        with pytest.raises(ValueError, match="n_bits"):
+            sess.run_bits(0)
 
     def test_random_arrangement_mixes(self):
         cfg = ProtocolConfig(bep_units=1, arrangement="random")
@@ -220,6 +222,24 @@ class TestSession:
         sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
         sess.run_bits(6, warmup_units=3)
         assert calls == ["pcg64_words"]
+        # a random run draws its coins in one more hash pass, not per bit
+        calls.clear()
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        bits = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(6, warmup_units=3)
+        assert calls == ["pcg64_words"] and len(set(bits.arrangement)) > 1
+
+    @pytest.mark.parametrize("master", [5, 2**40 + 3, 2**70 + 11])
+    def test_coin_pass_matches_scalar_rule(self, master):
+        # masters of one to three uint32 words
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        sess = KeyExchangeSession(ideal_builder, cfg, master_seed=master)
+        choices = sess.draw_choices(range(40))
+        for i in range(40):
+            coins = [protocol.derive_seed(master, 1 + i, purpose) & 1
+                     for purpose in (protocol._COIN_ALICE, protocol._COIN_BOB)]
+            want = tuple("H" if c else "L" for c in coins)
+            assert tuple(choices[i]) == sess.draw_arrangement(i) == want
+        assert choices.shape == (40, 2) and len({tuple(c) for c in choices}) == 4
 
     @pytest.mark.parametrize("bep_units", [7, 12, 21])
     def test_record_groups_match_one_record_at_a_time(self, bep_units, monkeypatch):
@@ -248,6 +268,18 @@ class TestSession:
         assert calls == []
         bits = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(12)
         assert len(calls) == len(set(bits.arrangement[1:])) > 1
+
+    def test_handoff_maps_fetched_once_per_run(self, monkeypatch):
+        # a run stepped in batches of 2 bits still fetches each later
+        # arrangement's maps once
+        calls = []
+        handoff_maps = solver_module.TransientSolver.handoff_maps
+        monkeypatch.setattr(solver_module.TransientSolver, "handoff_maps",
+                            lambda self, *a: calls.append(a) or handoff_maps(self, *a))
+        monkeypatch.setattr(protocol, "_CHUNK_STEPS", 2 * 20 * 32)
+        cfg = ProtocolConfig(bep_units=20, arrangement="random")
+        bits = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(24)
+        assert len(calls) == len(set(bits.arrangement[1:])) == 4
 
     def test_bad_master_seed(self):
         with pytest.raises(ValueError):

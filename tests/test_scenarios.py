@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim import scenarios
+from kljnsim import protocol, scenarios, seeding
 from kljnsim.cli import main as cli_main
 from kljnsim.network import rg58
 from kljnsim.privacy import empirical_amplification
@@ -197,16 +197,19 @@ class TestRunScenario:
         assert summary["factorization_residual"] == res.factorization_residual < 1e-9
 
     def test_coins_drawn_once_per_bit(self, monkeypatch):
+        # one coin pass covers every bit: both parties' coins in slots 1..24
         calls = []
-        draw = KeyExchangeSession.draw_arrangement
+        derive_states = seeding.derive_states
 
-        def counted(self, bit_index):
-            calls.append(bit_index)
-            return draw(self, bit_index)
+        def counted(master, slots, purposes):
+            calls.append((list(slots), list(purposes)))
+            return derive_states(master, slots, purposes)
 
-        monkeypatch.setattr(KeyExchangeSession, "draw_arrangement", counted)
+        monkeypatch.setattr(seeding, "derive_states", counted)
         run_scenario(random_scenario(24, 7))
-        assert sorted(calls) == list(range(24))
+        coin = (protocol._COIN_ALICE, protocol._COIN_BOB)
+        coin_calls = [c for c in calls if set(c[1]) & set(coin)]
+        assert coin_calls == [([s for s in range(1, 25) for _ in coin], list(coin) * 24)]
 
     def test_short_secure_key_checked_before_simulating(self, monkeypatch):
         # seed 3 draws 3 secure bits of 4: one XOR round, not two
@@ -334,6 +337,20 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": f"unknown {section} keys: bep"}
+
+    @pytest.mark.parametrize("section,value", [("protocol", 3), ("defense", None),
+                                               ("cable", [1.0]), ("scenario", [])])
+    def test_non_object_section_named(self, section, value, tmp_path, capsys):
+        d = default_scenario(20, 100.0).to_dict()
+        if section == "scenario":
+            d = value
+        else:
+            d[section] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"{section} must be a JSON object"}
 
     @pytest.mark.parametrize("command", ["table1", "defenses"])
     def test_negative_seed_named(self, command, capsys):
