@@ -5,15 +5,14 @@ Johnson noise of the two resistors at a very high effective temperature.
 This module synthesizes those sources as band-limited white Gaussian
 noise with an exact brick-wall cutoff, and provides the statistical
 checks (sigma accuracy, spectral confinement, normality) used to
-validate them.  The bit engine takes its noise as a few coefficients
-per record over the band's record basis (``record_basis``,
-``generate_blocks``) rather than as samples, evaluated from the in-band
-spectral lines of a group of records at a time by one GEMM.
+validate them.  The bit engine takes its noise as the in-band spectral
+lines themselves (``line_window``, ``draw_lines``, ``line_phases``),
+never as samples: a realization is a sum of those lines, so a linear
+network's response to it is a sum of its responses to each line.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +27,6 @@ BOLTZMANN = 1.380649e-23  # J/K, CODATA
 # Frequency-domain synthesis of short blocks is done over a padded window
 # so the brick-wall band always holds at least this many spectral lines.
 _MIN_INBAND_BINS = 256
-
-# ``generate_blocks`` evaluates a short request in groups of this many
-# blocks, through the line map of one group (``_line_map``).
-_GROUP_BLOCKS = 10
-
 
 @dataclass(frozen=True)
 class Waveform:
@@ -174,128 +168,42 @@ def generate(spec: NoiseSpec) -> Waveform:
     return Waveform(samples=samples, sample_interval_s=spec.sample_interval_s)
 
 
-@functools.lru_cache(maxsize=4)
-def _record_basis(band: float, block: int) -> np.ndarray:
-    """``Qt`` of ``record_basis`` for a band of ``band`` cycles per sample."""
-    # Cosines and sines at `block` frequencies evenly spaced up to the
-    # band edge: a (2 block, block) matrix whose numerical range already
-    # holds every in-band line to round-off.
-    f = band * np.arange(1, block + 1) / block
-    angle = 2.0 * math.pi * f[:, None] * np.arange(block)
-    _, s, vt = np.linalg.svd(np.vstack([np.cos(angle), np.sin(angle)]),
-                             full_matrices=False)
-    Qt = np.ascontiguousarray(vt[: np.count_nonzero(s > np.finfo(float).eps * s[0])])
-    Qt.setflags(write=False)  # shared by every caller through the cache
-    return Qt
+def line_window(spec: NoiseSpec) -> tuple[int, int, float]:
+    """(n_pad, k_max, amplitude) of ``spec``'s synthesis window.
 
-
-def record_basis(spec: NoiseSpec, block: int) -> np.ndarray:
-    """Orthonormal rows ``Qt`` (r, block) spanning every ``block``-sample
-    record of every realization of ``spec``'s band.
-
-    A record of band-limited noise is a sum of sinusoids at frequencies
-    up to bandwidth * dt cycles per sample.  Over a short record these
-    span only a few directions to round-off, the leading discrete prolate
-    spheroidal sequences (Slepian, Bell Syst. Tech. J. 57, 1978): r = 12
-    of 32 at the default band.  r counts the singular values above eps
-    times the largest; a band near Nyquist needs r = block.  ``Qt``
-    depends on the band and ``block`` alone, so records of any request
-    length, window or seed share it.
+    ``generate`` keeps the first n samples of a window of n_pad whose
+    spectrum holds unit lines c_k on bins k = 1..k_max and nothing else,
+    so sample p of a realization is amplitude * Re sum_k c_k z_k^p with
+    z_k = e^(2 pi i k / n_pad) and amplitude = rms / sqrt(k_max): the
+    spectral representation of Shinozuka & Deodatis (Appl. Mech. Rev. 44,
+    1991).  ``draw_lines`` gives the c_k of a seed and ``line_phases``
+    the powers of z_k.
     """
-    return _record_basis(spec.bandwidth_hz * spec.sample_interval_s, block)
+    _, n_pad, k_max = _window(spec)
+    return n_pad, k_max, spec.rms_volts / math.sqrt(k_max)
 
 
-@functools.lru_cache(maxsize=4)
-def _line_map(n_pad: int, k_max: int, block: int, band: float) -> np.ndarray:
-    """Map ``M`` (2 k_max, _GROUP_BLOCKS * r) from the lines of a padded
-    window to the record coefficients of its first ``_GROUP_BLOCKS``
-    blocks, over ``Qt`` from ``_record_basis``.
+def line_phases(n_pad: int, k_max: int, t) -> np.ndarray:
+    """z_k^t = e^(2 pi i k t / n_pad) for the lines k = 1..k_max (last
+    axis) at the integer times ``t`` (leading axes).  The exponents are
+    reduced in integers, so the phases stay exact for long windows."""
+    k = np.arange(1, k_max + 1)
+    return np.exp(2j * math.pi / n_pad * (np.multiply.outer(t, k) % n_pad))
 
-    Rows alternate x_k and y_k, the real and imaginary parts of line c_k
-    as a complex array's float view holds them; columns are r per block.
-    With theta = 2 pi / n_pad, block q of a line's realization
-    Re(c_k e^(i theta k t)) has coefficients Re(c_k Z_qk) over ``Qt``,
-    where Z_0k = e^(i theta k p) @ Qt^T over the block's samples p and
-    Z_qk = e^(i theta k block) Z_(q-1)k.  So block q's x rows are Re Z_qk
-    and its y rows -Im Z_qk.  Phases are reduced in integers, so they
-    stay exact for long windows; the products of phases add a rounding
-    each.
+
+def draw_lines(words: np.ndarray, k_max: int) -> np.ndarray:
+    """The unit lines of one realization per PCG64 seed in ``words``.
+
+    ``words`` (..., 4) holds the seed words ``default_rng(seed)`` starts
+    from (``seeding.pcg64_words``).  Returns (..., 2, k_max) floats: the
+    real then the imaginary parts of the c_k that ``generate`` puts in
+    the spectrum of ``replace(spec, seed=seed)`` when its window holds
+    k_max lines, in the order ``_draw_lines`` draws them.
     """
-    Qt = _record_basis(band, block)
-    k = np.arange(1, k_max + 1)[:, None, None]
-    # e^(i theta k p) for p = 8 b + a as a product of two small tables:
-    # 8 + block / 8 exponentials per line instead of block.
-    coarse = np.exp(2j * math.pi / n_pad * (k * np.arange(0, block, 8)[:, None] % n_pad))
-    fine = np.exp(2j * math.pi / n_pad * (k * np.arange(8) % n_pad))
-    Z = (coarse * fine).reshape(k_max, -1)[:, :block] @ Qt.T
-    step = np.exp(2j * math.pi / n_pad * (k[:, 0] * block % n_pad))
-    M = np.empty((k_max, 2, _GROUP_BLOCKS, len(Qt)))
-    for q in range(_GROUP_BLOCKS):
-        M[:, 0, q] = Z.real
-        np.negative(Z.imag, out=M[:, 1, q])
-        Z *= step
-    M = M.reshape(2 * k_max, -1)
-    M.setflags(write=False)  # shared by every caller through the cache
-    return M
-
-
-def generate_blocks(spec: NoiseSpec, words: np.ndarray, block: int) -> np.ndarray:
-    """The realizations ``generate`` gives for ``spec``, one per row of
-    ``words``, cut in blocks and held as coefficients over the record
-    basis ``Qt = record_basis(spec, block)``.
-
-    Row i of ``words`` holds the PCG64 seed words ``default_rng(seed_i)``
-    starts from (``seeding.pcg64_words``).  Returns ``out`` of shape
-    (len(words), n_blocks, r) with ``(out[i] @ Qt)[q, p]`` = sample
-    ``q * block + p`` of ``generate(replace(spec, seed=seed_i))`` to
-    round-off; samples past the last one continue the realization.
-
-    A short request keeps only the first n samples of its padded window,
-    so instead of one inverse transform of n_pad points per realization,
-    the coefficients are evaluated directly from the ~_MIN_INBAND_BINS
-    in-band lines (the spectral representation of Shinozuka & Deodatis,
-    Appl. Mech. Rev. 44, 1991, on the record basis).  Every row's lines
-    are drawn into one array and turned to the first block of each group
-    of ``_GROUP_BLOCKS`` blocks; one GEMM against the line map
-    (``_line_map``) then gives every row and group at once, and a short
-    last group is cut off.  Requests longer than a quarter of their
-    window take the inverse transform ``generate`` takes, where it is the
-    cheaper of the two, and project its blocks onto ``Qt``.
-    """
-    n, n_pad, k_max = _window(spec)
-    n_blocks = -(-n // block)
-    band = spec.bandwidth_hz * spec.sample_interval_s
-    Qt = _record_basis(band, block)
-
-    if 4 * n > n_pad:
-        out = np.empty((len(words), n_blocks, len(Qt)))
-        for i, w in enumerate(words):
-            # The whole periodic window, so a last partial block continues it.
-            window = _synthesize(_draw_lines(generator(w), k_max), spec.rms_volts, n_pad, n_pad)
-            np.matmul(np.resize(window, (n_blocks, block)), Qt.T, out=out[i])
-        return out
-
-    # The irfft of the scaled lines is x[t] = rms / sqrt(k_max) Re sum_k c_k e^(i theta k t),
-    # with c_k = x_k + i y_k drawn as ``_draw_lines`` draws them.
-    draws = np.empty((len(words), 2, k_max))
-    for i, w in enumerate(words):
-        rng = generator(w)
-        rng.standard_normal(out=draws[i, 0])
-        rng.standard_normal(out=draws[i, 1])
-    lines = np.empty((len(words), k_max), dtype=np.complex128)
-    lines.real = draws[:, 0]
-    lines.imag = draws[:, 1]
-
-    # The scaled lines seen from the first block of each group,
-    # e^(i theta k q0 block) c_k rms / sqrt(k_max), then one GEMM for every
-    # row and group; a short last group is cut off.
-    n_groups = -(-n_blocks // _GROUP_BLOCKS)
-    q0 = np.arange(n_groups)[:, None] * (_GROUP_BLOCKS * block) % n_pad
-    turn = np.exp(2j * math.pi / n_pad * (q0 * np.arange(1, k_max + 1) % n_pad))
-    turned = lines[:, None] * (turn * (spec.rms_volts / math.sqrt(k_max)))
-    M = _line_map(n_pad, k_max, block, band)
-    blocks = turned.view(np.float64).reshape(-1, 2 * k_max) @ M
-    return blocks.reshape(len(words), n_groups * _GROUP_BLOCKS, len(Qt))[:, :n_blocks]
+    lines = np.empty(words.shape[:-1] + (2, k_max))
+    for i in np.ndindex(words.shape[:-1]):
+        generator(words[i]).standard_normal(out=lines[i])
+    return lines
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ default 0.25 kHz bandwidth that is 1 ms, so 20-unit bits run at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import noise as _noise
 from . import seeding
-from .noise import NoiseSpec, generate_blocks, record_basis, rms_for_resistor
-from .solver import (DivergenceError, SolverConfig, TransientSolver, group_size,
+from .noise import NoiseSpec, draw_lines, line_phases, line_window, rms_for_resistor
+from .solver import (DivergenceError, LineResolvent, SolverConfig, TransientSolver,
                      single_blas_thread)
 
 LOW, HIGH = "L", "H"
@@ -43,9 +44,12 @@ _WARMUP_SLOT = 0  # bit i uses slot 1 + i
 # The noise-driven sources, Alice's then Bob's.
 _PARTY_SOURCES = ("ua", "ub")
 
-# An arrangement's bits are stepped in batches of about this many internal
-# steps (at least one bit), which bounds the batch's input buffer.
+# An arrangement's bits are evaluated in batches of about this many
+# internal steps (at least one bit), which bounds the batch's buffers.
 _CHUNK_STEPS = 2**15
+
+# A bit's probes are evaluated from its lines this many records at a time.
+_GROUP_RECORDS = 128
 
 
 def derive_seed(*keys: int) -> int:
@@ -168,6 +172,17 @@ def infer_remote_resistance(own_resistance, mean_sq_u, mean_sq_i, levels: NoiseL
 PROBES = ("u_cha", "i_cha", "u_chb", "i_chb")
 
 
+@functools.lru_cache(maxsize=8)
+def _record_phases(n_pad: int, k_max: int, stride: int, G: int) -> np.ndarray:
+    """E (2 k_max, G): the map from lines, as a complex array's float view
+    holds them, to G records read every ``stride`` steps: rows 2k and
+    2k + 1 of column j are Re and -Im of z_k^(j stride)."""
+    Z = line_phases(n_pad, k_max, np.arange(G) * stride).T
+    E = np.stack([Z.real, -Z.imag], axis=1).reshape(2 * k_max, G)
+    E.setflags(write=False)  # shared by every caller through the cache
+    return E
+
+
 @dataclass
 class BepRecords:
     """One run's bits, one row per bit: the parties' choices and the four
@@ -221,25 +236,25 @@ class KeyExchangeSession:
     switches.
 
     A run of bits is one pass (a warmup and ``run_bit`` are one-bit runs).
-    A bit's probes are its zero-state response plus the free response to
-    its start state, as the network is linear within a bit.  A run groups
-    its bits by arrangement once and, in batches of about ``_CHUNK_STEPS``
-    internal steps, runs each group's zero-state responses as a GEMM
-    recurrence with the bits as rows (``TransientSolver.propagate``).  It
-    hands the state from bit to bit with one matvec each, then adds the
-    free responses with one GEMM per batch (``TransientSolver.handoff_maps``,
-    fetched once per run and arrangement).  Bit 0 starts from the session
-    state, so a one-bit run needs no handoff maps.  The recurrence steps a
-    bit's records G = ``solver.group_size`` at a time, one pair of GEMMs
-    per group against the group's block-Toeplitz input map and its state
-    map (``TransientSolver.group_maps``), built once per arrangement and G.
+    Within a bit the network is linear and time invariant and each
+    party's noise is a sum of k_max spectral lines (``noise.line_window``),
+    so a bit's history is the steady state h_ss[t] = Re sum_k X_k a_k z_k^t
+    plus a free response, X_k the arrangement's resolvent over the lines
+    (``TransientSolver.line_resolvent``, built once per arrangement and
+    window).  A bit's probes are Re sum_k H_k a_k z_k^t, read from its
+    lines a group of records per GEMM, plus the free response d @ O to
+    d = h0 - h_ss[0], and it ends at h_ss[n] + A_R d
+    (``TransientSolver.handoff_maps``).  h_ss[0] and h_ss[n] come from the
+    series coefficients of X and the lines' moments about each series'
+    centre, so X is never held whole.
 
-    Each party's noise enters as r coefficients per measurement interval
-    over the band's record basis (``noise.record_basis``), never as
-    internal-rate samples: the recurrence reads them through
-    ``TransientSolver.coefficient_map``, 2r inputs per record in place of
-    ``oversample`` samples per source, plus a constant 1 when the map
-    carries a bias row.
+    A run groups its bits by arrangement once and draws and evaluates each
+    group's lines in batches of about ``_CHUNK_STEPS`` internal steps.  It
+    then hands the state from bit to bit with one matvec each and adds the
+    free responses with one GEMM per batch, with handoff maps fetched once
+    per run and arrangement.  Bit 0's free response is stepped record by
+    record from the session state (``TransientSolver.propagate``), so a
+    one-bit run needs no handoff maps.
     """
 
     def __init__(
@@ -261,48 +276,73 @@ class KeyExchangeSession:
         if abs(os_f - self.oversample) > 1e-9 or self.oversample < 1:
             raise ValueError("t_s must be an integer multiple of the internal step")
         self.master_seed = master_seed
-        self._basis = record_basis(self._noise_spec(LOW, 1), self.oversample)
-        # Per arrangement: its solver and that solver's coefficient map;
-        # per arrangement and group size: the solver and its group maps.
-        self._solvers: dict[tuple[str, str], tuple] = {}
-        self._groups: dict[tuple[tuple[str, str], int], tuple] = {}
+        self._solvers: dict[tuple[str, str], TransientSolver] = {}
+        # Per arrangement and window (n_pad, k_max): the line resolvent;
+        # per arrangement and bit length: the bit maps (``_maps_for``).
+        self._resolvents: dict[tuple, LineResolvent] = {}
+        self._maps: dict[tuple[tuple[str, str], int], tuple] = {}
         # Session state, the history vector of ``TransientSolver.state``
         # shared by every arrangement's solver; None until the first run.
         self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
 
-    def _solver_for(self, alice_choice: str, bob_choice: str) -> tuple:
-        """The arrangement's solver and its ``coefficient_map`` W_a for
-        Alice's then Bob's noise coefficients."""
-        key = (alice_choice, bob_choice)
-        entry = self._solvers.get(key)
-        if entry is None:
-            netlist = self.builder(
-                self.config.resistance(alice_choice), self.config.resistance(bob_choice)
-            )
+    def _solver_for(self, arrangement: tuple[str, str]) -> TransientSolver:
+        """The arrangement's solver, built on first use."""
+        solver = self._solvers.get(arrangement)
+        if solver is None:
+            netlist = self.builder(*map(self.config.resistance, arrangement))
             solver = TransientSolver(
                 netlist, self.solver_config.internal_step_s, self.solver_config.tolerance
             )
-            for other, *_ in self._solvers.values():
+            for other in self._solvers.values():
                 if not np.array_equal(other.history_weights, solver.history_weights):
                     raise ValueError(
                         "netlist_builder changed the reactive elements between "
                         "resistor pairs; the state cannot carry across them"
                     )
-            entry = (solver, solver.coefficient_map(self.oversample, self._basis, _PARTY_SOURCES))
-            self._solvers[key] = entry
-        return entry
+            self._solvers[arrangement] = solver
+        return solver
 
-    def _maps_for(self, arrangement: tuple[str, str], G: int) -> tuple:
-        """The arrangement's solver and the ``group_maps`` (W_h, W_in) of
-        its coefficient map for groups of ``G`` records."""
-        key = (arrangement, G)
-        entry = self._groups.get(key)
-        if entry is None:
-            solver, W_a = self._solver_for(*arrangement)
-            entry = (solver, *solver.group_maps(self.oversample, W_a, G))
-            self._groups[key] = entry
-        return entry
+    def _maps_for(self, arrangement: tuple[str, str], n_units: int) -> tuple:
+        """The arrangement's solver and the maps of its bits of ``n_units``:
+
+        - P (4, n_groups, 2, k_max): the probes' gains from Alice's and
+          Bob's unit lines, in ``PROBES`` order, turned to the first record
+          of each group of ``_GROUP_RECORDS``: H_k z_k^(q G S + S - 1)
+          times each party's line amplitude;
+        - E (2 k_max, G): the phases of a group's records
+          (``_record_phases``);
+        - M (k_max, 2J): the lines' moments about each series' centre, at
+          the bit's start and, turned by z_k^(n S), at its end;
+        - T (2J, m): the series coefficients for Alice's then Bob's moments,
+          times the line amplitude;
+        - h_dc (m,) and y_dc (4,): the constant sources' response.
+        """
+        key = (arrangement, n_units)
+        maps = self._maps.get(key)
+        if maps is None:
+            S = self.oversample
+            solver = self._solver_for(arrangement)
+            windows = [line_window(self._noise_spec(choice, n_units)) for choice in arrangement]
+            n_pad, k_max, _ = windows[0]
+            amplitude = np.array([w[2] for w in windows])
+            res = self._resolvents.get((arrangement, n_pad, k_max))
+            if res is None:
+                res = solver.line_resolvent(line_phases(n_pad, k_max, 1), _PARTY_SOURCES)
+                self._resolvents[(arrangement, n_pad, k_max)] = res
+            order = [solver.probe_names.index(p) for p in PROBES]
+            G = min(n_units, _GROUP_RECORDS)
+            first = np.arange(0, n_units, G) * S + S - 1
+            P = (res.H[:, order].transpose(1, 2, 0)[:, None] * amplitude[:, None]
+                 * line_phases(n_pad, k_max, first)[:, None])
+            M = np.hstack([res.V, res.V * line_phases(n_pad, k_max, n_units * S)[:, None]])
+            T = (res.T.transpose(2, 0, 1) * amplitude[:, None, None]).reshape(
+                2 * len(res.T), solver.n_states)
+            h_dc, y_dc = solver.constant_response(_PARTY_SOURCES)
+            E = _record_phases(n_pad, k_max, S, G)
+            maps = (solver, P, E, M, T, h_dc, y_dc[order])
+            self._maps[key] = maps
+        return maps
 
     def _noise_spec(self, choice: str, n_units: int) -> NoiseSpec:
         """The unseeded spec of a party holding ``choice`` for ``n_units``."""
@@ -312,19 +352,6 @@ class KeyExchangeSession:
             duration_s=n_units * self.config.t_s,
             sample_interval_s=self.solver_config.internal_step_s,
         )
-
-    def _inputs(self, words: np.ndarray, arrangement: tuple[str, str],
-                n_units: int, n_in: int) -> np.ndarray:
-        """Inputs of ``propagate`` for one bit per row of ``words``
-        (``_noise_words``), all with one arrangement: per record, Alice's
-        then Bob's noise coefficients over the record basis, then 1s up to
-        ``n_in`` inputs for the coefficient map's bias row, if it has one."""
-        r = len(self._basis)
-        a = np.ones((len(words), n_units, n_in))
-        for column, choice in enumerate(arrangement):
-            a[:, :, column * r : (column + 1) * r] = generate_blocks(
-                self._noise_spec(choice, n_units), words[:, column], self.oversample)
-        return a
 
     def _seeds(self, slots, *purposes: int) -> np.ndarray:
         """``derive_seed(master_seed, slot, purpose)`` for Alice's then Bob's
@@ -350,42 +377,55 @@ class KeyExchangeSession:
         """
         n = len(words)
         S = self.oversample
-        G = group_size(n_units)
         keys, group_of = np.unique(np.char.add(choices[:, 0], choices[:, 1]),
                                    return_inverse=True)
-        arrangements = [tuple(key) for key in keys]
-        maps = [self._maps_for(a, G) for a in arrangements]
+        maps = [self._maps_for(tuple(key), n_units) for key in keys]
         members = [np.flatnonzero(group_of == j) for j in range(len(keys))]
         order = [maps[0][0].probe_names.index(p) for p in PROBES]
-        m = len(maps[0][0].history_weights)
-        h = np.zeros(m) if self._hist is None else self._hist
+        m = maps[0][0].n_states
 
-        # Zero-state responses, GEMM recurrences per arrangement with the
-        # bits as rows, in batches; bit 0 starts from h.
+        # Steady states, per arrangement in batches: the probes from the
+        # lines turned to each group of records, one GEMM for every bit and
+        # group, and h_ss[0], h_ss[n] from the lines' moments.
         per_batch = max(1, _CHUNK_STEPS // (n_units * S))
         y = np.empty((n, len(PROBES), n_units))
-        z = np.empty((n, m))
-        for a, (solver, W_h, W_in), idx in zip(arrangements, maps, members):
+        ss = np.empty((n, 2, m))
+        for (_, P, E, M, T, h_dc, y_dc), idx in zip(maps, members):
+            k_max = P.shape[-1]
             for start in range(0, len(idx), per_batch):
                 rows = idx[start : start + per_batch]
-                h0 = np.zeros((len(rows), m))
-                if rows[0] == 0:
-                    h0[0] = h
-                u = self._inputs(words[rows], a, n_units, len(W_in) // G)
-                y_rows, z[rows] = solver.propagate(h0, u, W_h, W_in)
-                y[rows] = y_rows[:, order]
+                x = draw_lines(words[rows], k_max)
+                c = np.empty((len(rows), 2, k_max), dtype=np.complex128)
+                c.real = x[:, :, 0]
+                c.imag = x[:, :, 1]
+                b = P[:, :, 0] * c[:, None, None, 0]
+                b += P[:, :, 1] * c[:, None, None, 1]
+                y_rows = (b.view(np.float64).reshape(-1, 2 * k_max) @ E).reshape(
+                    len(rows), len(PROBES), -1)
+                y[rows] = y_rows[:, :, :n_units] + y_dc[:, None]
+                moments = (c.reshape(2 * len(rows), k_max) @ M).reshape(
+                    len(rows), 2, 2, -1).transpose(0, 2, 1, 3).reshape(2 * len(rows), -1)
+                ss[rows] = (moments @ T).real.reshape(len(rows), 2, m) + h_dc
 
-        # Hand the state from bit to bit, leaving each bit's start state in
-        # z, then add the free responses; bits after the first need maps.
+        # Bit 0's free response, stepped from the session state.
+        solver = maps[group_of[0]][0]
+        W_h, W_u = solver._block_maps(S)
+        d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]
+        y_0, h = solver.propagate(d[None], np.zeros((1, n_units, 0)), W_h, W_u[:0])
+        y[0] += y_0[0, order]
+        h = h[0] + ss[0, 1]
+
+        # Hand the state from bit to bit, leaving each later bit's d in
+        # ss[:, 0], then add their free responses.
         handoffs = {j: maps[j][0].handoff_maps(S, n_units) for j in set(group_of[1:])}
-        h = z[0]
         for k in range(1, n):
-            h, z[k] = handoffs[group_of[k]][0] @ h + z[k], h
+            ss[k, 0] = h - ss[k, 0]
+            h = handoffs[group_of[k]][0] @ ss[k, 0] + ss[k, 1]
         for j, (_, O) in handoffs.items():
             later = members[j][members[j] > 0]
             for start in range(0, len(later), per_batch):
                 rows = later[start : start + per_batch]
-                y[rows] += np.tensordot(z[rows], O, 1)[:, order]
+                y[rows] += np.tensordot(ss[rows, 0], O, 1)[:, order]
 
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")
@@ -455,5 +495,5 @@ class KeyExchangeSession:
     @property
     def factorization_residual(self) -> float:
         """Largest random-RHS residual of the LU factors built so far."""
-        return max((s.factorization_residual for s, *_ in self._solvers.values()), default=0.0)
+        return max((s.factorization_residual for s in self._solvers.values()), default=0.0)
 

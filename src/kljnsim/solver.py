@@ -13,20 +13,21 @@ element: h = g v + i per capacitor and per inductor, which is all a step
 reads of the past.  One step is h' = F h + Bh u with probes
 y = Yh h + Yu0 u, built straight from the step LU.  The update is
 linear and time invariant, so one kernel, ``_compose``, composes it
-exactly: ``stride`` steps into a record (``_block_maps``), G records
-into a group (``group_maps``) and a bit's records into its response to
-its start state (``handoff_maps``).  ``propagate`` steps many
-independent runs a group of records at a time, with two GEMMs per
-group.  A record's inputs enter through an input map: ``run`` reads
-``stride`` samples per source through ``W_u``, while ``coefficient_map``
-projects ``W_u`` onto a record basis, so that noise given as a few
-coefficients per record (``noise.record_basis``) drives the same
-recurrence and constant sources add one bias row, read against a
-constant 1.  ``run`` is the one-run case of ``propagate`` with one
-record per group; at stride 1 it
-takes every step one at a time and is the reference the record maps are
-tested against (to 1e-13 absolute, and whole sessions to 1e-12
-relative).
+exactly: ``stride`` steps into a record (``_block_maps``) and a bit's
+records into its response to its start state (``handoff_maps``).
+``propagate`` steps many independent runs a record at a time, with two
+GEMMs per record; ``run`` is its one-run case, reading ``stride``
+samples per source through the record's input map.  At stride 1 it
+takes every step one at a time and is the reference the record maps
+and the bit engine are tested against (to 1e-13 absolute, and whole
+sessions to 1e-12 relative).
+
+Driven by a sum of sinusoids at lines z_k, the history settles to
+Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
+(``line_resolvent``, summed as a Taylor series about the middle of the
+lines), and constant sources hold it at their DC response
+(``constant_response``): the bit engine needs no stepping for the
+noise, only for the free response.
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
@@ -62,16 +63,13 @@ _OPENBLAS_BUILDS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                     ("openblas", "64_"), ("openblas", ""))
 
 
-# ``propagate`` steps a run's records in groups of the largest divisor
-# of their count up to this many (``group_size``).
-_GROUP_RECORDS = 5
-
-
-def group_size(n_rec: int) -> int:
-    """Records per group for a run of ``n_rec`` records: the largest
-    divisor of ``n_rec`` up to ``_GROUP_RECORDS``, so a prime length
-    runs one record at a time."""
-    return max(d for d in range(1, _GROUP_RECORDS + 1) if n_rec % d == 0)
+# The resolvent series of ``line_resolvent``: it stops once a term falls
+# below _SERIES_TOL of the first, and an arc whose series has not within
+# _SERIES_TERMS terms, or whose terms grow past _SERIES_GROWTH times the
+# first, is split in two.
+_SERIES_TOL = 1e-17
+_SERIES_TERMS = 60
+_SERIES_GROWTH = 1e3
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,19 @@ class SolverConfig:
             raise ValueError("tolerance must be in (0, 1e-6]")
 
 
+@dataclass(frozen=True)
+class LineResolvent:
+    """``TransientSolver.line_resolvent`` over K lines: X_k = sum_j
+    V[k, j] T[j], with V (K, J) zero outside each arc's own terms and T
+    (J, m, n_driven), and the probe gains H (K, n_probes, n_driven).
+    ``arcs`` holds the [lo, hi) line range of each series."""
+
+    V: np.ndarray
+    T: np.ndarray
+    H: np.ndarray
+    arcs: tuple[tuple[int, int], ...]
+
+
 @dataclass
 class TransientResult:
     """Probe waveforms decimated to the measurement interval."""
@@ -194,23 +205,25 @@ class TransientSolver:
         col = {n: i for i, n in enumerate(self._nodes)}
         n_nodes = len(self._nodes)
 
-        def incidence(pairs) -> np.ndarray:
+        def ends(pairs) -> np.ndarray:
+            # The node columns of each pair, n_nodes for ground.
+            return np.array([[col.get(a, n_nodes), col.get(b, n_nodes)]
+                             for a, b in pairs]).reshape(-1, 2)
+
+        def incidence(ab: np.ndarray) -> np.ndarray:
             # +1 on the first node, -1 on the second, ground dropped.
-            D = np.zeros((len(pairs), n_nodes))
-            for k, (a, b) in enumerate(pairs):
-                if a in col:
-                    D[k, col[a]] += 1.0
-                if b in col:
-                    D[k, col[b]] -= 1.0
-            return D
+            D = np.zeros((len(ab), n_nodes + 1))
+            D[np.arange(len(ab)), ab[:, 0]] += 1.0
+            D[np.arange(len(ab)), ab[:, 1]] -= 1.0
+            return D[:, :n_nodes]
 
         kind = np.array([br.kind for br in branches])
         self._value = np.array([br.value for br in branches], dtype=np.float64)
-        self._D = incidence([(br.a, br.b) for br in branches])
+        self._ends = ends([(br.a, br.b) for br in branches])
+        self._D = incidence(self._ends)
         # E rows of the constraint block subtract gain x the sensed pair.
-        self._K = self._value[:, None] * incidence(
-            [(br.ctrl_a, br.ctrl_b) if br.kind == "E" else (None, None) for br in branches]
-        )
+        self._K = self._value[:, None] * incidence(ends(
+            [(br.ctrl_a, br.ctrl_b) if br.kind == "E" else (None, None) for br in branches]))
         self._res = np.flatnonzero(kind == "R")
         self._caps = np.flatnonzero(kind == "C")
         self._inds = np.flatnonzero(kind == "L")
@@ -294,7 +307,12 @@ class TransientSolver:
         D = self._D
         n = D.shape[1]
         M = np.zeros((n + len(cons), n + len(cons)))
-        M[:n, :n] = D[cond].T @ (g[:, None] * D[cond])
+        # D[cond]^T diag(g) D[cond], stamped: g on both ends' diagonal
+        # entries and -g between them, through a ground row and column.
+        a, b = self._ends[cond].T
+        at = np.concatenate([a * (n + 1) + a, b * (n + 1) + b, a * (n + 1) + b, b * (n + 1) + a])
+        Y = np.bincount(at, np.concatenate([g, g, -g, -g]), (n + 1) ** 2)
+        M[:n, :n] = Y.reshape(n + 1, n + 1)[:n, :n]
         M[:n, n:] = D[cons].T
         M[n:, :n] = D[cons] - self._K[cons]
         return M
@@ -307,13 +325,13 @@ class TransientSolver:
         """
         # Structurally dangling unknowns make the matrix singular; name
         # the node instead of failing inside LAPACK.
-        for i, n in enumerate(self._nodes):
-            if not np.any(M[i]):
-                raise SingularNetworkError(
-                    f"node {n!r} has no connection to the rest of the network "
-                    f"in the {system}",
-                    node=n,
-                )
+        dangling = np.flatnonzero(~np.any(M[: len(self._nodes)], axis=1))
+        if len(dangling):
+            n = self._nodes[dangling[0]]
+            raise SingularNetworkError(
+                f"node {n!r} has no connection to the rest of the network in the {system}",
+                node=n,
+            )
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
             try:
@@ -461,11 +479,10 @@ class TransientSolver:
     def handoff_maps(self, stride: int, n_rec: int) -> tuple[np.ndarray, np.ndarray]:
         """Response of a run of ``n_rec`` records to its start history h0.
 
-        Returns (A_R, O): the run ends at history A_R h0 + z and records
-        probes h0 @ O + y (``O`` of shape (m, n_probes, n_rec)), where z
-        and y are its zero-state end history and probes from
-        ``propagate``; both are views of the record maps composed
-        ``n_rec`` times.  Raises ``DivergenceError`` if the maps overflow.
+        Returns (A_R, O): with no inputs the run ends at history A_R h0
+        and records probes h0 @ O (``O`` of shape (m, n_probes, n_rec));
+        both are views of the record maps composed ``n_rec`` times.
+        Raises ``DivergenceError`` if the maps overflow.
         """
         key = (stride, n_rec)
         cached = self._handoff_cache.get(key)
@@ -480,77 +497,81 @@ class TransientSolver:
             self._handoff_cache[key] = cached
         return cached
 
-    def coefficient_map(self, stride: int, Qt: np.ndarray, driven) -> np.ndarray:
-        """Record map reading the sources named in ``driven`` as
-        coefficients over the record basis ``Qt`` (r, stride), the other
-        sources held at their constant value.
-
-        Returns ``W_a`` (n_in, n_probes + m): ``Qt @ W_u[source j's stride
-        rows]`` per driven source, in the order of ``driven``, then one
-        bias row when the constant sources add anything, ``value * sum of
-        their W_u rows``.  Inputs whose records lie in the span of ``Qt``
-        step as ``propagate(h, a, W_h, W_a)`` (``W_h`` from
-        ``_block_maps``) with ``a`` their coefficients, followed by a 1
-        per record for the bias row, to round-off.
-        """
-        _, W_u = self._block_maps(stride)
-        W_u = W_u.reshape(stride, len(self._sources), -1)
-        j_driven = [self.source_names.index(name) for name in driven]
-        W_a = [Qt @ W_u[:, j] for j in j_driven]
-        const = np.array([0.0 if j in j_driven else br.value
-                          for j, br in enumerate(self._sources)])
-        bias = const @ W_u.sum(axis=0)
-        if np.any(bias):
-            W_a.append(bias[None])
-        return np.concatenate(W_a)
-
-    def group_maps(self, stride: int, W_in: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maps of a group of ``G`` records read through the input map
-        ``W_in`` (n_in, n_probes + m), ``_block_maps``' W_u or a
-        ``coefficient_map``: the record maps composed ``G`` times.
-        Returns
-            W_hG  = [O | F^G]  with O's record j F^j Y,
-            W_inG = [T | R]    with T's block (i, j) K_(j-i) for j >= i
-                               and R's block i S F^(G-1-i),
-        so that [y, h'] = h @ W_hG + u @ W_inG, with the group's inputs u
-        record-major and its probes y probe-major (probe p of record j in
-        column p G + j).  At G = 1 they are W_h and ``W_in`` bitwise.
-        """
-        W_hG, W_k = self._compose(self._block_maps(stride)[0], W_in, G)
-        ny, n_in = len(self.probe_names), len(W_in)
-        K = W_k[:, :ny].reshape(G, n_in, ny)  # K_(G-1-i) in block i
-        T = np.zeros((G, n_in, ny, G))
-        for i in range(G):
-            T[i, :, :, i:] = K[i:][::-1].transpose(1, 2, 0)
-        return W_hG, np.hstack([T.reshape(G * n_in, ny * G), W_k[:, ny:]])
-
     def propagate(self, h: np.ndarray, u: np.ndarray, W_h: np.ndarray, W_in: np.ndarray):
-        """Block recurrence over groups of records for k independent runs
-        at once.
+        """Record recurrence for k independent runs at once.
 
         ``h`` (k, m) holds the start histories of the runs, one per row,
         and ``u`` (k, n_rec, n_in) their inputs, one record per row.  A
-        group of G records steps as [y, h'] = h @ W_h + u @ W_in with the
-        ``group_maps`` (W_h, W_in); at G = 1 these are ``_block_maps``' W_h
-        and an input map.  n_rec must be a multiple of G.  Each group
-        costs two GEMMs across the runs.  Returns the probes
-        (k, n_probes, n_rec) and the end histories.  ``self.state`` is
-        untouched.
+        record steps as [y, h'] = h @ W_h + u @ W_in with ``_block_maps``'
+        (W_h, W_u), or with no inputs (n_in = 0, ``W_u[:0]``) for the free
+        response.  Each record costs two GEMMs across the runs.  Returns
+        the probes (k, n_probes, n_rec) and the end histories.
+        ``self.state`` is untouched.
         """
-        k, n_rec, n_in = u.shape
+        k, n_rec, _ = u.shape
         ny = len(self.probe_names)
-        G = len(W_in) // n_in
-        if len(W_in) != G * n_in or W_h.shape[1] != ny * G + len(W_h) or n_rec % G:
-            raise ValueError(f"maps of {len(W_in)} inputs and {W_h.shape[1]} outputs do "
-                             f"not fit {n_rec} records of {n_in} inputs")
-        u = u.reshape(k, n_rec // G, G * n_in)
         y = np.empty((k, ny, n_rec))
-        for g in range(n_rec // G):
+        for j in range(n_rec):
             out = h @ W_h
-            out += u[:, g] @ W_in
-            y[:, :, g * G : (g + 1) * G] = out[:, : ny * G].reshape(k, ny, G)
-            h = out[:, ny * G :]
+            out += u[:, j] @ W_in
+            y[:, :, j] = out[:, :ny]
+            h = out[:, ny:]
         return y, h
+
+    def line_resolvent(self, z: np.ndarray, driven) -> LineResolvent:
+        """The resolvent X_k = (z_k I - F)^-1 B over the lines ``z`` (on
+        an arc of the unit circle, in order), B the columns of the sources
+        named in ``driven``, and the probe gains H_k = Yu0 + Yh X_k.
+
+        X is summed as a Taylor series about an arc's middle line c:
+        X_k = sum_j ((c - z_k) / r)^j U_j with U_0 = (cI - F)^-1 B and
+        U_(j+1) = r (cI - F)^-1 U_j, r the largest |c - z_k|, from one
+        complex LU.  A pole of F inside the series' disc keeps it from
+        converging; then the arc is halved, down to single lines, whose
+        one-term series is a direct solve.
+        """
+        cols = [self.source_names.index(name) for name in driven]
+        F, B = self._A, self._B[:, cols]
+        I = np.eye(self.n_states)
+        arcs, powers, terms = [], [], []
+        todo = [(0, len(z))]
+        while todo:
+            lo, hi = todo.pop()
+            c = z[(lo + hi) // 2]
+            w = c - z[lo:hi]
+            r = float(np.max(np.abs(w)))
+            lu = sla.lu_factor(c * I - F)
+            U = [sla.lu_solve(lu, B, check_finite=False)]
+            first = np.max(np.abs(U[0]), initial=0.0)
+            done = r == 0.0 or first == 0.0  # one line, or nothing to sum
+            while not done and len(U) < _SERIES_TERMS:
+                U.append(r * sla.lu_solve(lu, U[-1], check_finite=False))
+                term = np.max(np.abs(U[-1]))
+                done = term < _SERIES_TOL * first
+                if not term < _SERIES_GROWTH * first:
+                    break
+            if done:
+                arcs.append((lo, hi))
+                powers.append((w / (r or 1.0))[:, None] ** np.arange(len(U)))
+                terms.extend(U)
+            else:
+                todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+        V = sla.block_diag(*powers)  # arcs come off the stack in line order
+        T = np.array(terms)
+        YT = (self._Yh @ T).reshape(len(T), -1)
+        H = self._Yu0[:, cols] + (V @ YT).reshape(len(z), len(self.probe_names), len(cols))
+        return LineResolvent(V, T, H, tuple(arcs))
+
+    def constant_response(self, driven) -> tuple[np.ndarray, np.ndarray]:
+        """(h, y): the history and probes the sources not named in
+        ``driven`` hold the network at, at their constant values, with the
+        driven ones at 0: h = (I - F)^-1 B u and y = Yh h + Yu0 u.  Zeros
+        when those sources are all 0."""
+        u = np.array([0.0 if br.name in driven else br.value for br in self._sources])
+        if not np.any(u):
+            return np.zeros(self.n_states), np.zeros(len(self.probe_names))
+        h = np.linalg.solve(np.eye(self.n_states) - self._A, self._B @ u)
+        return h, self._Yh @ h + self._Yu0 @ u
 
     def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
         """Advance by ``len(source_steps)`` internal steps.

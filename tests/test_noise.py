@@ -1,7 +1,5 @@
 """Noise generator: scaling law, determinism, band limit, normality."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +14,7 @@ from kljnsim.noise import (
     effective_temperature,
     gaussianity_report,
     generate,
-    generate_blocks,
     out_of_band_power_fraction,
-    record_basis,
     rms_for_resistor,
     rms_ratio,
     write_gaussianity_csv,
@@ -199,89 +195,45 @@ def pcg64_words(seeds):
     return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
 
 
-class TestGenerateBlocks:
-    """Batched direct synthesis against ``generate``, its oracle."""
+class TestDrawLines:
+    """The line draw against the spectrum ``generate`` synthesizes."""
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(1, 12000),
-        block=st.integers(8, 70),
-        dt=st.sampled_from([1 / 32e3, 1 / 8e3, 1e-3 / 3]),
-        rms=st.sampled_from([0.5, 1.5, 3.5]),
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        # seeds of one, two and three uint32 words
+        seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                                 st.integers(2**64, 2**96 - 1)), min_size=1, max_size=6),
+        k_max=st.sampled_from([1, 37, 256, 1200]),
     )
-    def test_matches_generate(self, n, block, dt, rms, seeds):
-        spec = NoiseSpec(250.0, rms, n * dt, dt)
-        Qt = record_basis(spec, block)
-        out = generate_blocks(spec, pcg64_words(seeds), block)
-        assert out.shape == (len(seeds), -(-n // block), len(Qt))
+    def test_bitwise_the_lines_of_generate(self, seeds, k_max):
+        words = pcg64_words(seeds).reshape(-1, 1, 4)
+        lines = noise.draw_lines(words, k_max)
+        assert lines.shape == (len(seeds), 1, 2, k_max)
         for i, seed in enumerate(seeds):
-            ref = generate(dataclasses.replace(spec, seed=seed)).samples
-            np.testing.assert_allclose((out[i] @ Qt).ravel()[:n], ref, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(ref)))
-
-    def test_short_last_group(self):
-        # one block past whole groups of the line map, and a partial last block
-        dt = 1 / 32e3
-        n = (2 * noise._GROUP_BLOCKS + 1) * 32 - 7
-        spec = NoiseSpec(250.0, 2.0, n * dt, dt)
-        Qt = record_basis(spec, 32)
-        out = generate_blocks(spec, pcg64_words([5, 6, 7]), 32)
-        assert out.shape == (3, 2 * noise._GROUP_BLOCKS + 1, len(Qt))
-        for i, seed in enumerate([5, 6, 7]):
-            ref = generate(dataclasses.replace(spec, seed=seed)).samples
-            np.testing.assert_allclose((out[i] @ Qt).ravel()[:n], ref, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(ref)))
-
-    def test_long_request_uses_the_transform(self):
-        # 10k samples fill more than a quarter of the 32768-point window
-        dt = 1 / 32e3
-        spec = NoiseSpec(250.0, 1.0, 1e4 * dt, dt)
-        Qt = record_basis(spec, 32)
-        out = generate_blocks(spec, pcg64_words([1, 2]), 32)
-        for i, seed in enumerate([1, 2]):
-            ref = generate(dataclasses.replace(spec, seed=seed)).samples
-            np.testing.assert_allclose((out[i] @ Qt).ravel()[:10000], ref, rtol=0,
-                                       atol=1e-12 * np.max(np.abs(ref)))
-
-
-class TestRecordBasis:
-    """The record basis spans every block of every realization of a band."""
+            ref = noise._draw_lines(np.random.default_rng(seed), k_max)
+            assert np.array_equal(lines[i, 0, 0], ref.real)
+            assert np.array_equal(lines[i, 0, 1], ref.imag)
 
     @settings(max_examples=30, deadline=None)
     @given(
-        bandwidth=st.sampled_from([250.0, 1000.0, 14500.0]),  # the last within 10 % of Nyquist
-        n_units=st.integers(1, 400),
+        # up to 1.2 s at 32 kHz: 38400 samples, past the default 32768-point window
+        n=st.one_of(st.integers(1, 12000), st.just(38400)),
+        dt=st.sampled_from([1 / 32e3, 1 / 8e3, 1e-3 / 3]),
+        rms=st.sampled_from([0.5, 3.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_spans_generated_records(self, bandwidth, n_units, seed):
-        dt = 1 / 32e3
-        spec = NoiseSpec(bandwidth, 1.0, n_units * 32 * dt, dt, seed=seed)
-        Qt = record_basis(spec, 32)
-        np.testing.assert_allclose(Qt @ Qt.T, np.eye(len(Qt)), rtol=0, atol=1e-14)
+    def test_lines_sum_to_generate(self, n, dt, rms, seed):
+        spec = NoiseSpec(250.0, rms, n * dt, dt, seed=seed)
+        n_pad, k_max, amplitude = noise.line_window(spec)
+        lines = noise.draw_lines(pcg64_words([seed]), k_max)[0]
+        ref = generate(spec).samples
+        t = np.unique(np.linspace(0, n - 1, 200).astype(int))  # the ends and between
+        got = amplitude * (noise.line_phases(n_pad, k_max, t) @ (lines[0] + 1j * lines[1])).real
+        np.testing.assert_allclose(got, ref[t], rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
-        # r counts the singular values above eps * sigma_1 of cosines and
-        # sines at 32 frequencies evenly spaced up to the band edge
-        f = bandwidth * dt * np.arange(1, 33) / 32
-        angle = 2 * np.pi * f[:, None] * np.arange(32)
-        s = np.linalg.svd(np.vstack([np.cos(angle), np.sin(angle)]), compute_uv=False)
-        assert len(Qt) == np.count_nonzero(s > np.finfo(float).eps * s[0])
+    def test_phases_are_reduced_in_integers(self):
+        # z^t at t = n_pad + 5 is z^5 bitwise
+        assert np.array_equal(noise.line_phases(32768, 256, 32768 + 5),
+                              noise.line_phases(32768, 256, 5))
 
-        blocks = generate(spec).samples.reshape(-1, 32)
-        residual = blocks - (blocks @ Qt.T) @ Qt
-        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(blocks))
 
-    def test_rank_at_the_default_band_and_near_nyquist(self):
-        dt = 1 / 32e3
-        assert record_basis(NoiseSpec(250.0, 1.0, 1e-3, dt), 32).shape == (12, 32)
-        assert record_basis(NoiseSpec(14500.0, 1.0, 1e-3, dt), 32).shape == (32, 32)
-
-    def test_long_window_projects_onto_the_basis(self):
-        # 1.2 s at 32 kHz is 38400 samples, beyond the default 32768-point window
-        dt = 1 / 32e3
-        spec = NoiseSpec(250.0, 1.0, 1.2, dt, seed=9)
-        Qt = record_basis(spec, 32)
-        assert Qt is record_basis(dataclasses.replace(spec, duration_s=1e-3), 32)
-        blocks = generate(spec).samples.reshape(-1, 32)
-        residual = blocks - (blocks @ Qt.T) @ Qt
-        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(blocks))

@@ -7,19 +7,19 @@ import pytest
 
 from kljnsim.network import (
     Branch,
+    CableSpec,
     Netlist,
     apply_capacitor_killer,
     build_distributed,
     build_lumped,
     rg58,
 )
-from kljnsim.noise import NoiseSpec, Waveform, generate, record_basis
+from kljnsim.noise import NoiseSpec, Waveform, generate
 from kljnsim.solver import (
     SingularNetworkError,
     SolverConfig,
     TransientSolver,
     frequency_response_check,
-    group_size,
     transient_solve,
 )
 
@@ -237,47 +237,18 @@ class TestDiscretization:
         np.testing.assert_allclose(np.vstack([y_a, y_0, y_b]), y_one, atol=1e-13)
 
 
-def shield_lifted_ladder():
-    # the stock shield sits at 0 V; lifted to 0.3 V it adds a bias row to
-    # the coefficient map
-    net = build_distributed(1000.0, 9000.0, rg58(1000.0))
+def shield_lifted_ladder(length_m=1000.0):
+    # the stock shield sits at 0 V; lift it to 0.3 V
+    net = build_distributed(1000.0, 9000.0, rg58(length_m))
     return dataclasses.replace(net, branches=tuple(
         dataclasses.replace(br, value=0.3) if br.name == "vsh" else br for br in net.branches))
 
 
 class TestGroupMaps:
-    """Groups of G records against the one-record recurrence (G = 1)."""
+    """A bit's records composed into one map (``handoff_maps``), and the
+    record maps, against the one-record and one-step recurrences."""
 
     STRIDE = 32
-
-    @staticmethod
-    def coefficient_map(solver):
-        Qt = record_basis(NoiseSpec(250.0, 1.0, 1e-3, 31.25e-6), TestGroupMaps.STRIDE)
-        return solver.coefficient_map(TestGroupMaps.STRIDE, Qt, ("ua", "ub"))
-
-    def test_one_record_groups_are_the_record_maps(self):
-        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
-        W_h, W_u = solver._block_maps(self.STRIDE)
-        for W_in in (W_u, self.coefficient_map(solver)):
-            W_hG, W_inG = solver.group_maps(self.STRIDE, W_in, 1)
-            assert np.array_equal(W_hG, W_h) and np.array_equal(W_inG, W_in)
-
-    @pytest.mark.parametrize("G", [2, 3, 5, 7])
-    @pytest.mark.parametrize("build", [lambda: build_distributed(1000.0, 9000.0, rg58(1000.0)),
-                                       shield_lifted_ladder], ids=["ladder", "bias_row"])
-    def test_groups_match_one_record_at_a_time(self, build, G):
-        solver = TransientSolver(build(), 31.25e-6)
-        W_h, _ = solver._block_maps(self.STRIDE)
-        W_a = self.coefficient_map(solver)
-        rng = np.random.default_rng(G)
-        n_rec = 6 * G
-        h0 = rng.standard_normal((3, solver.n_states))
-        a = np.ones((3, n_rec, len(W_a)))
-        a[:, :, :24] = rng.standard_normal((3, n_rec, 24))  # a bias row reads the 1s
-        y1, h1 = solver.propagate(h0, a, W_h, W_a)
-        yG, hG = solver.propagate(h0, a, *solver.group_maps(self.STRIDE, W_a, G))
-        np.testing.assert_allclose(yG, y1, rtol=0, atol=1e-12 * np.max(np.abs(y1)))
-        np.testing.assert_allclose(hG, h1, rtol=0, atol=1e-12 * np.max(np.abs(h1)))
 
     def test_one_step_records_are_the_step_maps(self):
         # so run(u, 1) is plain stepping, the oracle the record maps meet
@@ -297,16 +268,67 @@ class TestGroupMaps:
                                    atol=1e-12 * np.max(np.abs(y)))
         np.testing.assert_allclose(h0 @ A_R.T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
-    def test_group_size_divides_the_run(self):
-        assert [group_size(n) for n in (1, 4, 7, 10, 12, 13, 20, 21, 100)] == \
-            [1, 4, 1, 5, 4, 1, 5, 3, 5]
 
-    def test_groups_must_tile_the_run(self):
-        solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(100.0)), 31.25e-6)
-        W_h, W_u = solver.group_maps(self.STRIDE, solver._block_maps(self.STRIDE)[1], 3)
-        u = np.zeros((1, 7, len(W_u) // 3))
-        with pytest.raises(ValueError, match="7 records"):
-            solver.propagate(np.zeros((1, solver.n_states)), u, W_h, W_u)
+SLOW_CABLE = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=2000.0,
+                       velocity_m_s=2e8, n_segments=4)
+
+
+class TestLineResolvent:
+    """The series resolvent against a batched direct solve."""
+
+    # the 256 in-band lines of the default 32768-point noise window
+    Z = np.exp(2j * np.pi / 32768 * np.arange(1, 257))
+
+    @staticmethod
+    def check(net):
+        solver = TransientSolver(net, 31.25e-6)
+        res = solver.line_resolvent(TestLineResolvent.Z, ("ua", "ub"))
+        cols = [solver.source_names.index(s) for s in ("ua", "ub")]
+        F = solver._A
+        X = np.linalg.solve(TestLineResolvent.Z[:, None, None] * np.eye(len(F)) - F,
+                            solver._B[:, cols])
+        got = np.einsum("kj,jms->kms", res.V, res.T)
+        np.testing.assert_allclose(got, X, rtol=0, atol=1e-12 * np.max(np.abs(X)))
+        H = solver._Yu0[:, cols] + solver._Yh @ X
+        np.testing.assert_allclose(res.H, H, rtol=0, atol=1e-12 * np.max(np.abs(H)))
+        return res
+
+    @pytest.mark.parametrize("length_m", [100.0, 1000.0])
+    @pytest.mark.parametrize("ra, rb", [(1e3, 9e3), (1e3, 1e3), (9e3, 9e3), (9e3, 1e3)],
+                             ids=["LH", "LL", "HH", "HL"])
+    def test_ladder_arrangements(self, length_m, ra, rb):
+        res = self.check(build_distributed(ra, rb, rg58(length_m)))
+        assert res.arcs == ((0, 256),)
+
+    def test_killer_alice_tap(self):
+        self.check(apply_capacitor_killer(build_distributed(1e3, 9e3, rg58(1000.0)), "alice"))
+
+    def test_lifted_shield(self):
+        # the slow 4-segment ladder of the engine's 0.3 V shield test
+        net = build_distributed(5e3, 5e4, SLOW_CABLE)
+        self.check(dataclasses.replace(net, branches=tuple(
+            dataclasses.replace(br, value=0.3) if br.name == "vsh" else br
+            for br in net.branches)))
+
+    def test_pole_in_the_disc_splits_the_arc(self):
+        # between 100 kohm ends the slow ladder's RC pole lies at 0.99688,
+        # inside the disc of one series about the band's middle line
+        arcs = self.check(build_distributed(1e5, 1e5, SLOW_CABLE)).arcs
+        assert len(arcs) > 1
+        assert [lo for lo, _ in arcs] == [0] + [hi for _, hi in arcs[:-1]]
+        assert arcs[-1][1] == 256
+
+    def test_constant_response_is_where_run_stays(self):
+        solver = TransientSolver(shield_lifted_ladder(100.0), 31.25e-6)
+        h, y = solver.constant_response(("ua", "ub"))
+        solver.set_state(h)
+        u = solver.assemble_inputs(320, {"ua": np.zeros(320), "ub": np.zeros(320)})
+        recs = solver.run(u, record_stride=32)
+        np.testing.assert_allclose(solver.state, h, rtol=0, atol=1e-10 * np.max(np.abs(h)))
+        # the channel probes sit at 0 to round-off, so the bound is on the 0.3 V source
+        np.testing.assert_allclose(recs, np.tile(y, (10, 1)), rtol=0, atol=1e-12 * 0.3)
+        stock = TransientSolver(build_distributed(1e3, 9e3, rg58(100.0)), 31.25e-6)
+        assert not np.any(np.concatenate(stock.constant_response(("ua", "ub"))))
 
 
 def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
