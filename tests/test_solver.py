@@ -245,10 +245,51 @@ def shield_lifted_ladder(length_m=1000.0):
 
 
 class TestGroupMaps:
-    """A bit's records composed into one map (``handoff_maps``), and the
-    record maps, against the one-record and one-step recurrences."""
+    """Groups of G records composed into one map (``_compose``, which
+    builds ``handoff_maps``), and the record maps, against the one-record
+    and one-step recurrences."""
 
     STRIDE = 32
+
+    @staticmethod
+    def record_inputs(solver, rng, n_rec):
+        # (3, n_rec, n_in), each record's steps step-major: ua and ub draw
+        # noise, the shield holds its value, a bias row of the record map
+        u = np.tile([br.value for br in solver._sources], (3, n_rec, TestGroupMaps.STRIDE, 1))
+        cols = [solver.source_names.index(s) for s in ("ua", "ub")]
+        u[..., cols] = rng.standard_normal((3, n_rec, TestGroupMaps.STRIDE, 2))
+        return u.reshape(3, n_rec, -1)
+
+    def test_one_record_groups_are_the_record_maps(self):
+        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
+        W_h, W_u = solver._block_maps(self.STRIDE)
+        W_hG, W_uG = solver._compose(W_h, W_u, 1)
+        assert np.array_equal(W_hG, W_h) and np.array_equal(W_uG, W_u)
+        assert np.array_equal(solver._compose(W_h, None, 1)[0], W_h)
+
+    @pytest.mark.parametrize("G", [2, 3, 5, 7])
+    @pytest.mark.parametrize("build", [lambda: build_distributed(1000.0, 9000.0, rg58(1000.0)),
+                                       shield_lifted_ladder], ids=["ladder", "bias_row"])
+    def test_groups_match_one_record_at_a_time(self, build, G):
+        solver = TransientSolver(build(), 31.25e-6)
+        W_h, W_u = solver._block_maps(self.STRIDE)
+        W_hG, W_k = solver._compose(W_h, W_u, G)
+        ny = len(solver.probe_names)
+        K = W_k[:, :ny].reshape(G, len(W_u), ny)[::-1]  # the kernel K_d in block d
+        rng = np.random.default_rng(G)
+        n_rec = 6 * G
+        h0 = rng.standard_normal((3, solver.n_states))
+        u = self.record_inputs(solver, rng, n_rec)
+        y1, h1 = solver.propagate(h0, u, W_h, W_u)
+        yG, hG = np.empty_like(y1), h0
+        for q in range(0, n_rec, G):
+            ug = u[:, q : q + G]
+            free = (hG @ W_hG[:, : ny * G]).reshape(3, ny, G)
+            for j in range(G):
+                yG[:, :, q + j] = free[:, :, j] + sum(ug[:, i] @ K[j - i] for i in range(j + 1))
+            hG = hG @ W_hG[:, ny * G :] + ug.reshape(3, -1) @ W_k[:, ny:]
+        np.testing.assert_allclose(yG, y1, rtol=0, atol=1e-12 * np.max(np.abs(y1)))
+        np.testing.assert_allclose(hG, h1, rtol=0, atol=1e-12 * np.max(np.abs(h1)))
 
     def test_one_step_records_are_the_step_maps(self):
         # so run(u, 1) is plain stepping, the oracle the record maps meet
