@@ -99,8 +99,8 @@ def _cmd_noise_check(args) -> int:
     oob = out_of_band_power_fraction(w, args.bandwidth)
     print(f"samples              : {len(w)}")
     print(f"target rms           : {args.rms:.6g} V")
-    print(f"sample sigma         : {report.sample_std:.6g} V "
-          f"({100 * (report.sample_std / args.rms - 1):+.3f}%)" if args.rms else "")
+    error = f" ({100 * (report.sample_std / args.rms - 1):+.3f}%)" if args.rms else ""
+    print(f"sample sigma         : {report.sample_std:.6g} V{error}")
     print(f"out-of-band fraction : {oob:.3e}")
     print(f"chi2 normality p     : {report.chi2_pvalue:.4f}")
     if args.out:

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 GROUND = "0"
 SHIELD = "sh"
 
-# RG58 coaxial per-meter constants and propagation velocity.
+# RG58 coaxial per-meter constants.
 RG58_R_PER_M = 0.021  # ohm/m
 RG58_L_PER_M = 250e-9  # H/m
 RG58_C_PER_M = 100e-12  # F/m
-RG58_VELOCITY = 2e8  # m/s
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class CableSpec:
     l_per_m: float
     c_per_m: float
     length_m: float
-    velocity_m_s: float
     n_segments: int = 1
 
     def __post_init__(self):
@@ -46,15 +44,12 @@ class CableSpec:
             raise ValueError("length_m must be positive")
         if self.n_segments < 1:
             raise ValueError("n_segments must be at least 1")
-        if self.velocity_m_s < 0:
-            raise ValueError("velocity_m_s must be non-negative")
-        if self.l_per_m > 0 and self.c_per_m > 0:
-            v = 1.0 / math.sqrt(self.l_per_m * self.c_per_m)
-            if abs(v - self.velocity_m_s) > 0.01 * v:
-                raise ValueError(
-                    f"velocity {self.velocity_m_s} m/s inconsistent with "
-                    f"1/sqrt(LC) = {v:.4g} m/s"
-                )
+
+    @property
+    def velocity_m_s(self) -> float:
+        """Propagation velocity 1 / sqrt(LC); infinite without L or C."""
+        lc = self.l_per_m * self.c_per_m
+        return 1.0 / math.sqrt(lc) if lc > 0 else math.inf
 
     @property
     def total_r(self) -> float:
@@ -86,7 +81,6 @@ def rg58(length_m: float, n_segments: int | None = None) -> CableSpec:
         l_per_m=RG58_L_PER_M,
         c_per_m=RG58_C_PER_M,
         length_m=length_m,
-        velocity_m_s=RG58_VELOCITY,
         n_segments=n_segments,
     )
 

@@ -233,7 +233,8 @@ class KeyExchangeSession:
     ``netlist_builder(r_alice, r_bob)`` must return netlists with an
     identical branch layout and identical reactive elements for every
     resistor pair, so the reactive state can carry across arrangement
-    switches.
+    switches.  Their probes must be ``PROBES`` in that order and every
+    source but ``ua`` and ``ub`` must hold 0 V (``_solver_for`` checks).
 
     A run of bits is one pass (a warmup and ``run_bit`` are one-bit runs).
     Within a bit the network is linear and time invariant and each
@@ -291,6 +292,14 @@ class KeyExchangeSession:
         solver = self._solvers.get(arrangement)
         if solver is None:
             netlist = self.builder(*map(self.config.resistance, arrangement))
+            if tuple(netlist.probes) != PROBES:
+                raise ValueError(f"the session reads the probes {', '.join(PROBES)} in "
+                                 f"that order, not {', '.join(netlist.probes)}")
+            held = [br.name for br in netlist.branches
+                    if br.kind == "V" and br.name not in _PARTY_SOURCES and br.value != 0]
+            if held:
+                raise ValueError(f"source(s) {', '.join(held)} must hold 0 V: the session "
+                                 "drives ua and ub and holds every other source at 0")
             solver = TransientSolver(
                 netlist, self.solver_config.internal_step_s, self.solver_config.tolerance
             )
@@ -307,7 +316,7 @@ class KeyExchangeSession:
         """The arrangement's solver and the maps of its bits of ``n_units``:
 
         - P (4, n_groups, 2, k_max): the probes' gains from Alice's and
-          Bob's unit lines, in ``PROBES`` order, turned to the first record
+          Bob's unit lines, turned to the first record
           of each group of ``_GROUP_RECORDS``: H_k z_k^(q G S + S - 1)
           times each party's line amplitude;
         - E (2 k_max, G): the phases of a group's records
@@ -315,8 +324,7 @@ class KeyExchangeSession:
         - M (k_max, 2J): the lines' moments about each series' centre, at
           the bit's start and, turned by z_k^(n S), at its end;
         - T (2J, m): the series coefficients for Alice's then Bob's moments,
-          times the line amplitude;
-        - h_dc (m,) and y_dc (4,): the constant sources' response.
+          times the line amplitude.
         """
         key = (arrangement, n_units)
         maps = self._maps.get(key)
@@ -330,17 +338,15 @@ class KeyExchangeSession:
             if res is None:
                 res = solver.line_resolvent(line_phases(n_pad, k_max, 1), _PARTY_SOURCES)
                 self._resolvents[(arrangement, n_pad, k_max)] = res
-            order = [solver.probe_names.index(p) for p in PROBES]
             G = min(n_units, _GROUP_RECORDS)
             first = np.arange(0, n_units, G) * S + S - 1
-            P = (res.H[:, order].transpose(1, 2, 0)[:, None] * amplitude[:, None]
+            # contiguous, so the batch product has a contiguous last axis
+            P = (np.ascontiguousarray(res.H.transpose(1, 2, 0))[:, None] * amplitude[:, None]
                  * line_phases(n_pad, k_max, first)[:, None])
             M = np.hstack([res.V, res.V * line_phases(n_pad, k_max, n_units * S)[:, None]])
             T = (res.T.transpose(2, 0, 1) * amplitude[:, None, None]).reshape(
                 2 * len(res.T), solver.n_states)
-            h_dc, y_dc = solver.constant_response(_PARTY_SOURCES)
-            E = _record_phases(n_pad, k_max, S, G)
-            maps = (solver, P, E, M, T, h_dc, y_dc[order])
+            maps = (solver, P, _record_phases(n_pad, k_max, S, G), M, T)
             self._maps[key] = maps
         return maps
 
@@ -381,7 +387,6 @@ class KeyExchangeSession:
                                    return_inverse=True)
         maps = [self._maps_for(tuple(key), n_units) for key in keys]
         members = [np.flatnonzero(group_of == j) for j in range(len(keys))]
-        order = [maps[0][0].probe_names.index(p) for p in PROBES]
         m = maps[0][0].n_states
 
         # Steady states, per arrangement in batches: the probes from the
@@ -390,7 +395,7 @@ class KeyExchangeSession:
         per_batch = max(1, _CHUNK_STEPS // (n_units * S))
         y = np.empty((n, len(PROBES), n_units))
         ss = np.empty((n, 2, m))
-        for (_, P, E, M, T, h_dc, y_dc), idx in zip(maps, members):
+        for (_, P, E, M, T), idx in zip(maps, members):
             k_max = P.shape[-1]
             for start in range(0, len(idx), per_batch):
                 rows = idx[start : start + per_batch]
@@ -402,17 +407,17 @@ class KeyExchangeSession:
                 b += P[:, :, 1] * c[:, None, None, 1]
                 y_rows = (b.view(np.float64).reshape(-1, 2 * k_max) @ E).reshape(
                     len(rows), len(PROBES), -1)
-                y[rows] = y_rows[:, :, :n_units] + y_dc[:, None]
+                y[rows] = y_rows[:, :, :n_units]
                 moments = (c.reshape(2 * len(rows), k_max) @ M).reshape(
                     len(rows), 2, 2, -1).transpose(0, 2, 1, 3).reshape(2 * len(rows), -1)
-                ss[rows] = (moments @ T).real.reshape(len(rows), 2, m) + h_dc
+                ss[rows] = (moments @ T).real.reshape(len(rows), 2, m)
 
         # Bit 0's free response, stepped from the session state.
         solver = maps[group_of[0]][0]
         W_h, W_u = solver._block_maps(S)
         d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]
         y_0, h = solver.propagate(d[None], np.zeros((1, n_units, 0)), W_h, W_u[:0])
-        y[0] += y_0[0, order]
+        y[0] += y_0[0]
         h = h[0] + ss[0, 1]
 
         # Hand the state from bit to bit, leaving each later bit's d in
@@ -425,7 +430,7 @@ class KeyExchangeSession:
             later = members[j][members[j] > 0]
             for start in range(0, len(later), per_batch):
                 rows = later[start : start + per_batch]
-                y[rows] += np.tensordot(ss[rows, 0], O, 1)[:, order]
+                y[rows] += np.tensordot(ss[rows, 0], O, 1)
 
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")

@@ -25,9 +25,8 @@ sessions to 1e-12 relative).
 Driven by a sum of sinusoids at lines z_k, the history settles to
 Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
 (``line_resolvent``, summed as a Taylor series about the middle of the
-lines), and constant sources hold it at their DC response
-(``constant_response``): the bit engine needs no stepping for the
-noise, only for the free response.
+lines): the bit engine needs no stepping for the noise, only for the
+free response.
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
@@ -562,17 +561,6 @@ class TransientSolver:
         H = self._Yu0[:, cols] + (V @ YT).reshape(len(z), len(self.probe_names), len(cols))
         return LineResolvent(V, T, H, tuple(arcs))
 
-    def constant_response(self, driven) -> tuple[np.ndarray, np.ndarray]:
-        """(h, y): the history and probes the sources not named in
-        ``driven`` hold the network at, at their constant values, with the
-        driven ones at 0: h = (I - F)^-1 B u and y = Yh h + Yu0 u.  Zeros
-        when those sources are all 0."""
-        u = np.array([0.0 if br.name in driven else br.value for br in self._sources])
-        if not np.any(u):
-            return np.zeros(self.n_states), np.zeros(len(self.probe_names))
-        h = np.linalg.solve(np.eye(self.n_states) - self._A, self._B @ u)
-        return h, self._Yh @ h + self._Yu0 @ u
-
     def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
         """Advance by ``len(source_steps)`` internal steps.
 
@@ -664,9 +652,9 @@ def frequency_response_check(
     unit sinusoid stepped through ``run`` settles to, frequency warping
     of the discretization included: with z = e^(2 pi i f dt) and the
     step h' = F h + Bh u, y = Yh h + Yu0 u (``TransientSolver._A``,
-    ``_B``, ``_Yh`` and ``_Yu0``), H = Yu0 + Yh (zI - F)^-1 Bh, one
-    complex solve with a right-hand side per source.  The default step
-    is 1 / (64 f).
+    ``_B``, ``_Yh`` and ``_Yu0``), H = Yu0 + Yh (zI - F)^-1 Bh: the
+    one-line ``line_resolvent`` over every source, a direct solve.  The
+    default step is 1 / (64 f).
     """
     if not f_hz > 0:
         raise ValueError(f"test frequency must be positive, got {f_hz}")
@@ -677,9 +665,8 @@ def frequency_response_check(
         raise ValueError("test frequency must be below the internal-step Nyquist")
 
     solver = TransientSolver(netlist, dt, config.tolerance)
-    z = np.exp(2j * math.pi * f_hz * dt)
-    x = np.linalg.solve(z * np.eye(solver.n_states) - solver._A, solver._B)
-    H = solver._Yu0 + solver._Yh @ x
+    z = np.exp([2j * math.pi * f_hz * dt])
+    H = solver.line_resolvent(z, solver.source_names).H[0]
     return {(probe, source): complex(H[i, j])
             for i, probe in enumerate(solver.probe_names)
             for j, source in enumerate(solver.source_names)}

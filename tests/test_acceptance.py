@@ -214,7 +214,7 @@ def test_criterion_7_null_controls(zero_c_table):
 def test_criterion_8_protocol_sanity():
     from scipy.stats import ks_2samp
 
-    ideal = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
+    ideal = CableSpec(0.0, 0.0, 0.0, 1000.0, 1)
     builder = lambda ra, rb: build_distributed(ra, rb, ideal)
 
     cfg_long = ProtocolConfig(bep_units=100000)

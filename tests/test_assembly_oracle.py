@@ -72,7 +72,7 @@ def loop_gains(stages, source, r_alice, r_bob):
     }
 
 
-IDEAL_WIRE = CableSpec(0.0, 0.0, 100e-12, 1000.0, 0.0, 4)  # R = L = 0
+IDEAL_WIRE = CableSpec(0.0, 0.0, 100e-12, 1000.0, 4)  # R = L = 0
 CASES = [
     ("ladder_10m", build_distributed, rg58(10.0), pi_sections),
     ("ladder_100m", build_distributed, rg58(100.0), pi_sections),

@@ -98,7 +98,7 @@ def test_batched_engine_matches_plain_stepping(
 ):
     cable = CableSpec(
         r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=length_m,
-        velocity_m_s=2e8, n_segments=n_segments,
+        n_segments=n_segments,
     )
     cfg = ProtocolConfig(r_low=r_low, r_high=r_low * ratio, bep_units=bep_units,
                          arrangement="random")
@@ -123,24 +123,35 @@ def test_killer_ladder_matches_plain_stepping():
     assert_probes_match(batched, plain_session(builder, cfg, 3, 12, 10))
 
 
-def test_constant_shield_source_matches_plain_stepping():
-    # an undriven source adds its DC response to every bit's steady
-    # state; every stock netlist holds its shield at 0 V, so lift it to
-    # 0.3 V, on a slow ladder where the step it sets off in the cable
-    # charge outlasts several records
-    cfg = ProtocolConfig(r_low=5000.0, r_high=50000.0, bep_units=3, arrangement="random")
-    cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=2000.0,
-                      velocity_m_s=2e8, n_segments=4)
+def lifted_shield(net):
+    """``net`` with its shield source at 0.3 V instead of 0."""
+    return dataclasses.replace(net, branches=tuple(
+        dataclasses.replace(br, value=0.3) if br.name == "vsh" else br
+        for br in net.branches))
+
+
+def swapped_probes(net):
+    """``net`` with its first two probes in the opposite order."""
+    (u, pu), (i, pi), *rest = net.probes.items()
+    return dataclasses.replace(net, probes=dict([(i, pi), (u, pu), *rest]))
+
+
+@pytest.mark.parametrize("breach, match", [(lifted_shield, "vsh must hold 0 V"),
+                                           (swapped_probes, "i_cha, u_cha")],
+                         ids=["lifted_shield", "swapped_probes"])
+def test_netlist_outside_the_contract_rejected_before_drawing(breach, match):
+    # the session drives ua and ub and reads PROBES in order; any other
+    # netlist is refused when its solver is built, before a line is drawn
+    cfg = ProtocolConfig(bep_units=3, arrangement="random")
 
     def builder(ra, rb):
-        net = build_distributed(ra, rb, cable)
-        return dataclasses.replace(net, branches=tuple(
-            dataclasses.replace(br, value=0.3) if br.name == "vsh" else br
-            for br in net.branches))
+        return breach(build_distributed(ra, rb, rg58(100.0)))
 
-    with mock.patch.object(protocol, "_CHUNK_STEPS", 2 * 3 * 32):
-        batched = KeyExchangeSession(builder, cfg, master_seed=8).run_bits(7, 2)
-    assert_probes_match(batched, plain_session(builder, cfg, 8, 7, 2))
+    session = KeyExchangeSession(builder, cfg, master_seed=8)
+    with mock.patch.object(protocol, "draw_lines", wraps=protocol.draw_lines) as draw:
+        with pytest.raises(ValueError, match=match):
+            session.run_bits(7, 2)
+    assert draw.call_count == 0
 
 
 def test_long_bit_matches_plain_stepping():
@@ -148,7 +159,7 @@ def test_long_bit_matches_plain_stepping():
     # noise window: 300 records read from the lines in three groups
     cfg = ProtocolConfig(bep_units=300, arrangement="random")
     cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=1000.0,
-                      velocity_m_s=2e8, n_segments=3)
+                      n_segments=3)
 
     def builder(ra, rb):
         return build_distributed(ra, rb, cable)

@@ -1,6 +1,7 @@
 """Netlist builders: component values, sum rules, killer transform."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,20 +29,16 @@ class TestCableSpec:
     def test_characteristic_impedance_50_ohm(self):
         assert rg58(100.0).characteristic_impedance() == pytest.approx(50.0)
 
-    def test_velocity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CableSpec(0.021, 250e-9, 100e-12, 1000.0, 1e8, 10)
-
-    def test_velocity_must_match_lc(self):
-        with pytest.raises(ValueError, match="velocity"):
-            CableSpec(0.021, 250e-9, 100e-12, 1000.0, 0.0, 10)
-        with pytest.raises(ValueError, match="velocity"):
-            CableSpec(0.0, 0.0, 0.0, 10.0, -1.0, 4)
-        CableSpec(0.0, 0.0, 0.0, 10.0, 0.0, 4)  # ideal wire, no velocity
+    @pytest.mark.parametrize("l_per_m, c_per_m", [(0.0, 100e-12), (250e-9, 0.0)],
+                             ids=["no_L", "no_C"])
+    def test_velocity_infinite_without_l_or_c(self, l_per_m, c_per_m):
+        cable = CableSpec(0.021, l_per_m, c_per_m, 1000.0, 10)
+        assert cable.velocity_m_s == math.inf
+        assert wavelength_ratio(cable, 250.0) == math.inf
 
     def test_negative_per_meter_rejected(self):
         with pytest.raises(ValueError):
-            CableSpec(-0.021, 250e-9, 100e-12, 1000.0, 2e8, 10)
+            CableSpec(-0.021, 250e-9, 100e-12, 1000.0, 10)
 
     def test_default_segmentation(self):
         assert rg58(1000.0).n_segments == 100
@@ -72,7 +69,7 @@ class TestBuildLumped:
 
     def test_resistive_cable_without_inductance_ends_at_b(self):
         # the series resistor must join the two ends, not dangle
-        nl = build_lumped(1000.0, 9000.0, CableSpec(0.021, 0.0, 100e-12, 1000.0, 0.0, 1))
+        nl = build_lumped(1000.0, 9000.0, CableSpec(0.021, 0.0, 100e-12, 1000.0, 1))
         br = {b.name: b for b in nl.branches}
         assert (br["rs0"].a, br["rs0"].b) == ("a", "b")
         assert br["cs1"].a == "b"
@@ -109,7 +106,7 @@ class TestBuildDistributed:
         assert caps["w50"] == pytest.approx(1e-9)
 
     def test_ideal_cable_collapses_to_one_node(self):
-        ideal = CableSpec(0.0, 0.0, 0.0, 10.0, 0.0, 4)
+        ideal = CableSpec(0.0, 0.0, 0.0, 10.0, 4)
         nl = build_distributed(1000.0, 9000.0, ideal)
         # Alice's and Bob's probes share the single wire node
         assert nl.probes["u_cha"] == nl.probes["u_chb"]

@@ -22,7 +22,7 @@ from kljnsim.solver import (
     transient_solve,
 )
 
-IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 0.0, 1)
+IDEAL = CableSpec(0.0, 0.0, 0.0, 1000.0, 1)
 
 
 def ideal_builder(ra, rb):

@@ -51,6 +51,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_bit"):
             ScenarioConfig.from_dict(d)
 
+    def test_saved_velocity_key_rejected(self):
+        # the velocity follows from L and C and is no longer a config field
+        d = default_scenario(20, 100.0).to_dict()
+        assert "velocity_m_s" not in d["cable"]
+        d["cable"]["velocity_m_s"] = 2e8
+        with pytest.raises(ValueError, match="unknown cable keys: velocity_m_s"):
+            ScenarioConfig.from_dict(d)
+
+    def test_capacitance_override_sets_the_velocity(self):
+        cable = default_scenario(20, 100.0, c_per_m=200e-12).cable
+        assert cable.velocity_m_s == 1.0 / math.sqrt(cable.l_per_m * cable.c_per_m)
+
     def test_warmup_covers_the_cable_pole_above_a_floor(self):
         protocol = ProtocolConfig(bep_units=20)
         cables = (dataclasses.replace(rg58(1000.0), c_per_m=0.0), rg58(1000.0), rg58(10_000.0))
@@ -249,6 +261,10 @@ class TestTable1Harness:
         assert len(csv_lines) == 4
         assert (tmp_path / "bep20_len100" / "summary.json").exists()
 
+    def test_capacitance_override_runs(self):
+        res = reproduce_table1(n_bits=4, c_per_m=50e-12)
+        assert len(res.cells) == 6
+
     def test_cells_independent_of_execution_order(self):
         # each cell's seed derives from (master, index): rerunning one
         # cell alone reproduces its value from the full sweep
@@ -274,6 +290,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "chi2 normality p" in out
         assert (tmp_path / "gaussianity.csv").exists()
+
+    def test_noise_check_zero_rms_prints_sigma(self, capsys):
+        assert cli_main(["noise-check", "--samples", "2000", "--rms", "0"]) == 0
+        assert "sample sigma" in capsys.readouterr().out
 
     def test_compare_models_command(self, capsys, tmp_path):
         for out in ([], ["--out", str(tmp_path)]):
