@@ -73,6 +73,11 @@ def compare_models(
     # Smooth generator switch-on inside the discarded settle window, so
     # the cold start does not kick the stiff ladder modes.
     ramp_steps = int(round(2.0 / (bandwidth_hz * dt)))
+    # nrmsd is read after the ramp, from one record on
+    shortest_s = (math.ceil(ramp_steps / _RECORD_STRIDE) + 1) * _RECORD_STRIDE * dt
+    if duration_s < shortest_s:
+        raise ValueError(f"duration_s ({duration_s:g} s) must be at least {shortest_s:g} s: "
+                         f"the {ramp_steps * dt:g} s settle ramp and one record after it")
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp_steps) / ramp_steps))
 
     sources = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ _GROUP_RECORDS = 128
 
 def derive_seed(*keys: int) -> int:
     """Deterministic independent sub-seed from a tuple of integers."""
-    ss = np.random.SeedSequence([int(k) for k in keys])
+    ss = np.random.SeedSequence([operator.index(k) for k in keys])
     return int.from_bytes(ss.generate_state(4, np.uint32).tobytes(), "little")
 
 
@@ -66,7 +67,6 @@ class ProtocolConfig:
     r_high: float = 9000.0
     t_eff: float = T_EFF_DEFAULT
     bandwidth_hz: float = 250.0
-    t_s: float = 1e-3
     bep_units: int = 100
     arrangement: str = "fixed_lh"  # or "random"
 
@@ -77,12 +77,18 @@ class ProtocolConfig:
             raise ValueError(f"r_low ({self.r_low}) must be below r_high ({self.r_high})")
         if self.t_eff < 0:
             raise ValueError("t_eff must be non-negative")
-        if self.bandwidth_hz <= 0 or self.t_s <= 0:
-            raise ValueError("bandwidth and t_s must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ValueError("bandwidth_hz must be positive")
         if self.bep_units < 1:
             raise ValueError("bep_units must be positive")
         if self.arrangement not in ("fixed_lh", "random"):
             raise ValueError("arrangement must be 'fixed_lh' or 'random'")
+
+    @property
+    def t_s(self) -> float:
+        """The measurement interval and BEP unit: the noise autocorrelation
+        time 1 / (4 B_noise)."""
+        return 1.0 / (4.0 * self.bandwidth_hz)
 
     def resistance(self, choice: str) -> float:
         if choice == LOW:

@@ -1,10 +1,12 @@
 """Experiment orchestration, persistence, and the reproducibility surface.
 
-A scenario bundles the protocol operating point, cable, solver settings,
-key length, optional defense, and a master seed; everything a run emits
-is a pure function of that bundle.  The two built-in campaigns are the
-six-cell attack sweep (three BEP durations times two cable lengths) and
-the defense comparison on the strongest cell.
+A scenario bundles the protocol operating point, cable, key length,
+optional defense, and a master seed; everything a run emits is a pure
+function of that bundle.  Its time base is stated once, by the noise
+band: the measurement interval and the solver step follow from it.  The
+two built-in campaigns are the six-cell attack sweep (three BEP
+durations times two cable lengths) and the defense comparison on the
+strongest cell.
 """
 
 from __future__ import annotations
@@ -74,13 +76,19 @@ class DefenseSpec:
 
 
 def _check_keys(name: str, d: dict, section) -> None:
-    """Name the keys of ``d`` that are not fields of the dataclass ``section``,
-    or say that ``d`` is not a JSON object."""
+    """Name the keys of ``d`` that are not fields of the dataclass ``section``
+    and the integer fields whose value is not an integer, or say that ``d``
+    is not a JSON object."""
     if not isinstance(d, dict):
         raise ValueError(f"{name} must be a JSON object")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(section)})
+    fields = {f.name: f.type for f in dataclasses.fields(section)}
+    unknown = sorted(set(d) - set(fields))
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    for key, value in d.items():
+        # the section modules postpone annotations, so each type is a string
+        if fields[key] == "int" and type(value) is not int:
+            raise ValueError(f"{name} key {key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,6 @@ class ScenarioConfig:
 
     protocol: ProtocolConfig
     cable: CableSpec
-    solver: SolverConfig
     n_bits: int = 1000
     defense: DefenseSpec = field(default_factory=DefenseSpec)
     master_seed: int = DEFAULT_MASTER_SEED
@@ -104,17 +111,22 @@ class ScenarioConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
+    @property
+    def solver(self) -> SolverConfig:
+        """The run's solver settings, as ``KeyExchangeSession`` takes them by
+        default: ``DEFAULT_OVERSAMPLE`` steps per measurement interval."""
+        return SolverConfig(internal_step_s=self.protocol.t_s / DEFAULT_OVERSAMPLE)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         _check_keys("scenario", d, cls)
-        missing = [key for key in ("protocol", "cable", "solver") if key not in d]
+        missing = [key for key in ("protocol", "cable") if key not in d]
         if missing:
             raise ValueError(f"missing scenario keys: {', '.join(missing)}")
-        sections = {"protocol": ProtocolConfig, "cable": CableSpec,
-                    "solver": SolverConfig, "defense": DefenseSpec}
+        sections = {"protocol": ProtocolConfig, "cable": CableSpec, "defense": DefenseSpec}
         given = [key for key in sections if key in d]
         for key in given:
             _check_keys(key, d[key], sections[key])
@@ -142,11 +154,9 @@ def default_scenario(
     cable = rg58(length_m)
     if c_per_m is not None:
         cable = dataclasses.replace(cable, c_per_m=c_per_m)
-    solver = SolverConfig(internal_step_s=protocol.t_s / DEFAULT_OVERSAMPLE)
     return ScenarioConfig(
         protocol=protocol,
         cable=cable,
-        solver=solver,
         n_bits=n_bits,
         defense=defense or DefenseSpec(),
         master_seed=master_seed,
@@ -339,10 +349,8 @@ class Table1Result:
     def rows(self) -> list[dict]:
         out = []
         for bep in (20, 50, 100):
-            row = {
-                "bep_units": bep,
-                "bits_per_second": 1.0 / (bep * 1e-3),
-            }
+            t_s = self.cells[(bep, 100.0)].config.protocol.t_s
+            row = {"bep_units": bep, "bits_per_second": 1.0 / (bep * t_s)}
             for length in (100.0, 1000.0):
                 cell = self.cells[(bep, length)]
                 row[f"p_E_{int(length)}m"] = cell.p_e

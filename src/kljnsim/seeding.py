@@ -13,6 +13,8 @@ passes and every generator is bitwise the one ``default_rng`` builds.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
@@ -27,7 +29,7 @@ _XSHIFT = 16
 def int_words(n: int) -> list[int]:
     """The uint32 words ``SeedSequence`` reads from a non-negative int,
     least significant first (one zero word for 0)."""
-    n = int(n)
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"seed keys must be non-negative, got {n}")
     words = [n & _MASK]

@@ -1,10 +1,12 @@
 """Model agreement across the three wavelength regimes."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kljnsim import compare
 from kljnsim.compare import compare_models, write_comparison_csv
 from kljnsim.network import build_distributed, rg58
 from kljnsim.solver import TransientSolver
@@ -44,6 +46,15 @@ class TestRegimes:
         write_comparison_csv(reports[250.0], path)
         header = path.read_text().splitlines()[0]
         assert header == "t,u_lumped,u_distributed"
+
+
+def test_run_shorter_than_the_settle_ramp_rejected():
+    # at 250 Hz the ramp is 2 / B = 8 ms; nrmsd is read from the records after it
+    with mock.patch.object(compare, "transient_solve") as solve:
+        with pytest.raises(ValueError, match=r"duration_s \(0.001 s\).*0.008 s settle ramp"):
+            compare_models(rg58(100.0), 1e3, 9e3, 250.0, duration_s=0.001)
+    assert solve.call_count == 0
+    assert compare_models(rg58(100.0), 1e3, 9e3, 250.0, duration_s=0.0085).nrmsd < 0.01
 
 
 class TestRefinementOracle:

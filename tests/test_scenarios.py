@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +59,44 @@ class TestConfig:
         d["cable"]["velocity_m_s"] = 2e8
         with pytest.raises(ValueError, match="unknown cable keys: velocity_m_s"):
             ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("protocol", "t_s", 1e-3),
+        ("scenario", "solver", {"internal_step_s": 1e-3 / 32, "tolerance": 1e-9}),
+    ], ids=["t_s", "solver"])
+    def test_saved_time_base_keys_rejected(self, section, key, value):
+        # t_s and the solver step follow from the band; neither is a field
+        d = default_scenario(20, 100.0).to_dict()
+        target = d if section == "scenario" else d[section]
+        assert key not in target
+        target[key] = value
+        with pytest.raises(ValueError, match=f"unknown {section} keys: {key}$"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("bandwidth_hz", [250.0, 500.0])
+    def test_solver_step_follows_the_band(self, bandwidth_hz):
+        cfg = default_scenario(20, 100.0)
+        cfg = dataclasses.replace(
+            cfg, protocol=dataclasses.replace(cfg.protocol, bandwidth_hz=bandwidth_hz))
+        assert cfg.protocol.t_s == 1.0 / (4.0 * bandwidth_hz)
+        assert cfg.solver.internal_step_s == cfg.protocol.t_s / protocol.DEFAULT_OVERSAMPLE
+        assert cfg.solver == KeyExchangeSession(None, cfg.protocol).solver_config
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("protocol", "bep_units", 20.0),
+        ("defense", "xor_rounds", 2.0),
+        ("cable", "n_segments", 10.0),
+        ("scenario", "master_seed", 3.5),
+        ("scenario", "n_bits", True),
+    ])
+    def test_non_integer_rejected_before_drawing(self, section, key, value):
+        d = default_scenario(20, 100.0, n_bits=8, master_seed=3,
+                             defense=DefenseSpec(kind="xor", xor_rounds=2)).to_dict()
+        (d if section == "scenario" else d[section])[key] = value
+        with mock.patch.object(protocol, "draw_lines", wraps=protocol.draw_lines) as draw:
+            with pytest.raises(ValueError, match=f"{section} key {key} must be an integer"):
+                run_scenario(ScenarioConfig.from_dict(d))
+        assert draw.call_count == 0
 
     def test_capacitance_override_sets_the_velocity(self):
         cable = default_scenario(20, 100.0, c_per_m=200e-12).cable
@@ -317,6 +356,26 @@ class TestCli:
             "summary.json", "eve_bits.csv", "eve_summary.json", "bep_records.jsonl",
             "manifest.json"}
 
+    def test_band_alone_sets_the_time_base(self, tmp_path, capsys, monkeypatch):
+        # one edit, the band, moves t_s and the solver step with it
+        d = default_scenario(20, 100.0, n_bits=3, master_seed=12).to_dict()
+        d["protocol"]["bandwidth_hz"] = 500.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        seen, attack = [], scenarios.run_attack
+
+        def run_attack(records, **kwargs):
+            seen.append(records)
+            return attack(records, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_attack", run_attack)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert [r.t_s for r in seen] == [1.0 / (4.0 * 500.0)]
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert "solver" not in config and "t_s" not in config["protocol"]
+        assert config["protocol"]["bandwidth_hz"] == 500.0
+
     def test_run_seed_overrides_config_seed(self, tmp_path, capsys):
         cfg = default_scenario(20, 100.0, n_bits=2, master_seed=12)
         path = tmp_path / "cfg.json"
@@ -341,14 +400,14 @@ class TestCli:
 
     def test_missing_config_key_named(self, tmp_path, capsys):
         d = default_scenario(20, 100.0).to_dict()
-        del d["cable"], d["solver"]
+        del d["cable"]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
         assert cli_main(["run", "--config", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": "missing scenario keys: cable, solver"}
+        assert err == {"error": "ValueError", "message": "missing scenario keys: cable"}
 
-    @pytest.mark.parametrize("section", ["protocol", "cable", "solver", "defense"])
+    @pytest.mark.parametrize("section", ["protocol", "cable", "defense"])
     def test_unknown_section_key_named(self, section, tmp_path, capsys):
         d = default_scenario(20, 100.0).to_dict()
         d[section]["bep"] = 30

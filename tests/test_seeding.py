@@ -87,3 +87,12 @@ def test_int_words_rejects_negative():
         seeding.int_words(-1)
     assert seeding.int_words(0) == [0]
     assert seeding.int_words(2**64 + 5) == [5, 0, 1]
+
+
+@pytest.mark.parametrize("seed", [3.5, 3.0, "3"])
+def test_non_integer_seed_rejected(seed):
+    # a float seed is not truncated to the int below it
+    with pytest.raises(TypeError):
+        seeding.int_words(seed)
+    with pytest.raises(TypeError):
+        derive_seed(seed, 1)
