@@ -15,6 +15,7 @@ under mirroring the loop.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +26,18 @@ SHIELD = "sh"
 RG58_R_PER_M = 0.021  # ohm/m
 RG58_L_PER_M = 250e-9  # H/m
 RG58_C_PER_M = 100e-12  # F/m
+
+
+def check_integer(name: str, value) -> None:
+    """Raise a ValueError naming the field ``name`` unless ``value`` is an
+    integer: one ``operator.index`` takes, and not a bool."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +51,7 @@ class CableSpec:
     n_segments: int = 1
 
     def __post_init__(self):
+        check_integer("n_segments", self.n_segments)
         if min(self.r_per_m, self.l_per_m, self.c_per_m) < 0:
             raise ValueError("per-meter values must be non-negative")
         if self.length_m <= 0:

@@ -25,8 +25,9 @@ import numpy as np
 
 from . import noise as _noise
 from . import seeding
+from .network import check_integer
 from .noise import NoiseSpec, draw_lines, line_phases, line_window, rms_for_resistor
-from .solver import (DivergenceError, LineResolvent, SolverConfig, TransientSolver,
+from .solver import (DivergenceError, SolverConfig, TransientSolver, shared_solver,
                      single_blas_thread)
 
 LOW, HIGH = "L", "H"
@@ -71,6 +72,7 @@ class ProtocolConfig:
     arrangement: str = "fixed_lh"  # or "random"
 
     def __post_init__(self):
+        check_integer("bep_units", self.bep_units)
         if self.r_low <= 0 or self.r_high <= 0:
             raise ValueError("resistances must be positive")
         if not self.r_low < self.r_high:
@@ -247,11 +249,10 @@ class KeyExchangeSession:
     party's noise is a sum of k_max spectral lines (``noise.line_window``),
     so a bit's history is the steady state h_ss[t] = Re sum_k X_k a_k z_k^t
     plus a free response, X_k the arrangement's resolvent over the lines
-    (``TransientSolver.line_resolvent``, built once per arrangement and
-    window).  A bit's probes are Re sum_k H_k a_k z_k^t, read from its
-    lines a group of records per GEMM, plus the free response d @ O to
-    d = h0 - h_ss[0], and it ends at h_ss[n] + A_R d
-    (``TransientSolver.handoff_maps``).  h_ss[0] and h_ss[n] come from the
+    (``TransientSolver.window_resolvent``).  A bit's probes are
+    Re sum_k H_k a_k z_k^t, read from its lines a group of records per
+    GEMM, plus the free response d @ O to d = h0 - h_ss[0], and it ends
+    at h_ss[n] + A_R d (``TransientSolver.handoff_maps``).  h_ss[0] and h_ss[n] come from the
     series coefficients of X and the lines' moments about each series'
     centre, so X is never held whole.
 
@@ -262,6 +263,11 @@ class KeyExchangeSession:
     per run and arrangement.  Bit 0's free response is stepped record by
     record from the session state (``TransientSolver.propagate``), so a
     one-bit run needs no handoff maps.
+
+    The solvers are the process's shared builds (``shared_solver``): a
+    netlist's LU, resolvents and record and handoff maps are built once
+    for every session that runs on it.  The session keeps its state in
+    ``_hist`` and never steps a solver's own ``state``.
     """
 
     def __init__(
@@ -284,9 +290,7 @@ class KeyExchangeSession:
             raise ValueError("t_s must be an integer multiple of the internal step")
         self.master_seed = master_seed
         self._solvers: dict[tuple[str, str], TransientSolver] = {}
-        # Per arrangement and window (n_pad, k_max): the line resolvent;
-        # per arrangement and bit length: the bit maps (``_maps_for``).
-        self._resolvents: dict[tuple, LineResolvent] = {}
+        # Per arrangement and bit length: the bit maps (``_maps_for``).
         self._maps: dict[tuple[tuple[str, str], int], tuple] = {}
         # Session state, the history vector of ``TransientSolver.state``
         # shared by every arrangement's solver; None until the first run.
@@ -294,7 +298,9 @@ class KeyExchangeSession:
         self._time_units = 0  # elapsed measurement intervals
 
     def _solver_for(self, arrangement: tuple[str, str]) -> TransientSolver:
-        """The arrangement's solver, built on first use."""
+        """The arrangement's solver, the shared build of its netlist
+        (``shared_solver``), checked against the session's contract on
+        first use."""
         solver = self._solvers.get(arrangement)
         if solver is None:
             netlist = self.builder(*map(self.config.resistance, arrangement))
@@ -306,9 +312,7 @@ class KeyExchangeSession:
             if held:
                 raise ValueError(f"source(s) {', '.join(held)} must hold 0 V: the session "
                                  "drives ua and ub and holds every other source at 0")
-            solver = TransientSolver(
-                netlist, self.solver_config.internal_step_s, self.solver_config.tolerance
-            )
+            solver = shared_solver(netlist, self.solver_config)
             for other in self._solvers.values():
                 if not np.array_equal(other.history_weights, solver.history_weights):
                     raise ValueError(
@@ -340,10 +344,7 @@ class KeyExchangeSession:
             windows = [line_window(self._noise_spec(choice, n_units)) for choice in arrangement]
             n_pad, k_max, _ = windows[0]
             amplitude = np.array([w[2] for w in windows])
-            res = self._resolvents.get((arrangement, n_pad, k_max))
-            if res is None:
-                res = solver.line_resolvent(line_phases(n_pad, k_max, 1), _PARTY_SOURCES)
-                self._resolvents[(arrangement, n_pad, k_max)] = res
+            res = solver.window_resolvent(n_pad, k_max, _PARTY_SOURCES)
             G = min(n_units, _GROUP_RECORDS)
             first = np.arange(0, n_units, G) * S + S - 1
             # contiguous, so the batch product has a contiguous last axis

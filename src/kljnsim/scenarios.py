@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from .attack import AttackOutcome, attack_summary, run_attack, success_rate, write_attack_csv
-from .network import CableSpec, apply_capacitor_killer, build_distributed, rg58
+from .network import CableSpec, apply_capacitor_killer, build_distributed, check_integer, rg58
 from .privacy import empirical_amplification
 from .protocol import (
     DEFAULT_OVERSAMPLE,
@@ -61,6 +61,7 @@ class DefenseSpec:
     xor_rounds: int = 0
 
     def __post_init__(self):
+        check_integer("xor_rounds", self.xor_rounds)
         if self.kind not in ("none", "capacitor_killer", "xor", "both"):
             raise ValueError(f"unknown defense kind {self.kind!r}")
         if self.kind in ("xor", "both") and self.xor_rounds < 1:
@@ -103,6 +104,8 @@ class ScenarioConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        check_integer("n_bits", self.n_bits)
+        check_integer("master_seed", self.master_seed)
         if self.n_bits < 1:
             raise ValueError("n_bits must be at least 1")
         if self.protocol.bep_units < 3:

@@ -28,6 +28,12 @@ Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
 lines): the bit engine needs no stepping for the noise, only for the
 free response.
 
+Everything a solver derives from its netlist is cached on it and
+read-only: the step maps, the record maps per stride, the handoff maps
+per bit length and the resolvent per noise window.  Sessions take their
+solvers from ``shared_solver``, one per netlist, step and tolerance in
+the process, so runs on one netlist build all of that once.
+
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
 synchronisation costs more than the split saves, so ``transient_solve``
@@ -41,7 +47,9 @@ import ctypes
 import functools
 import importlib
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,7 +58,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .network import Netlist
-from .noise import Waveform
+from .noise import Waveform, line_phases
 
 
 # Extension modules linked against the BLAS numpy and scipy use, and the
@@ -69,6 +77,11 @@ _OPENBLAS_BUILDS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
 _SERIES_TOL = 1e-17
 _SERIES_TERMS = 60
 _SERIES_GROWTH = 1e3
+
+# Solvers ``shared_solver`` keeps in the process; beyond this many
+# netlists the least recently used is dropped.  table1 runs on 2
+# netlists, a random-arrangement scenario on 4.
+SHARED_SOLVERS = 8
 
 
 @dataclass(frozen=True)
@@ -296,8 +309,10 @@ class TransientSolver:
                 Ch[i, pos[k]] = sign[pos[k]]
         self._Yh = Cv @ V_h + Ch
         self._Yu0 = Cv @ V_u
+        _read_only(self._A, self._B, self._Yh, self._Yu0, self.history_weights)
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
+        self._resolvent_cache: dict[tuple, LineResolvent] = {}
 
     def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
@@ -471,7 +486,7 @@ class TransientSolver:
             W_h, W_u = self._compose(np.vstack([self._Yh, self._A]).T,
                                      np.vstack([self._Yu0, self._B]).T, stride)
             last = W_h[:, stride - 1 : ny * stride : stride]
-            cached = (np.hstack([last, W_h[:, ny * stride :]]), W_u)
+            cached = _read_only(np.hstack([last, W_h[:, ny * stride :]]), W_u)
             self._block_cache[stride] = cached
         return cached
 
@@ -492,6 +507,7 @@ class TransientSolver:
                     f"the {n_rec}-record state map overflows (unstable network)"
                 )
             ny = len(self.probe_names)
+            _read_only(W)
             cached = (W[:, ny * n_rec :].T, W[:, : ny * n_rec].reshape(len(W), ny, n_rec))
             self._handoff_cache[key] = cached
         return cached
@@ -559,7 +575,18 @@ class TransientSolver:
         T = np.array(terms)
         YT = (self._Yh @ T).reshape(len(T), -1)
         H = self._Yu0[:, cols] + (V @ YT).reshape(len(z), len(self.probe_names), len(cols))
-        return LineResolvent(V, T, H, tuple(arcs))
+        return LineResolvent(*_read_only(V, T, H), tuple(arcs))
+
+    def window_resolvent(self, n_pad: int, k_max: int, driven) -> LineResolvent:
+        """``line_resolvent`` over the lines z_k = e^(2 pi i k / n_pad),
+        k = 1..k_max, of a noise window (``noise.line_window``), built
+        once per window and driven sources."""
+        key = (n_pad, k_max, tuple(driven))
+        res = self._resolvent_cache.get(key)
+        if res is None:
+            res = self.line_resolvent(line_phases(n_pad, k_max, 1), driven)
+            self._resolvent_cache[key] = res
+        return res
 
     def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
         """Advance by ``len(source_steps)`` internal steps.
@@ -592,6 +619,41 @@ class TransientSolver:
         if not np.all(np.isfinite(y)):
             raise DivergenceError("non-finite probe values during integration")
         return y[0].T
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, marked read-only: a solver's maps are shared by every
+    caller of the solver."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+_shared_solvers: OrderedDict[tuple, TransientSolver] = OrderedDict()
+_shared_lock = threading.Lock()
+
+
+def shared_solver(netlist: Netlist, config: SolverConfig) -> TransientSolver:
+    """The process's solver for ``netlist`` at ``config``, built on first use.
+
+    Keyed by the netlist's exact content (branches, probes in order,
+    ground) with the step and tolerance, so every session on one netlist
+    shares one build and all it caches.  A shared solver's ``state``
+    belongs to no caller: each keeps its own history and steps it with
+    ``propagate``.  The ``SHARED_SOLVERS`` most recently used are kept.
+    """
+    key = (netlist.branches, tuple(netlist.probes.items()), netlist.ground,
+           config.internal_step_s, config.tolerance)
+    with _shared_lock:
+        solver = _shared_solvers.get(key)
+        if solver is None:
+            solver = _shared_solvers[key] = TransientSolver(
+                netlist, config.internal_step_s, config.tolerance)
+            if len(_shared_solvers) > SHARED_SOLVERS:
+                _shared_solvers.popitem(last=False)
+        else:
+            _shared_solvers.move_to_end(key)
+    return solver
 
 
 @single_blas_thread()

@@ -1,4 +1,5 @@
-"""Session-wide campaign runs at the default master seed.
+"""Session-wide campaign runs at the default master seed, and an emptied
+shared-solver cache for the tests that need one.
 
 The six-cell sweep, the defense comparison, the zero-capacitance sweep
 and one random-arrangement scenario each run once per test session; the
@@ -9,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from kljnsim import solver
 from kljnsim.scenarios import (DEFAULT_MASTER_SEED, DefenseSpec, default_scenario,
                                reproduce_defenses, reproduce_table1, run_scenario)
 
@@ -23,6 +25,17 @@ def random_arrangement_scenario():
                            defense=DefenseSpec(kind="xor", xor_rounds=2))
     return dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol,
                                                                  arrangement="random"))
+
+
+@pytest.fixture
+def fresh_solvers():
+    """The shared-solver cache (``solver.shared_solver``) emptied before the
+    test and again after it.  A test that counts builds or patches a
+    ``TransientSolver`` method uses it, so what it sees does not depend on
+    the tests before it, and no solver built under its patch outlives it."""
+    solver._shared_solvers.clear()
+    yield
+    solver._shared_solvers.clear()
 
 
 @pytest.fixture(scope="session")

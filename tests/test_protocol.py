@@ -256,6 +256,7 @@ class TestSession:
         peak = np.max(np.abs(single.probes), axis=-1, keepdims=True)
         assert np.all(np.abs(grouped.probes - single.probes) <= 1e-12 * peak)
 
+    @pytest.mark.usefixtures("fresh_solvers")
     def test_handoff_maps_fetched_once_per_chunk(self, monkeypatch):
         # one fetch per arrangement of a chunk's later bits; a one-bit run,
         # warmup included, needs none
@@ -269,6 +270,7 @@ class TestSession:
         bits = KeyExchangeSession(ideal_builder, cfg, master_seed=5).run_bits(12)
         assert len(calls) == len(set(bits.arrangement[1:])) > 1
 
+    @pytest.mark.usefixtures("fresh_solvers")
     def test_handoff_maps_fetched_once_per_run(self, monkeypatch):
         # a run stepped in batches of 2 bits still fetches each later
         # arrangement's maps once
@@ -286,6 +288,7 @@ class TestSession:
             KeyExchangeSession(ideal_builder, ProtocolConfig(), master_seed=-1)
 
 
+@pytest.mark.usefixtures("fresh_solvers")
 class TestBlasScope:
     """The engine runs every OpenBLAS pool on one thread and gives each
     pool its count back afterwards."""

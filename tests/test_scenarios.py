@@ -98,6 +98,24 @@ class TestConfig:
                 run_scenario(ScenarioConfig.from_dict(d))
         assert draw.call_count == 0
 
+    @pytest.mark.parametrize("key, make", [
+        ("bep_units", lambda: default_scenario(20.0, 100.0, n_bits=4)),
+        ("bep_units", lambda: ScenarioConfig(ProtocolConfig(bep_units=True), rg58(100.0))),
+        ("n_bits", lambda: default_scenario(20, 100.0, n_bits=4.0)),
+        ("master_seed", lambda: default_scenario(20, 100.0, n_bits=4, master_seed=3.5)),
+        ("xor_rounds", lambda: default_scenario(
+            20, 100.0, n_bits=4, defense=DefenseSpec(kind="xor", xor_rounds=2.0))),
+        ("n_segments", lambda: ScenarioConfig(ProtocolConfig(bep_units=20),
+                                              rg58(100.0, n_segments=10.0))),
+    ], ids=["bep_units", "bep_units_bool", "n_bits", "master_seed", "xor_rounds",
+            "n_segments"])
+    def test_non_integer_named_on_the_api_path(self, key, make):
+        # built in Python, not parsed: the config itself names the field
+        with mock.patch.object(protocol, "draw_lines", wraps=protocol.draw_lines) as draw:
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                run_scenario(make())
+        assert draw.call_count == 0
+
     def test_capacitance_override_sets_the_velocity(self):
         cable = default_scenario(20, 100.0, c_per_m=200e-12).cable
         assert cable.velocity_m_s == 1.0 / math.sqrt(cable.l_per_m * cable.c_per_m)
