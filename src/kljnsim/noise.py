@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import stats
 
 from .seeding import generator
 
@@ -230,7 +229,11 @@ def gaussianity_report(w: Waveform, n_bins: int = 50) -> GaussianityReport:
 
     The chi-squared statistic uses equal-probability bins under the
     fitted Gaussian (two parameters estimated, so dof = n_bins - 3).
+    ``scipy.stats`` is imported here, not with the module: nothing else
+    in the package reads it, and it is most of ``import kljnsim``.
     """
+    from scipy import stats
+
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
     x = w.samples

@@ -180,6 +180,13 @@ def infer_remote_resistance(own_resistance, mean_sq_u, mean_sq_i, levels: NoiseL
 PROBES = ("u_cha", "i_cha", "u_chb", "i_chb")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """``check_integer``, and no less than ``least``."""
+    check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @functools.lru_cache(maxsize=8)
 def _record_phases(n_pad: int, k_max: int, stride: int, G: int) -> np.ndarray:
     """E (2 k_max, G): the map from lines, as a complex array's float view
@@ -421,9 +428,10 @@ class KeyExchangeSession:
 
         # Bit 0's free response, stepped from the session state.
         solver = maps[group_of[0]][0]
-        W_h, W_u = solver._block_maps(S)
+        W_h = solver._block_maps(S)
         d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]
-        y_0, h = solver.propagate(d[None], np.zeros((1, n_units, 0)), W_h, W_u[:0])
+        y_0, h = solver.propagate(d[None], np.zeros((1, n_units, 0)), W_h,
+                                  np.empty((0, W_h.shape[1])))
         y[0] += y_0[0]
         h = h[0] + ss[0, 1]
 
@@ -447,7 +455,8 @@ class KeyExchangeSession:
 
     def run_warmup(self, n_units: int, arrangement: tuple[str, str] = (LOW, HIGH)) -> None:
         """Discarded settling interval before the first measured bit."""
-        if n_units <= 0:
+        _check_count("n_units", n_units, 0)
+        if n_units == 0:
             return
         self._exchange(self._noise_words([_WARMUP_SLOT]), np.array([arrangement]), n_units)
 
@@ -482,6 +491,7 @@ class KeyExchangeSession:
 
     def run_bit(self, bit_index: int, arrangement: tuple[str, str] | None = None) -> BepRecords:
         """Exchange one bit; a one-row record of what the parties and Eve see."""
+        _check_count("bit_index", bit_index, 0)
         choices = (self.draw_choices([bit_index]) if arrangement is None
                    else np.array([arrangement]))
         return self._measure([bit_index], choices, self._noise_words([1 + bit_index]))
@@ -493,8 +503,10 @@ class KeyExchangeSession:
 
         The noise seeds of the whole run, warmup included, are derived up
         front in one ``_noise_words`` call."""
+        check_integer("n_bits", n_bits)
         if n_bits < 1:
             raise ValueError("n_bits must be at least 1; run_warmup settles alone")
+        _check_count("warmup_units", warmup_units, 0)
         choices = (self.draw_choices(range(n_bits)) if arrangements is None
                    else np.asarray(arrangements))
         if choices.shape != (n_bits, 2):

@@ -6,21 +6,22 @@ reactive elements are replaced by their trapezoidal companion models
 (conductance g plus history current source).  Every matrix is built from
 one branch-node incidence matrix D: the step system and the t = 0
 system differ only in which branches contribute conductances and which
-become voltage constraints.
+become voltage constraints.  D is assembled from the netlist for each
+system and not kept.
 
 The solver's state is the vector h of history sources, one per reactive
 element: h = g v + i per capacitor and per inductor, which is all a step
 reads of the past.  One step is h' = F h + Bh u with probes
 y = Yh h + Yu0 u, built straight from the step LU.  The update is
 linear and time invariant, so one kernel, ``_compose``, composes it
-exactly: ``stride`` steps into a record (``_block_maps``) and a bit's
-records into its response to its start state (``handoff_maps``).
-``propagate`` steps many independent runs a record at a time, with two
-GEMMs per record; ``run`` is its one-run case, reading ``stride``
-samples per source through the record's input map.  At stride 1 it
-takes every step one at a time and is the reference the record maps
-and the bit engine are tested against (to 1e-13 absolute, and whole
-sessions to 1e-12 relative).
+exactly: ``stride`` steps into a record (``_block_maps`` with no
+inputs, ``_input_map`` for them) and a bit's records into its response
+to its start state (``handoff_maps``).  ``propagate`` steps many
+independent runs a record at a time, with two GEMMs per record; ``run``
+is its one-run case, reading ``stride`` samples per source through the
+record's input map.  At stride 1 it takes every step one at a time and
+is the reference the record maps and the bit engine are tested against
+(to 1e-13 absolute, and whole sessions to 1e-12 relative).
 
 Driven by a sum of sinusoids at lines z_k, the history settles to
 Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
@@ -28,11 +29,13 @@ Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
 lines): the bit engine needs no stepping for the noise, only for the
 free response.
 
-Everything a solver derives from its netlist is cached on it and
-read-only: the step maps, the record maps per stride, the handoff maps
-per bit length and the resolvent per noise window.  Sessions take their
-solvers from ``shared_solver``, one per netlist, step and tolerance in
-the process, so runs on one netlist build all of that once.
+What a session reads is cached on the solver and read-only: the step
+maps, the no-input record map per stride, the handoff maps per bit
+length and the resolvent per noise window.  Sessions take their solvers
+from ``shared_solver``, one per netlist, step and tolerance in the
+process, so runs on one netlist build all of that once.  What only
+``transient_solve`` and ``run`` read, the t = 0 system and the record's
+input map, is built on each call and not kept.
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
@@ -217,31 +220,14 @@ class TransientSolver:
         col = {n: i for i, n in enumerate(self._nodes)}
         n_nodes = len(self._nodes)
 
-        def ends(pairs) -> np.ndarray:
-            # The node columns of each pair, n_nodes for ground.
-            return np.array([[col.get(a, n_nodes), col.get(b, n_nodes)]
-                             for a, b in pairs]).reshape(-1, 2)
-
-        def incidence(ab: np.ndarray) -> np.ndarray:
-            # +1 on the first node, -1 on the second, ground dropped.
-            D = np.zeros((len(ab), n_nodes + 1))
-            D[np.arange(len(ab)), ab[:, 0]] += 1.0
-            D[np.arange(len(ab)), ab[:, 1]] -= 1.0
-            return D[:, :n_nodes]
-
         kind = np.array([br.kind for br in branches])
-        self._value = np.array([br.value for br in branches], dtype=np.float64)
-        self._ends = ends([(br.a, br.b) for br in branches])
-        self._D = incidence(self._ends)
-        # E rows of the constraint block subtract gain x the sensed pair.
-        self._K = self._value[:, None] * incidence(ends(
-            [(br.ctrl_a, br.ctrl_b) if br.kind == "E" else (None, None) for br in branches]))
+        value = self._branch_values(range(len(branches)))
         self._res = np.flatnonzero(kind == "R")
         self._caps = np.flatnonzero(kind == "C")
         self._inds = np.flatnonzero(kind == "L")
         self._cons = np.flatnonzero((kind == "V") | (kind == "E"))
         for k in self._res:
-            if self._value[k] <= 0:
+            if value[k] <= 0:
                 raise ValueError(f"resistor {branches[k].name!r} must have positive value")
 
         self._sources = [br for br in branches if br.kind == "V"]
@@ -253,23 +239,22 @@ class TransientSolver:
         caps, inds = self._caps, self._inds
         react = np.concatenate([caps, inds])
         self.n_states = len(react)
-        g = np.concatenate([2.0 * self._value[caps] / dt, dt / (2.0 * self._value[inds])])
+        g = np.concatenate([2.0 * value[caps] / dt, dt / (2.0 * value[inds])])
         # Weights of the history sources h = g v + i; runs hand state
         # between solvers with equal weights.
         self.history_weights = g
         # A capacitor's companion current is g v' - h, an inductor's g v' + h.
         sign = np.concatenate([-np.ones(len(caps)), np.ones(len(inds))])
-        M = self._mna(
+        M, D = self._mna(
             np.concatenate([self._res, react]),
-            np.concatenate([1.0 / self._value[self._res], g]),
+            np.concatenate([1.0 / value[self._res], g]),
             self._cons,
         )
         lu, self.factorization_residual = self._factor(M, "step system")
-        self._lu0 = None
 
         n_u = len(M)
         Dx = np.zeros((len(branches), n_u))  # branch voltages from the unknowns
-        Dx[:, :n_nodes] = self._D
+        Dx[:, :n_nodes] = D
         Dr = Dx[react]
         E_u = np.zeros((n_u, len(self._sources)))
         E_u[self._src_rows, np.arange(len(self._sources))] = 1.0
@@ -301,7 +286,7 @@ class TransientSolver:
                 continue
             k = row[ref]
             if kind[k] == "R":
-                Cv[i] = Dx[k] / self._value[k]
+                Cv[i] = Dx[k] / value[k]
             elif kind[k] in ("V", "E"):
                 Cv[i, pos[k]] = 1.0
             else:
@@ -310,26 +295,50 @@ class TransientSolver:
         self._Yh = Cv @ V_h + Ch
         self._Yu0 = Cv @ V_u
         _read_only(self._A, self._B, self._Yh, self._Yu0, self.history_weights)
-        self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._block_cache: dict[int, np.ndarray] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
         self._resolvent_cache: dict[tuple, LineResolvent] = {}
 
-    def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray) -> np.ndarray:
+    def _branch_values(self, idx) -> np.ndarray:
+        """The netlist values of the branches ``idx``."""
+        return np.array([self.netlist.branches[k].value for k in idx], dtype=np.float64)
+
+    def _mna(self, cond: np.ndarray, g: np.ndarray, cons: np.ndarray):
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
         one current unknown plus one voltage constraint per branch in
-        ``cons`` (branch indices into the netlist)."""
-        D = self._D
-        n = D.shape[1]
+        ``cons`` (branch indices into the netlist), and the branch-node
+        incidence D it is assembled from.  Both come from the netlist on
+        each call; the solver keeps neither."""
+        branches = self.netlist.branches
+        col = {node: i for i, node in enumerate(self._nodes)}
+        n = len(col)
+
+        def ends(pairs) -> np.ndarray:
+            # The node columns of each pair, n for ground.
+            return np.array([[col.get(a, n), col.get(b, n)] for a, b in pairs]).reshape(-1, 2)
+
+        def incidence(ab: np.ndarray) -> np.ndarray:
+            # +1 on the first node, -1 on the second, ground dropped.
+            D = np.zeros((len(ab), n + 1))
+            D[np.arange(len(ab)), ab[:, 0]] += 1.0
+            D[np.arange(len(ab)), ab[:, 1]] -= 1.0
+            return D[:, :n]
+
+        ab = ends([(br.a, br.b) for br in branches])
+        D = incidence(ab)
+        # E rows of the constraint block subtract gain x the sensed pair.
+        K = self._branch_values(range(len(branches)))[:, None] * incidence(ends(
+            [(br.ctrl_a, br.ctrl_b) if br.kind == "E" else (None, None) for br in branches]))
         M = np.zeros((n + len(cons), n + len(cons)))
         # D[cond]^T diag(g) D[cond], stamped: g on both ends' diagonal
         # entries and -g between them, through a ground row and column.
-        a, b = self._ends[cond].T
+        a, b = ab[cond].T
         at = np.concatenate([a * (n + 1) + a, b * (n + 1) + b, a * (n + 1) + b, b * (n + 1) + a])
         Y = np.bincount(at, np.concatenate([g, g, -g, -g]), (n + 1) ** 2)
         M[:n, :n] = Y.reshape(n + 1, n + 1)[:n, :n]
         M[:n, n:] = D[cons].T
-        M[n:, :n] = D[cons] - self._K[cons]
-        return M
+        M[n:, :n] = D[cons] - K[cons]
+        return M, D
 
     def _factor(self, M: np.ndarray, system: str):
         """LU factors of ``M`` and the residual of a random-RHS solve.
@@ -387,28 +396,29 @@ class TransientSolver:
         at t = 0, and with them the history h = g v + i.  Without this, a
         source that is already nonzero at t = 0 is seen as ramping up over
         the first step.  With every source at zero the circuit is at rest
-        and h = 0, so the t = 0 system is neither built nor factored.
+        and h = 0, so the t = 0 system is neither built nor factored; else
+        it is assembled from the netlist and factored on each call, and not
+        kept.
         """
         u0 = np.asarray(u0, dtype=np.float64)
         if self.n_states == 0 or not np.any(u0):
             self.state = np.zeros(self.n_states)
             return
-        if self._lu0 is None:
-            M0 = self._mna(
-                self._res,
-                1.0 / self._value[self._res],
-                np.concatenate([self._cons, self._caps]),
-            )
-            self._lu0, _ = self._factor(M0, "instantaneous (t = 0) system")
+        M0, D = self._mna(
+            self._res,
+            1.0 / self._branch_values(self._res),
+            np.concatenate([self._cons, self._caps]),
+        )
+        lu0, _ = self._factor(M0, "instantaneous (t = 0) system")
 
         n_nodes = len(self._nodes)
         n_fixed = n_nodes + len(self._cons)  # first capacitor current unknown
         rhs = np.zeros(n_fixed + len(self._caps))
         rhs[self._src_rows] = u0
-        sol = sla.lu_solve(self._lu0, rhs)
+        sol = sla.lu_solve(lu0, rhs)
         g_ind = self.history_weights[len(self._caps):]
         self.state = np.concatenate(
-            [sol[n_fixed:], g_ind * (self._D[self._inds] @ sol[:n_nodes])]
+            [sol[n_fixed:], g_ind * (D[self._inds] @ sol[:n_nodes])]
         )
 
     def assemble_inputs(self, n_steps: int, waveforms: dict[str, np.ndarray]) -> np.ndarray:
@@ -434,7 +444,8 @@ class TransientSolver:
         nc = len(self._caps)
         cv = w[:nc] / self.history_weights[:nc]
         return 0.5 * float(
-            self._value[self._caps] @ cv**2 + self._value[self._inds] @ w[nc:] ** 2
+            self._branch_values(self._caps) @ cv**2
+            + self._branch_values(self._inds) @ w[nc:] ** 2
         )
 
     # ------------------------------------------------------------------
@@ -472,23 +483,31 @@ class TransientSolver:
             S = S @ F
         return W_hG, W_k.reshape(G * len(W_in), ny + m)
 
-    def _block_maps(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maps W_h and W_u of one record of ``stride`` steps, [y, h'] =
-        h @ W_h + u @ W_u with y the probes of its last step: the step
-        h' = F h + Bh u, y = Yh h + Yu0 u (``_A``, ``_B``, ``_Yh``,
-        ``_Yu0``) composed ``stride`` times.  A record's inputs u are
-        step-major (step p of source j at p * n_sources + j).  At stride
-        1 they are the step maps bitwise.
+    def _block_maps(self, stride: int) -> np.ndarray:
+        """The no-input map W_h of one record of ``stride`` steps, [y, h']
+        = h @ W_h with y the probes of its last step: the step h' = F h,
+        y = Yh h (``_A``, ``_Yh``) composed ``stride`` times.  Cached per
+        stride; sessions read only this half of the record map.  At stride
+        1 it is the step map bitwise.
         """
-        cached = self._block_cache.get(stride)
-        if cached is None:
+        W_h = self._block_cache.get(stride)
+        if W_h is None:
             ny = len(self.probe_names)
-            W_h, W_u = self._compose(np.vstack([self._Yh, self._A]).T,
-                                     np.vstack([self._Yu0, self._B]).T, stride)
-            last = W_h[:, stride - 1 : ny * stride : stride]
-            cached = _read_only(np.hstack([last, W_h[:, ny * stride :]]), W_u)
-            self._block_cache[stride] = cached
-        return cached
+            W, _ = self._compose(np.vstack([self._Yh, self._A]).T, None, stride)
+            last = W[:, stride - 1 : ny * stride : stride]
+            W_h, = _read_only(np.hstack([last, W[:, ny * stride :]]))
+            self._block_cache[stride] = W_h
+        return W_h
+
+    def _input_map(self, stride: int) -> np.ndarray:
+        """The input half W_u of the record map, [y, h'] = h @ W_h + u @ W_u
+        (W_h from ``_block_maps``): the step's y = Yu0 u, h' = Bh u
+        (``_Yu0``, ``_B``) composed ``stride`` times.  A record's inputs u
+        are step-major (step p of source j at p * n_sources + j).  Only
+        ``run`` reads it, so it is composed on each call and not cached.
+        """
+        return self._compose(np.vstack([self._Yh, self._A]).T,
+                             np.vstack([self._Yu0, self._B]).T, stride)[1]
 
     def handoff_maps(self, stride: int, n_rec: int) -> tuple[np.ndarray, np.ndarray]:
         """Response of a run of ``n_rec`` records to its start history h0.
@@ -501,7 +520,7 @@ class TransientSolver:
         key = (stride, n_rec)
         cached = self._handoff_cache.get(key)
         if cached is None:
-            W, _ = self._compose(self._block_maps(stride)[0], None, n_rec)
+            W, _ = self._compose(self._block_maps(stride), None, n_rec)
             if not np.all(np.isfinite(W)):
                 raise DivergenceError(
                     f"the {n_rec}-record state map overflows (unstable network)"
@@ -518,9 +537,10 @@ class TransientSolver:
         ``h`` (k, m) holds the start histories of the runs, one per row,
         and ``u`` (k, n_rec, n_in) their inputs, one record per row.  A
         record steps as [y, h'] = h @ W_h + u @ W_in with ``_block_maps``'
-        (W_h, W_u), or with no inputs (n_in = 0, ``W_u[:0]``) for the free
-        response.  Each record costs two GEMMs across the runs.  Returns
-        the probes (k, n_probes, n_rec) and the end histories.
+        W_h and ``_input_map``'s W_u, or with no inputs (n_in = 0 and an
+        empty W_in) for the free response.  Each record costs two GEMMs
+        across the runs.  Returns the probes (k, n_probes, n_rec) and the
+        end histories.
         ``self.state`` is untouched.
         """
         k, n_rec, _ = u.shape
@@ -612,7 +632,7 @@ class TransientSolver:
 
         # Record-major, then step-major within a record (``_block_maps``).
         y, h = self.propagate(self.state[None], u.reshape(1, n_rec, record_stride * n_src),
-                              *self._block_maps(record_stride))
+                              self._block_maps(record_stride), self._input_map(record_stride))
         self.state = h[0]
         if not np.all(np.isfinite(self.state)):
             raise DivergenceError("non-finite state during integration")

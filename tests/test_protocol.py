@@ -287,6 +287,42 @@ class TestSession:
         with pytest.raises(ValueError):
             KeyExchangeSession(ideal_builder, ProtocolConfig(), master_seed=-1)
 
+    @pytest.mark.usefixtures("fresh_solvers")
+    @pytest.mark.parametrize("call, match", [
+        (lambda s: s.run_bit(1.5), r"bit_index must be an integer, got 1\.5"),
+        (lambda s: s.run_bit(True), "bit_index must be an integer, got True"),
+        (lambda s: s.run_bit(-1), "bit_index must be at least 0, got -1"),
+        (lambda s: s.run_bits(2.0), r"n_bits must be an integer, got 2\.0"),
+        (lambda s: s.run_bits(2, warmup_units=2.5), r"warmup_units must be an integer, got 2\.5"),
+        (lambda s: s.run_bits(2, warmup_units=-1), "warmup_units must be at least 0, got -1"),
+        (lambda s: s.run_warmup(2.5), r"n_units must be an integer, got 2\.5"),
+        (lambda s: s.run_warmup(-3), "n_units must be at least 0, got -3"),
+    ], ids=["bit_float", "bit_bool", "bit_negative", "n_bits_float", "warmup_float",
+            "warmup_negative", "settle_float", "settle_negative"])
+    def test_counts_named_before_any_build_or_draw(self, call, match, monkeypatch):
+        builds, draws = [], []
+        init, draw_lines = TransientSolver.__init__, protocol.draw_lines
+        monkeypatch.setattr(TransientSolver, "__init__",
+                            lambda self, *a: builds.append(a) or init(self, *a))
+        monkeypatch.setattr(protocol, "draw_lines", lambda *a: draws.append(a) or draw_lines(*a))
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
+        with pytest.raises(ValueError, match=match):
+            call(sess)
+        assert builds == [] and draws == []
+
+    def test_numpy_integer_counts_accepted(self):
+        def session():
+            return KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=20), master_seed=5)
+
+        one = session().run_bit(np.int64(1))
+        assert one.bit_index.tolist() == [1]
+        np.testing.assert_array_equal(one.probes, session().run_bit(1).probes)
+        bits = session().run_bits(np.int64(2), warmup_units=np.int32(3))
+        np.testing.assert_array_equal(bits.probes, session().run_bits(2, warmup_units=3).probes)
+        sess = session()
+        sess.run_warmup(0)
+        np.testing.assert_array_equal(sess.run_bit(1).probes, one.probes)
+
 
 @pytest.mark.usefixtures("fresh_solvers")
 class TestBlasScope:

@@ -114,10 +114,10 @@ def test_netlist_contract_checked_on_a_hit(breach, match, monkeypatch):
 
 def maps_of(s):
     """Every map a session reads from solver ``s``."""
-    W_h, W_u = s._block_maps(32)
+    W_h = s._block_maps(32)
     A_R, O = s.handoff_maps(32, 20)
     res = s.window_resolvent(2048, 64, ("ua", "ub"))
-    return [s._A, s._B, s._Yh, s._Yu0, s.history_weights, W_h, W_u, A_R, O,
+    return [s._A, s._B, s._Yh, s._Yu0, s.history_weights, W_h, A_R, O,
             res.V, res.T, res.H]
 
 
@@ -154,6 +154,33 @@ def test_cached_maps_are_read_only():
     for a in maps_of(s):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+def held_arrays(obj):
+    """Every array reachable from ``obj`` through dicts, lists, tuples and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [a for v in obj for a in held_arrays(v)]
+
+
+def test_cached_build_holds_only_what_sessions_read():
+    # the incidence matrices and the t = 0 system serve assembly, and the
+    # record map's input half serves ``run``: a shared solver keeps none
+    run_scenario(default_scenario(20, 1000.0, n_bits=4))
+    (s,) = solver._shared_solvers.values()
+    n_branches = len(s.netlist.branches)
+    held = held_arrays([v for k, v in vars(s).items() if k != "netlist"])
+    assert len(held) > 10 and [a.shape for a in held if n_branches in a.shape] == []
+    ny = len(s.probe_names)
+    assert list(s._block_cache) == [32]
+    assert s._block_cache[32].shape == (s.n_states, ny + s.n_states)
 
 
 def test_threads_share_the_cache():

@@ -252,6 +252,11 @@ class TestGroupMaps:
     STRIDE = 32
 
     @staticmethod
+    def record_maps(solver, stride):
+        # the cached no-input half and the input half composed for ``run``
+        return solver._block_maps(stride), solver._input_map(stride)
+
+    @staticmethod
     def record_inputs(solver, rng, n_rec):
         # (3, n_rec, n_in), each record's steps step-major: ua and ub draw
         # noise, the shield holds its value, a bias row of the record map
@@ -262,7 +267,7 @@ class TestGroupMaps:
 
     def test_one_record_groups_are_the_record_maps(self):
         solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
-        W_h, W_u = solver._block_maps(self.STRIDE)
+        W_h, W_u = self.record_maps(solver, self.STRIDE)
         W_hG, W_uG = solver._compose(W_h, W_u, 1)
         assert np.array_equal(W_hG, W_h) and np.array_equal(W_uG, W_u)
         assert np.array_equal(solver._compose(W_h, None, 1)[0], W_h)
@@ -272,7 +277,7 @@ class TestGroupMaps:
                                        shield_lifted_ladder], ids=["ladder", "bias_row"])
     def test_groups_match_one_record_at_a_time(self, build, G):
         solver = TransientSolver(build(), 31.25e-6)
-        W_h, W_u = solver._block_maps(self.STRIDE)
+        W_h, W_u = self.record_maps(solver, self.STRIDE)
         W_hG, W_k = solver._compose(W_h, W_u, G)
         ny = len(solver.probe_names)
         K = W_k[:, :ny].reshape(G, len(W_u), ny)[::-1]  # the kernel K_d in block d
@@ -294,16 +299,17 @@ class TestGroupMaps:
     def test_one_step_records_are_the_step_maps(self):
         # so run(u, 1) is plain stepping, the oracle the record maps meet
         solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
-        W_h, W_u = solver._block_maps(1)
+        W_h, W_u = self.record_maps(solver, 1)
         assert np.array_equal(W_h, np.vstack([solver._Yh, solver._A]).T)
         assert np.array_equal(W_u, np.vstack([solver._Yu0, solver._B]).T)
 
     @pytest.mark.parametrize("n_rec", [7, 100])
     def test_handoff_maps_are_the_free_response(self, n_rec):
         solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
-        W_h, W_u = solver._block_maps(self.STRIDE)
+        # the free response as a session steps it: no inputs, an empty map
+        W_h = solver._block_maps(self.STRIDE)
         h0 = np.random.default_rng(n_rec).standard_normal((3, solver.n_states))
-        y, h = solver.propagate(h0, np.zeros((3, n_rec, len(W_u))), W_h, W_u)
+        y, h = solver.propagate(h0, np.zeros((3, n_rec, 0)), W_h, np.empty((0, W_h.shape[1])))
         A_R, O = solver.handoff_maps(self.STRIDE, n_rec)
         np.testing.assert_allclose(np.tensordot(h0, O, 1), y, rtol=0,
                                    atol=1e-12 * np.max(np.abs(y)))
@@ -500,9 +506,14 @@ class TestErrors:
         ],
         ids=["killer_ladder", "killer_lumped"],
     )
-    def test_rest_start_skips_t0_system(self, build):
+    def test_rest_start_skips_t0_system(self, build, monkeypatch):
         # with every source at zero at t = 0 the circuit starts from rest,
-        # so a killer netlist whose t = 0 system is singular still runs
+        # so a killer netlist whose t = 0 system is singular still runs,
+        # and only its step system is ever factored
+        factored = []
+        factor = TransientSolver._factor
+        monkeypatch.setattr(TransientSolver, "_factor",
+                            lambda self, M, system: factored.append(system) or factor(self, M, system))
         dt = 31.25e-6
         ramp = Waveform(np.arange(64) / 64.0, dt)
         res = transient_solve(build(), {"ua": ramp, "ub": ramp},
@@ -511,7 +522,7 @@ class TestErrors:
         solver = TransientSolver(build(), dt)
         solver.state[:] = 1.0
         solver.initialize_companions(np.zeros(len(solver.source_names)))
-        assert solver._lu0 is None and not np.any(solver.state)
+        assert factored == ["step system"] * 2 and not np.any(solver.state)
 
     def test_floating_node_named(self):
         nl = Netlist(
