@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from .seeding import generator
+from .seeding import _DerivedSeed
 
 BOLTZMANN = 1.380649e-23  # J/K, CODATA
 
@@ -115,12 +114,30 @@ def rms_ratio(r_low: float, r_high: float) -> float:
     return math.sqrt(r_low / r_high)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c not below n >= 1: the
+    real transform length ``scipy.fft.next_fast_len(n, real=True)`` gives,
+    worked out here so that the bit engine, which only needs the window,
+    does not load ``scipy.fft``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    # nothing beats n itself, the usual case: a power-of-two window
+    while p5 < best and best > n:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or more
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _window(spec: NoiseSpec) -> tuple[int, int, int]:
     """(n, n_pad, k_max): kept samples, synthesis window, in-band lines."""
     n = spec.n_samples
     dt = spec.sample_interval_s
     n_pad = max(n, int(math.ceil(_MIN_INBAND_BINS / (spec.bandwidth_hz * dt))))
-    n_pad = sp_fft.next_fast_len(n_pad, real=True)
+    n_pad = _next_fast_len(n_pad)
 
     # Highest retained bin: k / (n_pad * dt) <= bandwidth.
     k_max = int(math.floor(spec.bandwidth_hz * n_pad * dt))
@@ -140,7 +157,10 @@ def _lines(seed: int, k_max: int) -> np.ndarray:
 
 
 def _synthesize(lines: np.ndarray, rms_volts: float, n: int, n_pad: int) -> np.ndarray:
-    """The first n samples of the padded realization with these unit lines."""
+    """The first n samples of the padded realization with these unit lines.
+    ``scipy.fft`` is imported here: the bit engine never synthesizes."""
+    from scipy import fft as sp_fft
+
     k_max = len(lines)
     spectrum = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
     # Per-sample variance of irfft with k_max populated bins of
@@ -190,19 +210,30 @@ def line_phases(n_pad: int, k_max: int, t) -> np.ndarray:
     return np.exp(2j * math.pi / n_pad * (np.multiply.outer(t, k) % n_pad))
 
 
-def draw_lines(words: np.ndarray, k_max: int) -> np.ndarray:
-    """The unit lines of one realization per PCG64 seed in ``words``.
+def draw_lines(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the unit lines of one realization per PCG64 seed
+    in ``words``, and return it.
 
     ``words`` (..., 4) holds the seed words ``default_rng(seed)`` starts
-    from (``seeding.pcg64_words``).  Returns (..., 2, k_max) floats: the
-    real then the imaginary parts of the c_k that ``generate`` puts in
-    the spectrum of ``replace(spec, seed=seed)`` when its window holds
-    k_max lines, in the order ``_draw_lines`` draws them.
+    from (``seeding.pcg64_words``), as a C-contiguous uint64 array.
+    ``out`` (..., 2, k_max), a C-contiguous float array, takes k_max from
+    its shape and receives the real then the imaginary parts of the c_k
+    that ``generate`` puts in the spectrum of ``replace(spec, seed=seed)``
+    when its window holds k_max lines, in the order ``_draw_lines`` draws
+    them.  Both arrays are checked once, before any draw, so each stream
+    hands its row to PCG64 as it is.
     """
-    lines = np.empty(words.shape[:-1] + (2, k_max))
-    for i in np.ndindex(words.shape[:-1]):
-        generator(words[i]).standard_normal(out=lines[i])
-    return lines
+    if words.dtype != np.uint64 or words.shape[-1:] != (4,) or not words.flags.c_contiguous:
+        raise ValueError("words must be a C-contiguous uint64 array of shape (..., 4), "
+                         f"got {words.dtype} {words.shape}")
+    if (out.dtype != np.float64 or out.shape[:-1] != words.shape[:-1] + (2,)
+            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{words.shape[:-1] + (2,)} + (k_max,), got {out.dtype} {out.shape}")
+    rows = out.reshape(-1, out.shape[-2] * out.shape[-1])
+    for seed_words, row in zip(words.reshape(-1, 4), rows):
+        np.random.Generator(np.random.PCG64(_DerivedSeed(seed_words))).standard_normal(out=row)
+    return out
 
 
 @dataclass(frozen=True)

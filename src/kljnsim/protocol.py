@@ -198,6 +198,12 @@ def _record_phases(n_pad: int, k_max: int, stride: int, G: int) -> np.ndarray:
     return E
 
 
+def _view(workspace: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of a flat workspace array, as a C-contiguous
+    view of ``shape``."""
+    return workspace[: math.prod(shape)].reshape(shape)
+
+
 @dataclass
 class BepRecords:
     """One run's bits, one row per bit: the parties' choices and the four
@@ -264,7 +270,8 @@ class KeyExchangeSession:
     centre, so X is never held whole.
 
     A run groups its bits by arrangement once and draws and evaluates each
-    group's lines in batches of about ``_CHUNK_STEPS`` internal steps.  It
+    group's lines in batches of about ``_CHUNK_STEPS`` internal steps, in
+    one workspace per run sized by the largest batch.  It
     then hands the state from bit to bit with one matvec each and adds the
     free responses with one GEMM per batch, with handoff maps fetched once
     per run and arrangement.  Bit 0's free response is stepped record by
@@ -340,8 +347,10 @@ class KeyExchangeSession:
           (``_record_phases``);
         - M (k_max, 2J): the lines' moments about each series' centre, at
           the bit's start and, turned by z_k^(n S), at its end;
-        - T (2J, m): the series coefficients for Alice's then Bob's moments,
-          times the line amplitude.
+        - T (4J, m): the series coefficients for Alice's then Bob's moments,
+          times the line amplitude, as real rows: Re then -Im of each, so
+          that the moments' float view meets them in one real GEMM giving
+          Re(moments @ coefficients), as E meets the lines.
         """
         key = (arrangement, n_units)
         maps = self._maps.get(key)
@@ -358,8 +367,8 @@ class KeyExchangeSession:
             P = (np.ascontiguousarray(res.H.transpose(1, 2, 0))[:, None] * amplitude[:, None]
                  * line_phases(n_pad, k_max, first)[:, None])
             M = np.hstack([res.V, res.V * line_phases(n_pad, k_max, n_units * S)[:, None]])
-            T = (res.T.transpose(2, 0, 1) * amplitude[:, None, None]).reshape(
-                2 * len(res.T), solver.n_states)
+            T = res.T.transpose(2, 0, 1) * amplitude[:, None, None]
+            T = np.stack([T.real, -T.imag], axis=2).reshape(4 * len(res.T), solver.n_states)
             maps = (solver, P, _record_phases(n_pad, k_max, S, G), M, T)
             self._maps[key] = maps
         return maps
@@ -403,28 +412,54 @@ class KeyExchangeSession:
         members = [np.flatnonzero(group_of == j) for j in range(len(keys))]
         m = maps[0][0].n_states
 
+        # One workspace for the run, sized by its largest batch and shared
+        # by every arrangement: each batch writes into views of it
+        # (``_view``), so no batch allocates or page-faults temporaries of
+        # its own.  The arrangements share k_max and E; M's width differs.
+        per_batch = max(1, _CHUNK_STEPS // (n_units * S))
+        size = min(per_batch, max(map(len, members)))
+        _, P, E, _, _ = maps[0]
+        n_groups, k_max, G = P.shape[1], P.shape[-1], E.shape[1]
+        width = max(M.shape[1] for _, _, _, M, _ in maps)
+        lines = np.empty(size * 4 * k_max)
+        c = np.empty(size * 2 * k_max, dtype=np.complex128)
+        b = np.empty(size * len(PROBES) * n_groups * k_max, dtype=np.complex128)
+        b_part = np.empty_like(b)
+        y_groups = np.empty(size * len(PROBES) * n_groups * G)
+        moments = np.empty(2 * size * width, dtype=np.complex128)
+        moments_t = np.empty_like(moments)
+        h_ss = np.empty(2 * size * m)
+        free = np.empty(size * len(PROBES) * n_units)
+
         # Steady states, per arrangement in batches: the probes from the
         # lines turned to each group of records, one GEMM for every bit and
         # group, and h_ss[0], h_ss[n] from the lines' moments.
-        per_batch = max(1, _CHUNK_STEPS // (n_units * S))
         y = np.empty((n, len(PROBES), n_units))
         ss = np.empty((n, 2, m))
         for (_, P, E, M, T), idx in zip(maps, members):
-            k_max = P.shape[-1]
             for start in range(0, len(idx), per_batch):
                 rows = idx[start : start + per_batch]
-                x = draw_lines(words[rows], k_max)
-                c = np.empty((len(rows), 2, k_max), dtype=np.complex128)
-                c.real = x[:, :, 0]
-                c.imag = x[:, :, 1]
-                b = P[:, :, 0] * c[:, None, None, 0]
-                b += P[:, :, 1] * c[:, None, None, 1]
-                y_rows = (b.view(np.float64).reshape(-1, 2 * k_max) @ E).reshape(
-                    len(rows), len(PROBES), -1)
-                y[rows] = y_rows[:, :, :n_units]
-                moments = (c.reshape(2 * len(rows), k_max) @ M).reshape(
-                    len(rows), 2, 2, -1).transpose(0, 2, 1, 3).reshape(2 * len(rows), -1)
-                ss[rows] = (moments @ T).real.reshape(len(rows), 2, m)
+                r = len(rows)
+                x = draw_lines(words[rows], _view(lines, r, 2, 2, k_max))
+                cr = _view(c, r, 2, k_max)
+                cr.real = x[:, :, 0]
+                cr.imag = x[:, :, 1]
+                br = _view(b, r, len(PROBES), n_groups, k_max)
+                part = _view(b_part, *br.shape)
+                np.multiply(P[:, :, 0], cr[:, None, None, 0], out=br)
+                np.multiply(P[:, :, 1], cr[:, None, None, 1], out=part)
+                br += part
+                y_rows = np.matmul(br.view(np.float64).reshape(-1, 2 * k_max), E,
+                                   out=_view(y_groups, r * len(PROBES) * n_groups, G))
+                y[rows] = y_rows.reshape(r, len(PROBES), -1)[:, :, :n_units]
+                # the moments come as (bit, party, start/end, J); T wants
+                # each bit's start, then end, moments of both parties
+                mom = np.matmul(cr.reshape(2 * r, k_max), M,
+                                out=_view(moments, 2 * r, M.shape[1]))
+                mom_t = _view(moments_t, r, 2, 2, M.shape[1] // 2)
+                np.copyto(mom_t, mom.reshape(mom_t.shape).transpose(0, 2, 1, 3))
+                ss[rows] = np.matmul(mom_t.view(np.float64).reshape(2 * r, -1), T,
+                                     out=_view(h_ss, 2 * r, m)).reshape(r, 2, m)
 
         # Bit 0's free response, stepped from the session state.
         solver = maps[group_of[0]][0]
@@ -437,15 +472,20 @@ class KeyExchangeSession:
 
         # Hand the state from bit to bit, leaving each later bit's d in
         # ss[:, 0], then add their free responses.
-        handoffs = {j: maps[j][0].handoff_maps(S, n_units) for j in set(group_of[1:])}
-        for k in range(1, n):
-            ss[k, 0] = h - ss[k, 0]
-            h = handoffs[group_of[k]][0] @ ss[k, 0] + ss[k, 1]
+        later_groups = group_of[1:].tolist()
+        handoffs = {j: maps[j][0].handoff_maps(S, n_units) for j in set(later_groups)}
+        for k, A_R in enumerate([handoffs[j][0] for j in later_groups], 1):
+            d = ss[k, 0]
+            np.subtract(h, d, out=d)
+            np.matmul(A_R, d, out=h)
+            h += ss[k, 1]
         for j, (_, O) in handoffs.items():
+            O = O.reshape(m, len(PROBES) * n_units)
             later = members[j][members[j] > 0]
             for start in range(0, len(later), per_batch):
                 rows = later[start : start + per_batch]
-                y[rows] += np.tensordot(ss[rows, 0], O, 1)
+                y_free = np.matmul(ss[rows, 0], O, out=_view(free, len(rows), O.shape[1]))
+                y[rows] += y_free.reshape(len(rows), len(PROBES), n_units)
 
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(y))):
             raise DivergenceError("non-finite values during integration")

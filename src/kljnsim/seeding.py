@@ -129,17 +129,26 @@ def pcg64_words(seeds: np.ndarray) -> np.ndarray:
 
 
 class _DerivedSeed(ISeedSequence):
-    """Hands PCG64 the state words already derived by ``pcg64_words``."""
+    """Hands PCG64 one seed's state words already derived by ``pcg64_words``.
+
+    ``words`` must be a C-contiguous uint64 row of 4 words, the state PCG64
+    asks for: it is handed over as it is, with no conversion or check, so
+    a caller seeding many streams checks their array once (``generator``
+    checks its one row; ``noise.draw_lines`` its whole batch).
+    """
+
+    __slots__ = ("words",)
 
     def __init__(self, words: np.ndarray):
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"derived seed holds {len(self.words)} uint64 words")
         return self.words
 
 
 def generator(words: np.ndarray) -> np.random.Generator:
     """The ``default_rng(seed)`` generator, given the seed's ``pcg64_words`` row."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.shape != (4,):
+        raise ValueError(f"a PCG64 seed is 4 uint64 words, got shape {words.shape}")
     return np.random.Generator(np.random.PCG64(_DerivedSeed(words)))

@@ -207,8 +207,7 @@ class TestDrawLines:
     )
     def test_bitwise_the_lines_of_generate(self, seeds, k_max):
         words = pcg64_words(seeds).reshape(-1, 1, 4)
-        lines = noise.draw_lines(words, k_max)
-        assert lines.shape == (len(seeds), 1, 2, k_max)
+        lines = noise.draw_lines(words, np.empty((len(seeds), 1, 2, k_max)))
         for i, seed in enumerate(seeds):
             ref = noise._draw_lines(np.random.default_rng(seed), k_max)
             assert np.array_equal(lines[i, 0, 0], ref.real)
@@ -225,11 +224,54 @@ class TestDrawLines:
     def test_lines_sum_to_generate(self, n, dt, rms, seed):
         spec = NoiseSpec(250.0, rms, n * dt, dt, seed=seed)
         n_pad, k_max, amplitude = noise.line_window(spec)
-        lines = noise.draw_lines(pcg64_words([seed]), k_max)[0]
+        lines = noise.draw_lines(pcg64_words([seed]), np.empty((1, 2, k_max)))[0]
         ref = generate(spec).samples
         t = np.unique(np.linspace(0, n - 1, 200).astype(int))  # the ends and between
         got = amplitude * (noise.line_phases(n_pad, k_max, t) @ (lines[0] + 1j * lines[1])).real
         np.testing.assert_allclose(got, ref[t], rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_fills_the_callers_buffer_row_by_row(self):
+        # a (bits, party, 4) word array, as the bit engine draws a batch:
+        # every row is default_rng(seed)'s own normals, real then imaginary
+        seeds = [0, 7, 2**40 + 3, 5, 2**70, 11]
+        words = pcg64_words(seeds).reshape(3, 2, 4)
+        out = np.full((3, 2, 2, 37), np.nan)
+        assert noise.draw_lines(words, out) is out
+        for seed, row in zip(seeds, out.reshape(6, 2, 37)):
+            ref = np.random.default_rng(seed).standard_normal(2 * 37)
+            assert np.array_equal(row, ref.reshape(2, 37))
+
+    @pytest.mark.parametrize("words, out, match", [
+        (np.zeros((2, 3), np.uint64), np.empty((2, 2, 8)), "words must be"),
+        (np.zeros((2, 5), np.uint64), np.empty((2, 2, 8)), "words must be"),
+        (np.zeros((2, 4), np.uint32), np.empty((2, 2, 8)), "words must be"),
+        (np.zeros((2, 4), np.int64), np.empty((2, 2, 8)), "words must be"),
+        (np.zeros((4, 4), np.uint64)[::2], np.empty((2, 2, 8)), "words must be"),
+        (np.zeros((2, 4), np.uint64), np.empty((3, 2, 8)), "out must be"),
+        (np.zeros((2, 4), np.uint64), np.empty((2, 8)), "out must be"),
+        (np.zeros((2, 4), np.uint64), np.empty((2, 2, 16))[..., ::2], "out must be"),
+        (np.zeros((2, 4), np.uint64), np.empty((2, 2, 8), np.float32), "out must be"),
+    ], ids=["axis_3", "axis_5", "uint32", "int64", "strided_words", "rows", "no_party_axis",
+            "strided_out", "float32"])
+    def test_malformed_arrays_rejected_before_any_draw(self, words, out, match, monkeypatch):
+        draws = []
+        monkeypatch.setattr(np.random, "PCG64", lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match=match):
+            noise.draw_lines(words, out)
+        assert draws == []
+
+    def test_next_fast_len_is_scipys_real_length(self):
+        # the window without scipy.fft: every n up to 4096, each 5-smooth
+        # number to 2**31 and its neighbours, and random lengths to 2**31
+        from scipy.fft import next_fast_len
+
+        smooth = sorted(2**a * 3**b * 5**c for a in range(32) for b in range(20)
+                        for c in range(14) if 2**a * 3**b * 5**c <= 2**31)
+        rng = np.random.default_rng(0)
+        ns = {*range(1, 4097), *(s + e for s in smooth for e in (-1, 0, 1) if s + e > 0),
+              *rng.integers(1, 2**31, 2000).tolist()}
+        got = {n: noise._next_fast_len(n) for n in ns}
+        assert got == {n: next_fast_len(n, real=True) for n in ns}
 
     def test_phases_are_reduced_in_integers(self):
         # z^t at t = n_pad + 5 is z^5 bitwise

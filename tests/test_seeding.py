@@ -96,3 +96,11 @@ def test_non_integer_seed_rejected(seed):
         seeding.int_words(seed)
     with pytest.raises(TypeError):
         derive_seed(seed, 1)
+
+
+@pytest.mark.parametrize("words", [np.zeros(3, np.uint64), np.zeros((1, 4), np.uint64)])
+def test_generator_checks_its_row(words):
+    # generator seeds one stream, so it checks its row itself; the
+    # seed object behind it hands any row over unchecked
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        seeding.generator(words)
