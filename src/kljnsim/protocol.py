@@ -280,8 +280,8 @@ class KeyExchangeSession:
 
     The solvers are the process's shared builds (``shared_solver``): a
     netlist's LU, resolvents and record and handoff maps are built once
-    for every session that runs on it.  The session keeps its state in
-    ``_hist`` and never steps a solver's own ``state``.
+    for every session that runs on it.  A solver holds no run state; the
+    session holds its history in ``_hist``.
     """
 
     def __init__(
@@ -306,7 +306,7 @@ class KeyExchangeSession:
         self._solvers: dict[tuple[str, str], TransientSolver] = {}
         # Per arrangement and bit length: the bit maps (``_maps_for``).
         self._maps: dict[tuple[tuple[str, str], int], tuple] = {}
-        # Session state, the history vector of ``TransientSolver.state``
+        # Session state, the history vector h (``TransientSolver.run``)
         # shared by every arrangement's solver; None until the first run.
         self._hist: np.ndarray | None = None
         self._time_units = 0  # elapsed measurement intervals
@@ -462,11 +462,8 @@ class KeyExchangeSession:
                                      out=_view(h_ss, 2 * r, m)).reshape(r, 2, m)
 
         # Bit 0's free response, stepped from the session state.
-        solver = maps[group_of[0]][0]
-        W_h = solver._block_maps(S)
         d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]
-        y_0, h = solver.propagate(d[None], np.zeros((1, n_units, 0)), W_h,
-                                  np.empty((0, W_h.shape[1])))
+        y_0, h = maps[group_of[0]][0].propagate(d[None], np.zeros((1, n_units, 0)), S)
         y[0] += y_0[0]
         h = h[0] + ss[0, 1]
 

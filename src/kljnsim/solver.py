@@ -9,14 +9,16 @@ system differ only in which branches contribute conductances and which
 become voltage constraints.  D is assembled from the netlist for each
 system and not kept.
 
-The solver's state is the vector h of history sources, one per reactive
+A run's state is the vector h of history sources, one per reactive
 element: h = g v + i per capacitor and per inductor, which is all a step
-reads of the past.  One step is h' = F h + Bh u with probes
-y = Yh h + Yu0 u, built straight from the step LU.  The update is
-linear and time invariant, so one kernel, ``_compose``, composes it
-exactly: ``stride`` steps into a record (``_block_maps`` with no
-inputs, ``_input_map`` for them) and a bit's records into its response
-to its start state (``handoff_maps``).  ``propagate`` steps many
+reads of the past.  The caller holds it: ``initial_history`` gives the
+t = 0 history, ``run`` and ``propagate`` take h and return the end
+history, and ``stored_energy`` reads h.  One step is h' = F h + Bh u
+with probes y = Yh h + Yu0 u, built straight from the step LU.  The
+update is linear and time invariant, so one kernel, ``_compose``,
+composes it exactly: ``stride`` steps into a record (``_block_maps``
+with no inputs, ``_input_map`` for them) and a bit's records into its
+response to its start state (``handoff_maps``).  ``propagate`` steps many
 independent runs a record at a time, with two GEMMs per record; ``run``
 is its one-run case, reading ``stride`` samples per source through the
 record's input map.  At stride 1 it takes every step one at a time and
@@ -29,13 +31,13 @@ Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
 lines): the bit engine needs no stepping for the noise, only for the
 free response.
 
-What a session reads is cached on the solver and read-only: the step
-maps, the no-input record map per stride, the handoff maps per bit
-length and the resolvent per noise window.  Sessions take their solvers
-from ``shared_solver``, one per netlist, step and tolerance in the
-process, so runs on one netlist build all of that once.  What only
-``transient_solve`` and ``run`` read, the t = 0 system and the record's
-input map, is built on each call and not kept.
+A solver holds no run state, only read-only arrays: the step maps, the
+branch indices, and caches of the no-input record map per stride, the
+handoff maps per bit length and the resolvent per noise window.
+Sessions take their solvers from ``shared_solver``, one per netlist,
+step and tolerance in the process, so runs on one netlist build all of
+that once.  What only ``transient_solve`` and ``run`` read, the t = 0
+system and the record's input map, is built on each call and not kept.
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
@@ -191,13 +193,13 @@ class TransientResult:
 
 
 class TransientSolver:
-    """Stateful stepping engine for one netlist at one internal step.
+    """Stepping engine for one netlist at one internal step.
 
-    The state is the history vector h, one entry per reactive element
-    (capacitors first, then inductors, in netlist order).  It can be
-    exported and re-imported, e.g. to continue a timeline on a netlist
-    whose resistor values changed between bits: solvers with equal
-    ``history_weights`` share its meaning.
+    It holds no run state: the caller holds the history vector h, one
+    entry per reactive element (capacitors first, then inductors, in
+    netlist order), and passes it in.  Solvers with equal
+    ``history_weights`` share its meaning, so a timeline can continue on
+    a netlist whose resistor values changed between bits.
     """
 
     def __init__(self, netlist: Netlist, internal_step_s: float, tolerance: float = 1e-9):
@@ -205,7 +207,6 @@ class TransientSolver:
         self.dt = float(internal_step_s)
         self.tolerance = tolerance
         self._build()
-        self.state = np.zeros(self.n_states)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -294,7 +295,8 @@ class TransientSolver:
                 Ch[i, pos[k]] = sign[pos[k]]
         self._Yh = Cv @ V_h + Ch
         self._Yu0 = Cv @ V_u
-        _read_only(self._A, self._B, self._Yh, self._Yu0, self.history_weights)
+        _read_only(self._A, self._B, self._Yh, self._Yu0, self.history_weights,
+                   self._res, self._caps, self._inds, self._cons, self._src_rows)
         self._block_cache: dict[int, np.ndarray] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
         self._resolvent_cache: dict[tuple, LineResolvent] = {}
@@ -375,20 +377,12 @@ class TransientSolver:
         return lu, residual
 
     # ------------------------------------------------------------------
-    # State handling
+    # Histories
     # ------------------------------------------------------------------
 
-    def get_state(self) -> np.ndarray:
-        return self.state.copy()
-
-    def set_state(self, state: np.ndarray) -> None:
-        if state.shape != (self.n_states,):
-            raise ValueError("state vector has wrong length")
-        self.state = state.copy()
-
-    def initialize_companions(self, u0: np.ndarray) -> None:
-        """Start from rest with companion sources consistent with the
-        sources at t = 0.
+    def initial_history(self, u0: np.ndarray) -> np.ndarray:
+        """The history at t = 0 of a start from rest, with companion
+        sources consistent with the sources ``u0`` at t = 0.
 
         Every capacitor voltage and inductor current is zero; the
         instantaneous circuit, capacitors as zero-volt constraints and
@@ -402,8 +396,7 @@ class TransientSolver:
         """
         u0 = np.asarray(u0, dtype=np.float64)
         if self.n_states == 0 or not np.any(u0):
-            self.state = np.zeros(self.n_states)
-            return
+            return np.zeros(self.n_states)
         M0, D = self._mna(
             self._res,
             1.0 / self._branch_values(self._res),
@@ -417,9 +410,7 @@ class TransientSolver:
         rhs[self._src_rows] = u0
         sol = sla.lu_solve(lu0, rhs)
         g_ind = self.history_weights[len(self._caps):]
-        self.state = np.concatenate(
-            [sol[n_fixed:], g_ind * (D[self._inds] @ sol[:n_nodes])]
-        )
+        return np.concatenate([sol[n_fixed:], g_ind * (D[self._inds] @ sol[:n_nodes])])
 
     def assemble_inputs(self, n_steps: int, waveforms: dict[str, np.ndarray]) -> np.ndarray:
         """Input matrix for ``run``: driven sources from waveform samples,
@@ -435,12 +426,12 @@ class TransientSolver:
                 u[:, j] = br.value
         return u
 
-    def stored_energy(self) -> float:
+    def stored_energy(self, h: np.ndarray) -> float:
         """Sum of C v^2 / 2 and L i^2 / 2 over all reactive branches one
-        step later with every source at zero: h alone does not fix the
-        present v and i, and that step's g v per capacitor and i per
-        inductor is (F h + h) / 2."""
-        w = 0.5 * (self._A @ self.state + self.state)
+        step after history ``h`` with every source at zero: h alone does
+        not fix the present v and i, and that step's g v per capacitor and
+        i per inductor is (F h + h) / 2."""
+        w = 0.5 * (self._A @ h + h)
         nc = len(self._caps)
         cv = w[:nc] / self.history_weights[:nc]
         return 0.5 * float(
@@ -503,8 +494,9 @@ class TransientSolver:
         """The input half W_u of the record map, [y, h'] = h @ W_h + u @ W_u
         (W_h from ``_block_maps``): the step's y = Yu0 u, h' = Bh u
         (``_Yu0``, ``_B``) composed ``stride`` times.  A record's inputs u
-        are step-major (step p of source j at p * n_sources + j).  Only
-        ``run`` reads it, so it is composed on each call and not cached.
+        are step-major (step p of source j at p * n_sources + j).  Only runs
+        with inputs (``run``) need it, so it is composed on each call and
+        not cached.
         """
         return self._compose(np.vstack([self._Yh, self._A]).T,
                              np.vstack([self._Yu0, self._B]).T, stride)[1]
@@ -531,24 +523,26 @@ class TransientSolver:
             self._handoff_cache[key] = cached
         return cached
 
-    def propagate(self, h: np.ndarray, u: np.ndarray, W_h: np.ndarray, W_in: np.ndarray):
+    def propagate(self, h: np.ndarray, u: np.ndarray, stride: int):
         """Record recurrence for k independent runs at once.
 
         ``h`` (k, m) holds the start histories of the runs, one per row,
-        and ``u`` (k, n_rec, n_in) their inputs, one record per row.  A
-        record steps as [y, h'] = h @ W_h + u @ W_in with ``_block_maps``'
-        W_h and ``_input_map``'s W_u, or with no inputs (n_in = 0 and an
-        empty W_in) for the free response.  Each record costs two GEMMs
-        across the runs.  Returns the probes (k, n_probes, n_rec) and the
-        end histories.
-        ``self.state`` is untouched.
+        and ``u`` (k, n_rec, n_in) their inputs, one record of ``stride``
+        steps per row.  A record steps as [y, h'] = h @ W_h + u @ W_u with
+        ``_block_maps``' W_h and ``_input_map``'s W_u, two GEMMs across
+        the runs; with no inputs (n_in = 0), the free response, W_u is
+        neither composed nor applied.  Returns the probes
+        (k, n_probes, n_rec) and the end histories.
         """
+        W_h = self._block_maps(stride)
+        W_u = self._input_map(stride) if u.shape[2] else None
         k, n_rec, _ = u.shape
         ny = len(self.probe_names)
         y = np.empty((k, ny, n_rec))
         for j in range(n_rec):
             out = h @ W_h
-            out += u[:, j] @ W_in
+            if W_u is not None:
+                out += u[:, j] @ W_u
             y[:, :, j] = out[:, :ny]
             h = out[:, ny:]
         return y, h
@@ -608,17 +602,20 @@ class TransientSolver:
             self._resolvent_cache[key] = res
         return res
 
-    def run(self, source_steps: np.ndarray, record_stride: int = 1) -> np.ndarray:
-        """Advance by ``len(source_steps)`` internal steps.
+    def run(self, h: np.ndarray, source_steps: np.ndarray, record_stride: int = 1):
+        """Advance history ``h`` by ``len(source_steps)`` internal steps.
 
         ``source_steps[k, j]`` is the value of source j at the end of
-        internal step k.  Returns probe samples at every
+        internal step k.  Returns the probe samples at every
         ``record_stride``-th step (the last step of each stride group),
-        shape (n_steps // stride, n_probes).  Internal state advances so
-        consecutive calls form one continuous timeline.  This is the
-        one-run case of ``propagate``; at stride 1 every step is taken one
-        at a time.
+        shape (n_steps // stride, n_probes), and the end history, from
+        which a next call continues the timeline.  This is the one-run
+        case of ``propagate``; at stride 1 every step is taken one at a
+        time.
         """
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (self.n_states,):
+            raise ValueError("state vector has wrong length")
         if not (isinstance(record_stride, (int, np.integer)) and record_stride > 0):
             raise ValueError("record_stride must be a positive integer")
         u = np.atleast_2d(np.asarray(source_steps, dtype=np.float64))
@@ -631,18 +628,16 @@ class TransientSolver:
         n_rec = n_steps // record_stride
 
         # Record-major, then step-major within a record (``_block_maps``).
-        y, h = self.propagate(self.state[None], u.reshape(1, n_rec, record_stride * n_src),
-                              self._block_maps(record_stride), self._input_map(record_stride))
-        self.state = h[0]
-        if not np.all(np.isfinite(self.state)):
+        y, h = self.propagate(h[None], u.reshape(1, n_rec, record_stride * n_src), record_stride)
+        if not np.all(np.isfinite(h)):
             raise DivergenceError("non-finite state during integration")
         if not np.all(np.isfinite(y)):
             raise DivergenceError("non-finite probe values during integration")
-        return y[0].T
+        return y[0].T, h[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays``, marked read-only: a solver's maps are shared by every
+    """``arrays``, marked read-only: a solver's arrays are shared by every
     caller of the solver."""
     for a in arrays:
         a.setflags(write=False)
@@ -658,9 +653,8 @@ def shared_solver(netlist: Netlist, config: SolverConfig) -> TransientSolver:
 
     Keyed by the netlist's exact content (branches, probes in order,
     ground) with the step and tolerance, so every session on one netlist
-    shares one build and all it caches.  A shared solver's ``state``
-    belongs to no caller: each keeps its own history and steps it with
-    ``propagate``.  The ``SHARED_SOLVERS`` most recently used are kept.
+    shares one build and all it caches.  The ``SHARED_SOLVERS`` most
+    recently used are kept.
     """
     key = (netlist.branches, tuple(netlist.probes.items()), netlist.ground,
            config.internal_step_s, config.tolerance)
@@ -712,8 +706,7 @@ def transient_solve(
                 )
             arrays[br.name] = wf.samples
     u = solver.assemble_inputs(n_steps, arrays)
-    solver.initialize_companions(u[0])
-    recs = solver.run(u, record_stride=stride)
+    recs, _ = solver.run(solver.initial_history(u[0]), u, record_stride=stride)
     probes = {
         name: Waveform(recs[:, i], sample_interval_s=t_s, start_time_s=t_s)
         for i, name in enumerate(solver.probe_names)

@@ -145,7 +145,7 @@ def test_criterion_5_solver_oracles():
     def run(sa, sb):
         solver = TransientSolver(net, 31.25e-6)
         u = solver.assemble_inputs(len(na), {"ua": sa * na, "ub": sb * nb})
-        return solver.run(u, record_stride=1)
+        return solver.run(np.zeros(solver.n_states), u, record_stride=1)[0]
 
     y_a, y_b, y_ab, y_3 = run(1, 0), run(0, 1), run(1, 1), run(3, 3)
     scale = np.max(np.abs(y_ab))
@@ -155,13 +155,13 @@ def test_criterion_5_solver_oracles():
     # passivity after switching sources off
     solver = TransientSolver(net, 31.25e-6)
     u = solver.assemble_inputs(len(na), {"ua": na, "ub": nb})
-    solver.run(u, record_stride=len(na))
+    _, h = solver.run(np.zeros(solver.n_states), u, record_stride=len(na))
     zeros = solver.assemble_inputs(1, {"ua": np.zeros(1), "ub": np.zeros(1)})
-    solver.run(zeros, record_stride=1)
-    energies = [solver.stored_energy()]
+    _, h = solver.run(h, zeros, record_stride=1)
+    energies = [solver.stored_energy(h)]
     for _ in range(300):
-        solver.run(zeros, record_stride=1)
-        energies.append(solver.stored_energy())
+        _, h = solver.run(h, zeros, record_stride=1)
+        energies.append(solver.stored_energy(h))
     e = np.array(energies)
     passive = bool(np.all(np.diff(e) <= 1e-12 * e[:-1] + 1e-30))
 

@@ -77,7 +77,7 @@ class TestRefinementOracle:
             cable = dataclasses.replace(rg58(1000.0), n_segments=segs)
             solver = TransientSolver(build_distributed(1000.0, 9000.0, cable), dt)
             u = solver.assemble_inputs(n, {"ua": na, "ub": nb})
-            traces[segs] = solver.run(u, record_stride=32)[:, 0]
+            traces[segs] = solver.run(np.zeros(solver.n_states), u, record_stride=32)[0][:, 0]
         skip = len(traces[100]) // 10
         a, b = traces[100][skip:], traces[200][skip:]
         nrmsd = np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(b**2))

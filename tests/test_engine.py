@@ -40,8 +40,6 @@ def plain_session(builder, cfg, seed, n_bits, warmup):
         if solver is None:
             solver = TransientSolver(builder(*map(cfg.resistance, arrangement)), dt)
             solvers[arrangement] = solver
-        if state is not None:
-            solver.set_state(state)
         noise = {
             name: generate(NoiseSpec(cfg.bandwidth_hz, cfg.generator_rms(choice),
                                      n_units * cfg.t_s, dt,
@@ -50,9 +48,9 @@ def plain_session(builder, cfg, seed, n_bits, warmup):
                                           ("ub", arrangement[1], _NOISE_BOB))
         }
         u = solver.assemble_inputs(n_units * S, noise)
-        recs = solver.run(u, record_stride=1)[S - 1 :: S]
-        state = solver.get_state()
-        return recs, solver.probe_names
+        recs, state = solver.run(np.zeros(solver.n_states) if state is None else state, u,
+                                 record_stride=1)
+        return recs[S - 1 :: S], solver.probe_names
 
     if warmup:
         advance(session.draw_arrangement(0), _WARMUP_SLOT, warmup)

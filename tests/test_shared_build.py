@@ -16,6 +16,7 @@ from kljnsim.protocol import KeyExchangeSession, ProtocolConfig, derive_seed
 from kljnsim.scenarios import TABLE1_CELLS, default_scenario, reproduce_table1, run_scenario
 from kljnsim.solver import SHARED_SOLVERS, SolverConfig, TransientSolver, shared_solver
 
+from conftest import random_arrangement_scenario
 from test_engine import lifted_shield, swapped_probes
 
 pytestmark = pytest.mark.usefixtures("fresh_solvers")
@@ -154,6 +155,15 @@ def test_cached_maps_are_read_only():
     for a in maps_of(s):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+    # a solver holds no run state: after a random-arrangement run, every
+    # array each cached solver holds, in its attributes and its caches, is
+    # read-only
+    run_scenario(dataclasses.replace(random_arrangement_scenario(), n_bits=16))
+    assert len(solver._shared_solvers) == 5  # the one above and 4 arrangements
+    for s in solver._shared_solvers.values():
+        assert not hasattr(s, "state")
+        held = held_arrays(vars(s))
+        assert len(held) > 10 and [a.shape for a in held if a.flags.writeable] == []
 
 
 def held_arrays(obj):

@@ -129,7 +129,7 @@ class TestLinearity:
         na = generate(NoiseSpec(250.0, 1.0, 0.02, 31.25e-6, seed=seed)).samples
         nb = generate(NoiseSpec(250.0, 3.0, 0.02, 31.25e-6, seed=seed + 1)).samples
         u = solver.assemble_inputs(len(na), {"ua": scale_a * na, "ub": scale_b * nb})
-        return solver.run(u, record_stride=1)
+        return solver.run(np.zeros(solver.n_states), u, record_stride=1)[0]
 
     def test_scaling(self):
         y1 = self.ladder_run(1.0, 1.0)
@@ -151,13 +151,13 @@ class TestPassivity:
         solver = TransientSolver(net, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.05, 31.25e-6, seed=5)).samples
         u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
-        solver.run(u, record_stride=len(drive))
+        _, h = solver.run(np.zeros(solver.n_states), u, record_stride=len(drive))
         zeros = solver.assemble_inputs(1, {"ua": np.zeros(1), "ub": np.zeros(1)})
-        solver.run(zeros, record_stride=1)  # switch-off step
-        energies = [solver.stored_energy()]
+        _, h = solver.run(h, zeros, record_stride=1)  # switch-off step
+        energies = [solver.stored_energy(h)]
         for _ in range(300):
-            solver.run(zeros, record_stride=1)
-            energies.append(solver.stored_energy())
+            _, h = solver.run(h, zeros, record_stride=1)
+            energies.append(solver.stored_energy(h))
         e = np.array(energies)
         assert e[0] > 0
         assert np.all(np.diff(e) <= 1e-12 * e[:-1] + 1e-30)
@@ -172,9 +172,9 @@ class TestPassivity:
     )
     def test_stored_energy_is_one_zero_input_step_later(self, build, probe, energy):
         solver = TransientSolver(build(), 1e-6)
-        solver.run(np.ones((50, 1)))
-        stored = solver.stored_energy()
-        y = solver.run(np.zeros((1, 1)))[0, solver.probe_names.index(probe)]
+        _, h = solver.run(np.zeros(solver.n_states), np.ones((50, 1)))
+        stored = solver.stored_energy(h)
+        y = solver.run(h, np.zeros((1, 1)))[0][0, solver.probe_names.index(probe)]
         assert stored == pytest.approx(energy(y), rel=1e-12)
 
 
@@ -196,7 +196,7 @@ class TestDiscretization:
             solver = TransientSolver(net, t_s / div)
             src = {"ua": na[sub - 1 :: sub], "ub": nb[sub - 1 :: sub]}
             u = solver.assemble_inputs(len(src["ua"]), src)
-            outs[div] = solver.run(u, record_stride=div)
+            outs[div] = solver.run(np.zeros(solver.n_states), u, record_stride=div)[0]
         skip = len(outs[64]) // 5
         u32 = outs[32][skip:, 0]
         u64 = outs[64][skip:, 0]
@@ -218,21 +218,21 @@ class TestDiscretization:
         b = TransientSolver(net, 31.25e-6)
         rng = np.random.default_rng(0)
         base = rng.standard_normal((640, len(a.source_names)))
-        ya = a.run(base, record_stride=1)[31::32]
-        yb = b.run(base, record_stride=32)
-        np.testing.assert_allclose(ya, yb, atol=1e-13)
-        np.testing.assert_allclose(a.state, b.state, atol=1e-13)
+        ya, ha = a.run(np.zeros(a.n_states), base, record_stride=1)
+        yb, hb = b.run(np.zeros(b.n_states), base, record_stride=32)
+        np.testing.assert_allclose(ya[31::32], yb, atol=1e-13)
+        np.testing.assert_allclose(ha, hb, atol=1e-13)
 
     def test_chunked_run_matches_single_run(self):
         net = build_distributed(1000.0, 9000.0, rg58(100.0))
         rng = np.random.default_rng(1)
         u = rng.standard_normal((320, 3))
         one = TransientSolver(net, 31.25e-6)
-        y_one = one.run(u, record_stride=32)
+        y_one, _ = one.run(np.zeros(one.n_states), u, record_stride=32)
         two = TransientSolver(net, 31.25e-6)
-        y_a = two.run(u[:160], record_stride=32)
-        y_0 = two.run(u[:0], record_stride=32)
-        y_b = two.run(u[160:], record_stride=32)
+        y_a, h = two.run(np.zeros(two.n_states), u[:160], record_stride=32)
+        y_0, h = two.run(h, u[:0], record_stride=32)
+        y_b, _ = two.run(h, u[160:], record_stride=32)
         assert y_0.shape == (0, len(two.probe_names))
         np.testing.assert_allclose(np.vstack([y_a, y_0, y_b]), y_one, atol=1e-13)
 
@@ -285,7 +285,7 @@ class TestGroupMaps:
         n_rec = 6 * G
         h0 = rng.standard_normal((3, solver.n_states))
         u = self.record_inputs(solver, rng, n_rec)
-        y1, h1 = solver.propagate(h0, u, W_h, W_u)
+        y1, h1 = solver.propagate(h0, u, self.STRIDE)
         yG, hG = np.empty_like(y1), h0
         for q in range(0, n_rec, G):
             ug = u[:, q : q + G]
@@ -306,10 +306,9 @@ class TestGroupMaps:
     @pytest.mark.parametrize("n_rec", [7, 100])
     def test_handoff_maps_are_the_free_response(self, n_rec):
         solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
-        # the free response as a session steps it: no inputs, an empty map
-        W_h = solver._block_maps(self.STRIDE)
+        # the free response as a session steps it: no inputs
         h0 = np.random.default_rng(n_rec).standard_normal((3, solver.n_states))
-        y, h = solver.propagate(h0, np.zeros((3, n_rec, 0)), W_h, np.empty((0, W_h.shape[1])))
+        y, h = solver.propagate(h0, np.zeros((3, n_rec, 0)), self.STRIDE)
         A_R, O = solver.handoff_maps(self.STRIDE, n_rec)
         np.testing.assert_allclose(np.tensordot(h0, O, 1), y, rtol=0,
                                    atol=1e-12 * np.max(np.abs(y)))
@@ -376,7 +375,8 @@ def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
     t = (np.arange(n_total) + 1) * dt
     u = solver.assemble_inputs(n_total, {})
     u[:, solver.source_names.index(source)] = np.sin(2.0 * np.pi * f_hz * t)
-    y = solver.run(u, record_stride=1)[n_skip:, solver.probe_names.index(probe)]
+    y = solver.run(np.zeros(solver.n_states), u, record_stride=1)[0][
+        n_skip:, solver.probe_names.index(probe)]
     wt = 2.0 * np.pi * f_hz * t[n_skip:]
     coef, *_ = np.linalg.lstsq(np.column_stack([np.sin(wt), np.cos(wt)]), y, rcond=None)
     return complex(coef[0], coef[1])
@@ -448,7 +448,7 @@ class TestCapacitorKiller:
         solver = TransientSolver(nl, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.02, 31.25e-6, seed=13)).samples
         u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
-        recs = solver.run(u, record_stride=1)
+        recs, _ = solver.run(np.zeros(solver.n_states), u, record_stride=1)
         i_cap = recs[:, solver.probe_names.index("i_cap")]
         ambient = np.sqrt(np.mean(recs[:, solver.probe_names.index("i_cha")] ** 2))
         assert np.max(np.abs(i_cap)) < 1e-9 * ambient
@@ -468,8 +468,8 @@ class TestCapacitorKiller:
         drive = generate(NoiseSpec(250.0, 1.0, 0.06, 31.25e-6, seed=13)).samples
         u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
         n_settle = len(drive) // 3
-        solver.run(u[:n_settle], record_stride=n_settle)
-        recs = solver.run(u[n_settle:], record_stride=1)
+        _, h = solver.run(np.zeros(solver.n_states), u[:n_settle], record_stride=n_settle)
+        recs, _ = solver.run(h, u[n_settle:], record_stride=1)
         i_cap = recs[:, solver.probe_names.index("i_cap")]
         ambient = np.sqrt(np.mean(recs[:, solver.probe_names.index("i_cha")] ** 2))
         assert 0 < np.sqrt(np.mean(i_cap**2)) < 0.05 * ambient
@@ -520,9 +520,8 @@ class TestErrors:
                               SolverConfig(internal_step_s=dt), duration_s=64 * dt, t_s=32 * dt)
         assert all(np.all(np.isfinite(w.samples)) for w in res.probes.values())
         solver = TransientSolver(build(), dt)
-        solver.state[:] = 1.0
-        solver.initialize_companions(np.zeros(len(solver.source_names)))
-        assert factored == ["step system"] * 2 and not np.any(solver.state)
+        h = solver.initial_history(np.zeros(len(solver.source_names)))
+        assert factored == ["step system"] * 2 and not np.any(h)
 
     def test_floating_node_named(self):
         nl = Netlist(
@@ -540,16 +539,19 @@ class TestErrors:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.ones((64, 1)), 0),
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.ones((64, 1)), 0),
              "record_stride must be a positive integer"),
-            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.ones((64, 1)), -32),
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.ones((64, 1)), -32),
              "record_stride must be a positive integer"),
+            # the RC netlist's one capacitor holds the only history entry
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(2), np.ones((64, 1))),
+             "state vector has wrong length"),
             (lambda: transient_solve(rc_netlist(), {"u": Waveform(np.ones(100), 1e-6)},
                                      SolverConfig(internal_step_s=1e-6),
                                      duration_s=5e-6, t_s=1e-5),
              "duration_s"),
         ],
-        ids=["stride_zero", "stride_negative", "duration_below_t_s"],
+        ids=["stride_zero", "stride_negative", "history_wrong_length", "duration_below_t_s"],
     )
     def test_invalid_input_named_before_compute(self, call, match):
         with pytest.raises(ValueError, match=match):
