@@ -27,8 +27,8 @@ class AttackOutcome:
     rho_a: np.ndarray
     rho_b: np.ndarray
     rho: np.ndarray
-    guesses: list[str]
-    truths: list[str]
+    guesses: np.ndarray
+    truths: np.ndarray
     q: np.ndarray
     bit_indices: np.ndarray
 
@@ -110,8 +110,8 @@ def run_attack(records: BepRecords, tie_seed_base: int = 0) -> AttackOutcome:
         rho_a=rho_a,
         rho_b=rho_b,
         rho=rho,
-        guesses=guesses.tolist(),
-        truths=truths.tolist(),
+        guesses=guesses,
+        truths=truths,
         q=(guesses == truths).astype(np.int64),
         bit_indices=scored.bit_index,
     )

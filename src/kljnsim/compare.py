@@ -59,9 +59,9 @@ def compare_models(
     bandwidth_hz: float,
     duration_s: float | None = None,
     seed: int = 0,
-    t_eff: float = T_EFF_DEFAULT,
 ) -> ComparisonReport:
-    """Same noise realization through both cable models.
+    """Same noise realization, the generators at ``T_EFF_DEFAULT``,
+    through both cable models.
 
     nrmsd = rms(U_lump - U_dist) / rms(U_dist) on the Alice-end voltage,
     after discarding a settling interval.
@@ -84,7 +84,7 @@ def compare_models(
     for name, r, purpose in (("ua", r_alice, 0), ("ub", r_bob, 1)):
         spec = NoiseSpec(
             bandwidth_hz=bandwidth_hz,
-            rms_volts=rms_for_resistor(r, t_eff, bandwidth_hz),
+            rms_volts=rms_for_resistor(r, T_EFF_DEFAULT, bandwidth_hz),
             duration_s=duration_s,
             sample_interval_s=dt,
             seed=derive_seed(seed, 0, purpose),

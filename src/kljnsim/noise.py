@@ -315,8 +315,8 @@ def write_gaussianity_csv(report: GaussianityReport, path) -> None:
             f.write(f"{t:.9g},{e:.9g}\n")
 
 
-def out_of_band_power_fraction(w: Waveform, bandwidth_hz: float, margin: float = 1.2) -> float:
-    """Fraction of periodogram power above ``margin * bandwidth``.
+def out_of_band_power_fraction(w: Waveform, bandwidth_hz: float) -> float:
+    """Fraction of periodogram power above 1.2 times the bandwidth.
 
     Independent periodogram-based oracle for the brick-wall property.
     """
@@ -326,5 +326,5 @@ def out_of_band_power_fraction(w: Waveform, bandwidth_hz: float, margin: float =
     total = float(np.sum(psd))
     if total == 0.0:
         return 0.0
-    out = float(np.sum(psd[freqs > margin * bandwidth_hz]))
+    out = float(np.sum(psd[freqs > 1.2 * bandwidth_hz]))
     return out / total

@@ -46,12 +46,11 @@ _WARMUP_SLOT = 0  # bit i uses slot 1 + i
 # The noise-driven sources, Alice's then Bob's.
 _PARTY_SOURCES = ("ua", "ub")
 
-# An arrangement's bits are evaluated in batches of about this many
-# internal steps (at least one bit), which bounds the batch's buffers.
+# The step budget of a unit of work, which bounds its buffers: an
+# arrangement's bits are evaluated in batches of about this many internal
+# steps (at least one bit), and a bit's probes are read from its lines in
+# groups of records spanning at most this many (at least one record).
 _CHUNK_STEPS = 2**15
-
-# A bit's probes are evaluated from its lines this many records at a time.
-_GROUP_RECORDS = 128
 
 
 def derive_seed(*keys: int) -> int:
@@ -340,9 +339,11 @@ class KeyExchangeSession:
         """The arrangement's solver and the maps of its bits of ``n_units``:
 
         - P (4, n_groups, 2, k_max): the probes' gains from Alice's and
-          Bob's unit lines, turned to the first record
-          of each group of ``_GROUP_RECORDS``: H_k z_k^(q G S + S - 1)
-          times each party's line amplitude;
+          Bob's unit lines, turned to the first record of each group of
+          G records: H_k z_k^(q G S + S - 1) times each party's line
+          amplitude.  G = min(n_units, ``_CHUNK_STEPS`` // S), at least 1:
+          a group spans at most the internal steps of a batch of bits
+          (``_exchange``);
         - E (2 k_max, G): the phases of a group's records
           (``_record_phases``);
         - M (k_max, 2J): the lines' moments about each series' centre, at
@@ -361,7 +362,7 @@ class KeyExchangeSession:
             n_pad, k_max, _ = windows[0]
             amplitude = np.array([w[2] for w in windows])
             res = solver.window_resolvent(n_pad, k_max, _PARTY_SOURCES)
-            G = min(n_units, _GROUP_RECORDS)
+            G = min(n_units, max(1, _CHUNK_STEPS // S))
             first = np.arange(0, n_units, G) * S + S - 1
             # contiguous, so the batch product has a contiguous last axis
             P = (np.ascontiguousarray(res.H.transpose(1, 2, 0))[:, None] * amplitude[:, None]

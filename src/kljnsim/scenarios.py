@@ -77,19 +77,14 @@ class DefenseSpec:
 
 
 def _check_keys(name: str, d: dict, section) -> None:
-    """Name the keys of ``d`` that are not fields of the dataclass ``section``
-    and the integer fields whose value is not an integer, or say that ``d``
-    is not a JSON object."""
+    """Name the keys of ``d`` that are not fields of the dataclass ``section``,
+    or say that ``d`` is not a JSON object.  Each section checks its own
+    integer fields (``network.check_integer``)."""
     if not isinstance(d, dict):
         raise ValueError(f"{name} must be a JSON object")
-    fields = {f.name: f.type for f in dataclasses.fields(section)}
-    unknown = sorted(set(d) - set(fields))
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(section)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
-    for key, value in d.items():
-        # the section modules postpone annotations, so each type is a string
-        if fields[key] == "int" and type(value) is not int:
-            raise ValueError(f"{name} key {key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

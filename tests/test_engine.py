@@ -154,7 +154,8 @@ def test_netlist_outside_the_contract_rejected_before_drawing(breach, match):
 
 def test_long_bit_matches_plain_stepping():
     # a 300-unit bit is 9600 samples, over a quarter of its 32768-point
-    # noise window: 300 records read from the lines in three groups
+    # noise window: with a step budget of 128 records, its 300 records are
+    # read from the lines in three groups, one bit per batch
     cfg = ProtocolConfig(bep_units=300, arrangement="random")
     cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=1000.0,
                       n_segments=3)
@@ -162,7 +163,8 @@ def test_long_bit_matches_plain_stepping():
     def builder(ra, rb):
         return build_distributed(ra, rb, cable)
 
-    batched = KeyExchangeSession(builder, cfg, master_seed=9).run_bits(3, 4)
+    with mock.patch.object(protocol, "_CHUNK_STEPS", 128 * 32):
+        batched = KeyExchangeSession(builder, cfg, master_seed=9).run_bits(3, 4)
     assert_probes_match(batched, plain_session(builder, cfg, 9, 3, 4))
 
 
@@ -182,7 +184,7 @@ def test_chunk_boundary_prefix():
         for row in range(len(PROBES)):
             x, y = long.probes[k, row], short.probes[k, row]
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
-    assert run_attack(long[:17]).guesses == run_attack(short).guesses
+    assert np.array_equal(run_attack(long[:17]).guesses, run_attack(short).guesses)
 
 
 def test_run_bit_is_one_bit_case_of_run_bits():

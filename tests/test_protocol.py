@@ -244,17 +244,26 @@ class TestSession:
     @pytest.mark.parametrize("bep_units", [7, 12, 21])
     def test_record_groups_match_one_record_at_a_time(self, bep_units, monkeypatch):
         # the probes of 7, 12 and 21 records, and of the 10-unit warmup, are
-        # read from the lines as one group against one record per group
+        # read from the lines as one group against one record per group (a
+        # step budget of one record, which also runs one bit per batch)
         cfg = ProtocolConfig(bep_units=bep_units, arrangement="random")
 
         def builder(ra, rb):
             return build_distributed(ra, rb, rg58(1000.0))
 
         grouped = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
-        monkeypatch.setattr(protocol, "_GROUP_RECORDS", 1)
+        monkeypatch.setattr(protocol, "_CHUNK_STEPS", protocol.DEFAULT_OVERSAMPLE)
         single = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
         peak = np.max(np.abs(single.probes), axis=-1, keepdims=True)
         assert np.all(np.abs(grouped.probes - single.probes) <= 1e-12 * peak)
+
+    @pytest.mark.parametrize("bep_units, n_groups, G", [(300, 1, 300), (2000, 2, 1024)])
+    def test_record_groups_span_one_step_budget(self, bep_units, n_groups, G):
+        # a bit's records are read in groups of at most _CHUNK_STEPS // S
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=bep_units))
+        _, P, E, _, _ = sess._maps_for(("L", "H"), bep_units)
+        assert protocol._CHUNK_STEPS // sess.oversample == 1024
+        assert (P.shape[1], E.shape[1]) == (n_groups, G)
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_handoff_maps_fetched_once_per_chunk(self, monkeypatch):

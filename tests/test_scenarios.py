@@ -94,7 +94,7 @@ class TestConfig:
                              defense=DefenseSpec(kind="xor", xor_rounds=2)).to_dict()
         (d if section == "scenario" else d[section])[key] = value
         with mock.patch.object(protocol, "draw_lines", wraps=protocol.draw_lines) as draw:
-            with pytest.raises(ValueError, match=f"{section} key {key} must be an integer"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
                 run_scenario(ScenarioConfig.from_dict(d))
         assert draw.call_count == 0
 
