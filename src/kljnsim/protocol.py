@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,15 @@ _PARTY_SOURCES = ("ua", "ub")
 # steps (at least one bit), and a bit's probes are read from its lines in
 # groups of records spanning at most this many (at least one record).
 _CHUNK_STEPS = 2**15
+
+
+def engine_cpus() -> int:
+    """The CPUs this process may run on, which decide whether a run's
+    batches are evaluated on a worker thread beside the draws
+    (``KeyExchangeSession._exchange``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def derive_seed(*keys: int) -> int:
@@ -270,12 +281,19 @@ class KeyExchangeSession:
 
     A run groups its bits by arrangement once and draws and evaluates each
     group's lines in batches of about ``_CHUNK_STEPS`` internal steps, in
-    one workspace per run sized by the largest batch.  It
-    then hands the state from bit to bit with one matvec each and adds the
-    free responses with one GEMM per batch, with handoff maps fetched once
-    per run and arrangement.  Bit 0's free response is stepped record by
-    record from the session state (``TransientSolver.propagate``), so a
-    one-bit run needs no handoff maps.
+    one workspace per run sized by the largest batch.  The calling thread
+    draws every batch's lines; when a run has more than one batch and the
+    process may run on more than one CPU (``engine_cpus``), one worker
+    thread, started and joined within the run, evaluates batch i while
+    the caller draws batch i + 1 into a second lines buffer.  Otherwise
+    the caller evaluates each batch itself, through the same function, so
+    the outputs are bitwise the same either way.  The caller then hands
+    the state from bit to bit with one matvec each and adds the free
+    responses with one GEMM per batch, with handoff maps fetched once per
+    run and arrangement.  Bit 0's free response is
+    stepped record by record from the session state
+    (``TransientSolver.propagate``), so a one-bit run needs no handoff
+    maps.
 
     The solvers are the process's shared builds (``shared_solver``): a
     netlist's LU, resolvents and record and handoff maps are built once
@@ -345,7 +363,7 @@ class KeyExchangeSession:
           a group spans at most the internal steps of a batch of bits
           (``_exchange``);
         - E (2 k_max, G): the phases of a group's records
-          (``_record_phases``);
+          (``_record_phases``, cached per process for single-group bits);
         - M (k_max, 2J): the lines' moments about each series' centre, at
           the bit's start and, turned by z_k^(n S), at its end;
         - T (4J, m): the series coefficients for Alice's then Bob's moments,
@@ -370,7 +388,17 @@ class KeyExchangeSession:
             M = np.hstack([res.V, res.V * line_phases(n_pad, k_max, n_units * S)[:, None]])
             T = res.T.transpose(2, 0, 1) * amplitude[:, None, None]
             T = np.stack([T.real, -T.imag], axis=2).reshape(4 * len(res.T), solver.n_states)
-            maps = (solver, P, _record_phases(n_pad, k_max, S, G), M, T)
+            if G == n_units:
+                E = _record_phases(n_pad, k_max, S, G)
+            else:
+                # a multi-group bit's E can be large (419 MB at 100000
+                # units), so it is built once per session and bit length,
+                # outside the process-wide cache, and freed with the session
+                E = next((E for (_, units), (_, _, E, _, _) in self._maps.items()
+                          if units == n_units), None)
+                if E is None:
+                    E = _record_phases.__wrapped__(n_pad, k_max, S, G)
+            maps = (solver, P, E, M, T)
             self._maps[key] = maps
         return maps
 
@@ -417,12 +445,18 @@ class KeyExchangeSession:
         # by every arrangement: each batch writes into views of it
         # (``_view``), so no batch allocates or page-faults temporaries of
         # its own.  The arrangements share k_max and E; M's width differs.
+        # With more than one batch and more than one CPU, a worker thread
+        # evaluates each batch while the caller draws the next into a
+        # second ``lines`` buffer.
         per_batch = max(1, _CHUNK_STEPS // (n_units * S))
         size = min(per_batch, max(map(len, members)))
         _, P, E, _, _ = maps[0]
         n_groups, k_max, G = P.shape[1], P.shape[-1], E.shape[1]
         width = max(M.shape[1] for _, _, _, M, _ in maps)
-        lines = np.empty(size * 4 * k_max)
+        batches = [(j, idx[start : start + per_batch])
+                   for j, idx in enumerate(members) for start in range(0, len(idx), per_batch)]
+        threaded = len(batches) > 1 and engine_cpus() > 1
+        lines = np.empty((1 + threaded, size * 4 * k_max))
         c = np.empty(size * 2 * k_max, dtype=np.complex128)
         b = np.empty(size * len(PROBES) * n_groups * k_max, dtype=np.complex128)
         b_part = np.empty_like(b)
@@ -437,30 +471,48 @@ class KeyExchangeSession:
         # group, and h_ss[0], h_ss[n] from the lines' moments.
         y = np.empty((n, len(PROBES), n_units))
         ss = np.empty((n, 2, m))
-        for (_, P, E, M, T), idx in zip(maps, members):
-            for start in range(0, len(idx), per_batch):
-                rows = idx[start : start + per_batch]
-                r = len(rows)
-                x = draw_lines(words[rows], _view(lines, r, 2, 2, k_max))
-                cr = _view(c, r, 2, k_max)
-                cr.real = x[:, :, 0]
-                cr.imag = x[:, :, 1]
-                br = _view(b, r, len(PROBES), n_groups, k_max)
-                part = _view(b_part, *br.shape)
-                np.multiply(P[:, :, 0], cr[:, None, None, 0], out=br)
-                np.multiply(P[:, :, 1], cr[:, None, None, 1], out=part)
-                br += part
-                y_rows = np.matmul(br.view(np.float64).reshape(-1, 2 * k_max), E,
-                                   out=_view(y_groups, r * len(PROBES) * n_groups, G))
-                y[rows] = y_rows.reshape(r, len(PROBES), -1)[:, :, :n_units]
-                # the moments come as (bit, party, start/end, J); T wants
-                # each bit's start, then end, moments of both parties
-                mom = np.matmul(cr.reshape(2 * r, k_max), M,
-                                out=_view(moments, 2 * r, M.shape[1]))
-                mom_t = _view(moments_t, r, 2, 2, M.shape[1] // 2)
-                np.copyto(mom_t, mom.reshape(mom_t.shape).transpose(0, 2, 1, 3))
-                ss[rows] = np.matmul(mom_t.view(np.float64).reshape(2 * r, -1), T,
-                                     out=_view(h_ss, 2 * r, m)).reshape(r, 2, m)
+
+        def draw(i: int) -> np.ndarray:
+            rows = batches[i][1]
+            return draw_lines(words[rows], _view(lines[i % len(lines)], len(rows), 2, 2, k_max))
+
+        def evaluate(i: int, x: np.ndarray) -> None:
+            j, rows = batches[i]
+            _, P, E, M, T = maps[j]
+            r = len(rows)
+            cr = _view(c, r, 2, k_max)
+            cr.real = x[:, :, 0]
+            cr.imag = x[:, :, 1]
+            br = _view(b, r, len(PROBES), n_groups, k_max)
+            part = _view(b_part, *br.shape)
+            np.multiply(P[:, :, 0], cr[:, None, None, 0], out=br)
+            np.multiply(P[:, :, 1], cr[:, None, None, 1], out=part)
+            br += part
+            y_rows = np.matmul(br.view(np.float64).reshape(-1, 2 * k_max), E,
+                               out=_view(y_groups, r * len(PROBES) * n_groups, G))
+            y[rows] = y_rows.reshape(r, len(PROBES), -1)[:, :, :n_units]
+            # the moments come as (bit, party, start/end, J); T wants
+            # each bit's start, then end, moments of both parties
+            mom = np.matmul(cr.reshape(2 * r, k_max), M,
+                            out=_view(moments, 2 * r, M.shape[1]))
+            mom_t = _view(moments_t, r, 2, 2, M.shape[1] // 2)
+            np.copyto(mom_t, mom.reshape(mom_t.shape).transpose(0, 2, 1, 3))
+            ss[rows] = np.matmul(mom_t.view(np.float64).reshape(2 * r, -1), T,
+                                 out=_view(h_ss, 2 * r, m)).reshape(r, 2, m)
+
+        if threaded:
+            # The draws hold the GIL to seed each stream; the evaluation's
+            # GEMMs and loops release it, so the two overlap.
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                x = draw(0)
+                for i in range(len(batches)):
+                    pending = worker.submit(evaluate, i, x)
+                    if i + 1 < len(batches):
+                        x = draw(i + 1)
+                    pending.result()
+        else:
+            for i in range(len(batches)):
+                evaluate(i, draw(i))
 
         # Bit 0's free response, stepped from the session state.
         d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]

@@ -34,6 +34,7 @@ from .protocol import (
     KeyExchangeSession,
     ProtocolConfig,
     derive_seed,
+    engine_cpus,
     expected_levels,
     infer_remote_resistance,
 )
@@ -316,9 +317,11 @@ def persist_scenario(
 
 def _provenance() -> dict:
     """What produced a run: package and library versions, the BLAS
-    thread settings in the environment, and the thread count the engine
+    thread settings in the environment, the thread count the engine
     ran each OpenBLAS pool with (``single_blas_thread``; null when no
-    pool was found, and the count was then left as it was)."""
+    pool was found, and the count was then left as it was), and the CPU
+    count that chose whether a worker thread evaluated the engine's
+    batches beside the draws (``engine_cpus``: more than 1 for it)."""
     from . import __version__
 
     # numpy before 1.26 has no build CONFIG; its BLAS is then recorded as null
@@ -333,6 +336,7 @@ def _provenance() -> dict:
         },
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "engine_blas_threads": {pool.name: 1 for pool in blas_pools()} or None,
+        "engine_cpus": engine_cpus(),
     }
 
 

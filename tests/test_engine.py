@@ -1,6 +1,8 @@
 """Batched bit engine against plain stepping, the reference implementation."""
 
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -236,3 +238,54 @@ def test_reactive_elements_must_match_across_arrangements():
     session = KeyExchangeSession(builder, cfg, master_seed=6)
     with pytest.raises(ValueError, match="reactive elements"):
         session.run_bits(64)
+
+
+def pipelined_run(cpus, seed=11):
+    """A 40-bit random-arrangement run at 20 units, in batches of 4 bits,
+    with ``protocol.engine_cpus`` reading ``cpus``; its records, end
+    history and the worker pools it started."""
+    cfg = ProtocolConfig(bep_units=20, arrangement="random")
+
+    def builder(ra, rb):
+        return build_distributed(ra, rb, rg58(100.0))
+
+    session = KeyExchangeSession(builder, cfg, master_seed=seed)
+    with mock.patch.object(protocol, "_CHUNK_STEPS", 4 * 20 * 32), \
+            mock.patch.object(protocol, "engine_cpus", lambda: cpus), \
+            mock.patch.object(protocol, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pools:
+        bits = session.run_bits(40, 5)
+    return bits, session._hist, pools.call_count
+
+
+def test_worker_and_inline_evaluation_agree_bitwise():
+    # the worker evaluates batch i while the caller draws batch i + 1; on
+    # one CPU the caller evaluates each batch itself, through the same code
+    threads = threading.active_count()
+    threaded, h_threaded, pools = pipelined_run(cpus=2)
+    assert threading.active_count() == threads
+    inline, h_inline, no_pools = pipelined_run(cpus=1)
+    assert (pools, no_pools) == (1, 0)  # the one-bit warmup runs inline
+    assert len(set(threaded.arrangement)) > 1
+    assert np.array_equal(threaded.arrangement, inline.arrangement)
+    assert np.array_equal(threaded.probes, inline.probes)
+    assert np.array_equal(h_threaded, h_inline)
+
+
+def test_worker_error_reaches_the_caller():
+    # an error raised while the worker evaluates a batch is the caller's,
+    # and the worker thread is joined before the run returns
+    caller = threading.get_ident()
+    error = FloatingPointError("raised on the worker")
+    view = protocol._view
+
+    def failing_view(*args):
+        if threading.get_ident() != caller:
+            raise error
+        return view(*args)
+
+    threads = threading.active_count()
+    with mock.patch.object(protocol, "_view", failing_view):
+        with pytest.raises(FloatingPointError) as raised:
+            pipelined_run(cpus=2)
+    assert raised.value is error
+    assert threading.active_count() == threads

@@ -265,6 +265,25 @@ class TestSession:
         assert protocol._CHUNK_STEPS // sess.oversample == 1024
         assert (P.shape[1], E.shape[1]) == (n_groups, G)
 
+    def test_multi_group_phases_kept_by_their_session_only(self, monkeypatch):
+        # a multi-group bit's E (419 MB for a 100000-unit bit) is built once
+        # per session, shared by its arrangements and freed with it; a
+        # single-group bit's E stays in the process-wide cache
+        cfg = ProtocolConfig(bep_units=12, arrangement="random")
+        before = protocol._record_phases.cache_info()
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_CHUNK_STEPS", 5 * protocol.DEFAULT_OVERSAMPLE)
+            sess = KeyExchangeSession(ideal_builder, cfg, master_seed=3)
+            bits = sess.run_bits(8)
+        phases = [E for _, _, E, _, _ in sess._maps.values()]
+        assert phases[0].shape[1] == 5 and len(phases) == len(set(bits.arrangement)) > 1
+        assert all(E is phases[0] for E in phases)
+        assert protocol._record_phases.cache_info()[:2] == before[:2]  # hits, misses
+        assert protocol._record_phases.cache_info().currsize == before.currsize
+        KeyExchangeSession(ideal_builder, cfg, master_seed=3).run_bits(8)
+        KeyExchangeSession(ideal_builder, cfg, master_seed=4).run_bits(8)
+        assert protocol._record_phases.cache_info().hits > before.hits
+
     @pytest.mark.usefixtures("fresh_solvers")
     def test_handoff_maps_fetched_once_per_chunk(self, monkeypatch):
         # one fetch per arrangement of a chunk's later bits; a one-bit run,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -206,6 +207,9 @@ class TestRunScenario:
             assert manifest["engine_blas_threads"] == {name: 1 for name in pools}
         else:
             assert manifest["engine_blas_threads"] is None
+        # the count the engine's worker selection reads (protocol.engine_cpus)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert manifest["engine_cpus"] == protocol.engine_cpus() == cpus
 
     def test_eve_csv_shape(self, tmp_path):
         out = tmp_path / "s"
