@@ -63,10 +63,8 @@ from .solver import (
     DivergenceError,
     SingularNetworkError,
     SolverConfig,
-    TransientResult,
     TransientSolver,
     frequency_response_check,
-    transient_solve,
 )
 
 __version__ = "0.1.0"

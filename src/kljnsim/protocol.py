@@ -516,7 +516,7 @@ class KeyExchangeSession:
 
         # Bit 0's free response, stepped from the session state.
         d = (np.zeros(m) if self._hist is None else self._hist) - ss[0, 0]
-        y_0, h = maps[group_of[0]][0].propagate(d[None], np.zeros((1, n_units, 0)), S)
+        y_0, h = maps[group_of[0]][0].propagate(d[None], S, n_units)
         y[0] += y_0[0]
         h = h[0] + ss[0, 1]
 

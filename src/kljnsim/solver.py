@@ -3,47 +3,43 @@
 Modified nodal analysis with fixed-step trapezoidal integration.  The
 system matrix is constant for a fixed step, so it is factorized once;
 reactive elements are replaced by their trapezoidal companion models
-(conductance g plus history current source).  Every matrix is built from
-one branch-node incidence matrix D: the step system and the t = 0
-system differ only in which branches contribute conductances and which
-become voltage constraints.  D is assembled from the netlist for each
-system and not kept.
+(conductance g plus history current source).  The step system is built
+from one branch-node incidence matrix D, assembled from the netlist and
+not kept.
 
 A run's state is the vector h of history sources, one per reactive
 element: h = g v + i per capacitor and per inductor, which is all a step
-reads of the past.  The caller holds it: ``initial_history`` gives the
-t = 0 history, ``run`` and ``propagate`` take h and return the end
-history, and ``stored_energy`` reads h.  One step is h' = F h + Bh u
-with probes y = Yh h + Yu0 u, built straight from the step LU.  The
-update is linear and time invariant, so one kernel, ``_compose``,
-composes it exactly: ``stride`` steps into a record (``_block_maps``
-with no inputs, ``_input_map`` for them) and a bit's records into its
-response to its start state (``handoff_maps``).  ``propagate`` steps many
-independent runs a record at a time, with two GEMMs per record; ``run``
-is its one-run case, reading ``stride`` samples per source through the
-record's input map.  At stride 1 it takes every step one at a time and
-is the reference the record maps and the bit engine are tested against
-(to 1e-13 absolute, and whole sessions to 1e-12 relative).
+reads of the past.  The caller holds it: ``run`` and ``propagate`` take
+h and return the end history, and ``stored_energy`` reads h; a start
+from rest is h = 0.  One step is h' = F h + Bh u with probes
+y = Yh h + Yu0 u, built straight from the step LU.  The update is linear
+and time invariant, so one kernel, ``_compose``, composes its no-input
+half exactly: ``stride`` steps into a record (``_block_maps``) and a
+bit's records into its response to its start state (``handoff_maps``).
+``propagate`` steps the free responses of many runs a record at a time,
+one GEMM per record.  ``run`` is plain stepping, every step one at a
+time with its inputs, and is kept only as the reference the record maps
+and the bit engine are tested against (to 1e-13 absolute, and whole
+sessions to 1e-12 relative).
 
 Driven by a sum of sinusoids at lines z_k, the history settles to
 Re sum_k X_k a_k z_k^t with the resolvent X_k = (z_k I - F)^-1 B
 (``line_resolvent``, summed as a Taylor series about the middle of the
-lines): the bit engine needs no stepping for the noise, only for the
-free response.
+lines): the bit engine and ``compare.compare_models`` need no stepping
+for the noise, the bit engine only for the free response.
 
 A solver holds no run state, only read-only arrays: the step maps, the
 branch indices, and caches of the no-input record map per stride, the
 handoff maps per bit length and the resolvent per noise window.
 Sessions take their solvers from ``shared_solver``, one per netlist,
 step and tolerance in the process, so runs on one netlist build all of
-that once.  What only ``transient_solve`` and ``run`` read, the t = 0
-system and the record's input map, is built on each call and not kept.
+that once.
 
 The engine's products are small: 21 to 201 states, a few dozen runs.
 OpenBLAS splits them over its default thread pool anyway, and the
-synchronisation costs more than the split saves, so ``transient_solve``
-(and with it ``compare.compare_models``), ``frequency_response_check``
-and the bit engine run inside ``single_blas_thread``.
+synchronisation costs more than the split saves, so the bit engine,
+``compare.compare_models`` and ``frequency_response_check`` run inside
+``single_blas_thread``.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .network import Netlist
-from .noise import Waveform, line_phases
+from .noise import line_phases
 
 
 # Extension modules linked against the BLAS numpy and scipy use, and the
@@ -184,14 +180,6 @@ class LineResolvent:
     arcs: tuple[tuple[int, int], ...]
 
 
-@dataclass
-class TransientResult:
-    """Probe waveforms decimated to the measurement interval."""
-
-    probes: dict[str, Waveform]
-    factorization_residual: float
-
-
 class TransientSolver:
     """Stepping engine for one netlist at one internal step.
 
@@ -223,21 +211,17 @@ class TransientSolver:
 
         kind = np.array([br.kind for br in branches])
         value = self._branch_values(range(len(branches)))
-        self._res = np.flatnonzero(kind == "R")
-        self._caps = np.flatnonzero(kind == "C")
-        self._inds = np.flatnonzero(kind == "L")
-        self._cons = np.flatnonzero((kind == "V") | (kind == "E"))
-        for k in self._res:
+        res = np.flatnonzero(kind == "R")
+        self._caps = caps = np.flatnonzero(kind == "C")
+        self._inds = inds = np.flatnonzero(kind == "L")
+        cons = np.flatnonzero((kind == "V") | (kind == "E"))
+        for k in res:
             if value[k] <= 0:
                 raise ValueError(f"resistor {branches[k].name!r} must have positive value")
 
-        self._sources = [br for br in branches if br.kind == "V"]
-        self.source_names = [br.name for br in self._sources]
-        # Unknown holding each source's current; the t = 0 system keeps
-        # the same V/E rows first, so the index serves both systems.
-        self._src_rows = n_nodes + np.flatnonzero(kind[self._cons] == "V")
+        self.source_names = [br.name for br in branches if br.kind == "V"]
+        n_src = len(self.source_names)
 
-        caps, inds = self._caps, self._inds
         react = np.concatenate([caps, inds])
         self.n_states = len(react)
         g = np.concatenate([2.0 * value[caps] / dt, dt / (2.0 * value[inds])])
@@ -246,19 +230,15 @@ class TransientSolver:
         self.history_weights = g
         # A capacitor's companion current is g v' - h, an inductor's g v' + h.
         sign = np.concatenate([-np.ones(len(caps)), np.ones(len(inds))])
-        M, D = self._mna(
-            np.concatenate([self._res, react]),
-            np.concatenate([1.0 / value[self._res], g]),
-            self._cons,
-        )
-        lu, self.factorization_residual = self._factor(M, "step system")
+        M, D = self._mna(np.concatenate([res, react]), np.concatenate([1.0 / value[res], g]), cons)
+        lu, self.factorization_residual = self._factor(M)
 
         n_u = len(M)
         Dx = np.zeros((len(branches), n_u))  # branch voltages from the unknowns
         Dx[:, :n_nodes] = D
         Dr = Dx[react]
-        E_u = np.zeros((n_u, len(self._sources)))
-        E_u[self._src_rows, np.arange(len(self._sources))] = 1.0
+        E_u = np.zeros((n_u, n_src))  # a unit voltage on each source's constraint row
+        E_u[n_nodes + np.flatnonzero(kind[cons] == "V"), np.arange(n_src)] = 1.0
         V_u = sla.lu_solve(lu, E_u)
         # History sources enter the rhs as -sign h on a branch's a side
         # and opposite on b.
@@ -274,7 +254,7 @@ class TransientSolver:
         # V/E currents their unknowns, reactive ones g v + sign h.  pos
         # holds a V/E branch's unknown and a reactive branch's entry of h.
         pos = np.full(len(branches), -1)
-        pos[self._cons] = np.arange(n_nodes, n_u)
+        pos[cons] = np.arange(n_nodes, n_u)
         pos[react] = np.arange(self.n_states)
         row = {br.name: k for k, br in enumerate(branches)}
         self.probe_names = list(nl.probes)
@@ -296,7 +276,7 @@ class TransientSolver:
         self._Yh = Cv @ V_h + Ch
         self._Yu0 = Cv @ V_u
         _read_only(self._A, self._B, self._Yh, self._Yu0, self.history_weights,
-                   self._res, self._caps, self._inds, self._cons, self._src_rows)
+                   self._caps, self._inds)
         self._block_cache: dict[int, np.ndarray] = {}
         self._handoff_cache: dict[tuple[int, int], tuple] = {}
         self._resolvent_cache: dict[tuple, LineResolvent] = {}
@@ -309,8 +289,7 @@ class TransientSolver:
         """MNA matrix with conductances ``g`` on the branches ``cond`` and
         one current unknown plus one voltage constraint per branch in
         ``cons`` (branch indices into the netlist), and the branch-node
-        incidence D it is assembled from.  Both come from the netlist on
-        each call; the solver keeps neither."""
+        incidence D it is assembled from.  The solver keeps neither."""
         branches = self.netlist.branches
         col = {node: i for i, node in enumerate(self._nodes)}
         n = len(col)
@@ -342,11 +321,12 @@ class TransientSolver:
         M[n:, :n] = D[cons] - K[cons]
         return M, D
 
-    def _factor(self, M: np.ndarray, system: str):
-        """LU factors of ``M`` and the residual of a random-RHS solve.
+    def _factor(self, M: np.ndarray):
+        """LU factors of the step system ``M`` and the residual of a
+        random-RHS solve.
 
-        Raises ``SingularNetworkError`` naming ``system`` for a dangling
-        node, a zero pivot, or a residual above the tolerance.
+        Raises ``SingularNetworkError`` for a dangling node, a zero pivot,
+        or a residual above the tolerance.
         """
         # Structurally dangling unknowns make the matrix singular; name
         # the node instead of failing inside LAPACK.
@@ -354,7 +334,7 @@ class TransientSolver:
         if len(dangling):
             n = self._nodes[dangling[0]]
             raise SingularNetworkError(
-                f"node {n!r} has no connection to the rest of the network in the {system}",
+                f"node {n!r} has no connection to the rest of the network in the step system",
                 node=n,
             )
         with warnings.catch_warnings():
@@ -362,7 +342,7 @@ class TransientSolver:
             try:
                 lu = sla.lu_factor(M)
             except (sla.LinAlgError, sla.LinAlgWarning, ValueError) as exc:
-                raise SingularNetworkError(f"singular {system}: {exc}") from exc
+                raise SingularNetworkError(f"singular step system: {exc}") from exc
 
         rng = np.random.default_rng(12345)
         b = rng.standard_normal(len(M))
@@ -371,60 +351,10 @@ class TransientSolver:
         # Written so that a NaN residual fails too.
         if not residual <= self.tolerance:
             raise SingularNetworkError(
-                f"{system}: linear solve residual {residual:.2e} exceeds "
+                f"step system: linear solve residual {residual:.2e} exceeds "
                 f"tolerance {self.tolerance:.2e} (near-singular matrix)"
             )
         return lu, residual
-
-    # ------------------------------------------------------------------
-    # Histories
-    # ------------------------------------------------------------------
-
-    def initial_history(self, u0: np.ndarray) -> np.ndarray:
-        """The history at t = 0 of a start from rest, with companion
-        sources consistent with the sources ``u0`` at t = 0.
-
-        Every capacitor voltage and inductor current is zero; the
-        instantaneous circuit, capacitors as zero-volt constraints and
-        inductors open, gives the capacitor currents and inductor voltages
-        at t = 0, and with them the history h = g v + i.  Without this, a
-        source that is already nonzero at t = 0 is seen as ramping up over
-        the first step.  With every source at zero the circuit is at rest
-        and h = 0, so the t = 0 system is neither built nor factored; else
-        it is assembled from the netlist and factored on each call, and not
-        kept.
-        """
-        u0 = np.asarray(u0, dtype=np.float64)
-        if self.n_states == 0 or not np.any(u0):
-            return np.zeros(self.n_states)
-        M0, D = self._mna(
-            self._res,
-            1.0 / self._branch_values(self._res),
-            np.concatenate([self._cons, self._caps]),
-        )
-        lu0, _ = self._factor(M0, "instantaneous (t = 0) system")
-
-        n_nodes = len(self._nodes)
-        n_fixed = n_nodes + len(self._cons)  # first capacitor current unknown
-        rhs = np.zeros(n_fixed + len(self._caps))
-        rhs[self._src_rows] = u0
-        sol = sla.lu_solve(lu0, rhs)
-        g_ind = self.history_weights[len(self._caps):]
-        return np.concatenate([sol[n_fixed:], g_ind * (D[self._inds] @ sol[:n_nodes])])
-
-    def assemble_inputs(self, n_steps: int, waveforms: dict[str, np.ndarray]) -> np.ndarray:
-        """Input matrix for ``run``: driven sources from waveform samples,
-        undriven ones held at their constant branch value."""
-        u = np.empty((n_steps, len(self._sources)))
-        for j, br in enumerate(self._sources):
-            if br.name in waveforms:
-                w = np.asarray(waveforms[br.name], dtype=np.float64)
-                if w.size < n_steps:
-                    raise ValueError(f"waveform for source {br.name!r} too short")
-                u[:, j] = w[:n_steps]
-            else:
-                u[:, j] = br.value
-        return u
 
     def stored_energy(self, h: np.ndarray) -> float:
         """Sum of C v^2 / 2 and L i^2 / 2 over all reactive branches one
@@ -443,16 +373,10 @@ class TransientSolver:
     # Stepping
     # ------------------------------------------------------------------
 
-    def _compose(self, W_h: np.ndarray, W_in: np.ndarray | None, G: int):
-        """The step [y, h'] = h @ W_h + u @ W_in, W_h = [Y | F] and
-        W_in = [K | S], composed ``G`` times.  The probes are the inputs
-        convolved with the kernel K_0 = K, K_d = S F^(d-1) Y (the
-        convolutional view of a state-space model; Gu, Goel & Re, ICLR
-        2022).  Returns [O | F^G], O's step j F^j Y probe-major (probe p
-        of step j in column p G + j), and W_k, row block i
-        [K_(G-1-i) | S F^(G-1-i)], the map from the G steps' inputs to
-        the last step's probes and the end history (None without
-        ``W_in``).  At G = 1 they are W_h and ``W_in`` bitwise.
+    def _compose(self, W_h: np.ndarray, G: int) -> np.ndarray:
+        """The no-input step [y, h'] = h @ W_h, W_h = [Y | F], composed
+        ``G`` times: [O | F^G], O's step j F^j Y probe-major (probe p of
+        step j in column p G + j).  At G = 1 it is W_h bitwise.
         """
         ny, m = len(self.probe_names), self.n_states
         Y, F = W_h[:, :ny], W_h[:, ny:]
@@ -463,43 +387,22 @@ class TransientSolver:
             O[:, :, j] = rows
             rows = F @ rows
         W_hG[:, ny * G :] = np.linalg.matrix_power(F, G)
-        if W_in is None:
-            return W_hG, None
-        W_k = np.empty((G, len(W_in), ny + m))
-        K, S = W_in[:, :ny], W_in[:, ny:]  # K_d and S F^d, from d = 0
-        for d in range(G):
-            W_k[G - 1 - d, :, :ny] = K
-            W_k[G - 1 - d, :, ny:] = S
-            K = S @ Y
-            S = S @ F
-        return W_hG, W_k.reshape(G * len(W_in), ny + m)
+        return W_hG
 
     def _block_maps(self, stride: int) -> np.ndarray:
         """The no-input map W_h of one record of ``stride`` steps, [y, h']
         = h @ W_h with y the probes of its last step: the step h' = F h,
         y = Yh h (``_A``, ``_Yh``) composed ``stride`` times.  Cached per
-        stride; sessions read only this half of the record map.  At stride
-        1 it is the step map bitwise.
+        stride.  At stride 1 it is the step map bitwise.
         """
         W_h = self._block_cache.get(stride)
         if W_h is None:
             ny = len(self.probe_names)
-            W, _ = self._compose(np.vstack([self._Yh, self._A]).T, None, stride)
+            W = self._compose(np.vstack([self._Yh, self._A]).T, stride)
             last = W[:, stride - 1 : ny * stride : stride]
             W_h, = _read_only(np.hstack([last, W[:, ny * stride :]]))
             self._block_cache[stride] = W_h
         return W_h
-
-    def _input_map(self, stride: int) -> np.ndarray:
-        """The input half W_u of the record map, [y, h'] = h @ W_h + u @ W_u
-        (W_h from ``_block_maps``): the step's y = Yu0 u, h' = Bh u
-        (``_Yu0``, ``_B``) composed ``stride`` times.  A record's inputs u
-        are step-major (step p of source j at p * n_sources + j).  Only runs
-        with inputs (``run``) need it, so it is composed on each call and
-        not cached.
-        """
-        return self._compose(np.vstack([self._Yh, self._A]).T,
-                             np.vstack([self._Yu0, self._B]).T, stride)[1]
 
     def handoff_maps(self, stride: int, n_rec: int) -> tuple[np.ndarray, np.ndarray]:
         """Response of a run of ``n_rec`` records to its start history h0.
@@ -512,7 +415,7 @@ class TransientSolver:
         key = (stride, n_rec)
         cached = self._handoff_cache.get(key)
         if cached is None:
-            W, _ = self._compose(self._block_maps(stride), None, n_rec)
+            W = self._compose(self._block_maps(stride), n_rec)
             if not np.all(np.isfinite(W)):
                 raise DivergenceError(
                     f"the {n_rec}-record state map overflows (unstable network)"
@@ -523,26 +426,20 @@ class TransientSolver:
             self._handoff_cache[key] = cached
         return cached
 
-    def propagate(self, h: np.ndarray, u: np.ndarray, stride: int):
-        """Record recurrence for k independent runs at once.
+    def propagate(self, h: np.ndarray, stride: int, n_rec: int):
+        """Free responses of k independent runs, ``n_rec`` records of
+        ``stride`` steps with every source at zero.
 
-        ``h`` (k, m) holds the start histories of the runs, one per row,
-        and ``u`` (k, n_rec, n_in) their inputs, one record of ``stride``
-        steps per row.  A record steps as [y, h'] = h @ W_h + u @ W_u with
-        ``_block_maps``' W_h and ``_input_map``'s W_u, two GEMMs across
-        the runs; with no inputs (n_in = 0), the free response, W_u is
-        neither composed nor applied.  Returns the probes
-        (k, n_probes, n_rec) and the end histories.
+        ``h`` (k, m) holds the start histories, one per row; a record
+        steps as [y, h'] = h @ W_h with ``_block_maps``' W_h, one GEMM
+        across the runs.  Returns the probes (k, n_probes, n_rec) and the
+        end histories.
         """
         W_h = self._block_maps(stride)
-        W_u = self._input_map(stride) if u.shape[2] else None
-        k, n_rec, _ = u.shape
         ny = len(self.probe_names)
-        y = np.empty((k, ny, n_rec))
+        y = np.empty((len(h), ny, n_rec))
         for j in range(n_rec):
             out = h @ W_h
-            if W_u is not None:
-                out += u[:, j] @ W_u
             y[:, :, j] = out[:, :ny]
             h = out[:, ny:]
         return y, h
@@ -602,38 +499,41 @@ class TransientSolver:
             self._resolvent_cache[key] = res
         return res
 
-    def run(self, h: np.ndarray, source_steps: np.ndarray, record_stride: int = 1):
-        """Advance history ``h`` by ``len(source_steps)`` internal steps.
+    def run(self, h: np.ndarray, source_steps: np.ndarray):
+        """Plain stepping: advance history ``h`` by ``len(source_steps)``
+        internal steps, one at a time.
 
         ``source_steps[k, j]`` is the value of source j at the end of
-        internal step k.  Returns the probe samples at every
-        ``record_stride``-th step (the last step of each stride group),
-        shape (n_steps // stride, n_probes), and the end history, from
-        which a next call continues the timeline.  This is the one-run
-        case of ``propagate``; at stride 1 every step is taken one at a
-        time.
+        internal step k.  A step is [y, h'] = h @ [Yh | F]^T + u @ [Yu0 |
+        Bh]^T, two GEMMs.  Returns every step's probes, shape (n_steps,
+        n_probes), and the end history, from which a next call continues
+        the timeline.  No production path steps; this is the reference
+        the record maps, the bit engine and ``compare`` are tested against.
         """
         h = np.asarray(h, dtype=np.float64)
         if h.shape != (self.n_states,):
             raise ValueError("state vector has wrong length")
-        if not (isinstance(record_stride, (int, np.integer)) and record_stride > 0):
-            raise ValueError("record_stride must be a positive integer")
         u = np.atleast_2d(np.asarray(source_steps, dtype=np.float64))
         n_src = len(self.source_names)
         if u.ndim != 2 or u.shape[1] != n_src:
             raise ValueError(f"source_steps must be (n_steps, {n_src})")
-        n_steps = u.shape[0]
-        if n_steps % record_stride != 0:
-            raise ValueError("n_steps must be a multiple of record_stride")
-        n_rec = n_steps // record_stride
 
-        # Record-major, then step-major within a record (``_block_maps``).
-        y, h = self.propagate(h[None], u.reshape(1, n_rec, record_stride * n_src), record_stride)
+        W_h = self._block_maps(1)
+        # in C order, like W_h: a product's rounding depends on the layout
+        W_u = np.ascontiguousarray(np.vstack([self._Yu0, self._B]).T)
+        ny = len(self.probe_names)
+        y = np.empty((len(u), ny))
+        h = h[None]
+        for j in range(len(u)):
+            out = h @ W_h
+            out += u[j : j + 1] @ W_u
+            y[j] = out[0, :ny]
+            h = out[:, ny:]
         if not np.all(np.isfinite(h)):
             raise DivergenceError("non-finite state during integration")
         if not np.all(np.isfinite(y)):
             raise DivergenceError("non-finite probe values during integration")
-        return y[0].T, h[0]
+        return y, h[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -668,50 +568,6 @@ def shared_solver(netlist: Netlist, config: SolverConfig) -> TransientSolver:
         else:
             _shared_solvers.move_to_end(key)
     return solver
-
-
-@single_blas_thread()
-def transient_solve(
-    netlist: Netlist,
-    sources: dict[str, Waveform],
-    config: SolverConfig,
-    duration_s: float,
-    t_s: float,
-) -> TransientResult:
-    """One-shot transient run from zero initial conditions.
-
-    Every independent source in the netlist must come with a waveform at
-    the internal rate covering the duration.  Probe outputs are decimated
-    to the measurement interval ``t_s`` (samples at t_s, 2 t_s, ...).
-    """
-    dt = config.internal_step_s
-    stride = int(round(t_s / dt))
-    if stride < 1 or abs(stride * dt - t_s) > 1e-9 * t_s:
-        raise ValueError("t_s must be an integer multiple of the internal step")
-    n_steps = int(round(duration_s / dt))
-    n_steps -= n_steps % stride
-    if n_steps == 0:
-        raise ValueError(f"duration_s {duration_s} is shorter than t_s {t_s}")
-
-    solver = TransientSolver(netlist, dt, config.tolerance)
-    arrays = {}
-    for br in netlist.branches:
-        if br.kind == "V" and br.source_ref is not None:
-            if br.name not in sources:
-                raise ValueError(f"no waveform supplied for source {br.name!r}")
-            wf = sources[br.name]
-            if abs(wf.sample_interval_s - dt) > 1e-9 * dt:
-                raise ValueError(
-                    f"waveform for source {br.name!r} is not at the internal rate"
-                )
-            arrays[br.name] = wf.samples
-    u = solver.assemble_inputs(n_steps, arrays)
-    recs, _ = solver.run(solver.initial_history(u[0]), u, record_stride=stride)
-    probes = {
-        name: Waveform(recs[:, i], sample_interval_s=t_s, start_time_s=t_s)
-        for i, name in enumerate(solver.probe_names)
-    }
-    return TransientResult(probes=probes, factorization_residual=solver.factorization_residual)
 
 
 @single_blas_thread()

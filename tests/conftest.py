@@ -1,5 +1,6 @@
-"""Session-wide campaign runs at the default master seed, and an emptied
-shared-solver cache for the tests that need one.
+"""Session-wide campaign runs at the default master seed, an emptied
+shared-solver cache for the tests that need one, and the inputs of
+plain stepping (``TransientSolver.run``).
 
 The six-cell sweep, the defense comparison, the zero-capacitance sweep
 and one random-arrangement scenario each run once per test session; the
@@ -8,6 +9,7 @@ acceptance suite and the golden-artifact test share them.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from kljnsim import solver
@@ -15,6 +17,23 @@ from kljnsim.scenarios import (DEFAULT_MASTER_SEED, DefenseSpec, default_scenari
                                reproduce_defenses, reproduce_table1, run_scenario)
 
 N_BITS = 1000
+
+
+def source_steps(solver, n_steps, waveforms):
+    """``TransientSolver.run``'s inputs for ``n_steps`` steps: the sources
+    named in ``waveforms`` take its samples, every other source holds its
+    branch value."""
+    u = np.tile([br.value for br in solver.netlist.branches if br.kind == "V"], (n_steps, 1))
+    for name, samples in waveforms.items():
+        u[:, solver.source_names.index(name)] = samples[:n_steps]
+    return u
+
+
+def rest_start_step(tau, dt, t):
+    """A first-order lag's exact response, at times t >= dt, to the unit
+    step as a run from rest sees it: the input is 0 at t = 0 and ramps
+    linearly to 1 over the first step of ``dt``."""
+    return 1.0 - (tau / dt) * np.expm1(dt / tau) * np.exp(-t / tau)
 
 
 def random_arrangement_scenario():

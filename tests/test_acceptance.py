@@ -8,7 +8,7 @@ shared with the golden-artifact test.
 """
 
 import numpy as np
-from conftest import N_BITS
+from conftest import N_BITS, rest_start_step, source_steps
 
 from kljnsim.attack import eve_decide
 from kljnsim.compare import compare_models
@@ -21,7 +21,6 @@ from kljnsim.network import (
 )
 from kljnsim.noise import (
     NoiseSpec,
-    Waveform,
     gaussianity_report,
     generate,
     out_of_band_power_fraction,
@@ -33,7 +32,7 @@ from kljnsim.protocol import (
     expected_levels,
 )
 from kljnsim.scenarios import DEFAULT_MASTER_SEED
-from kljnsim.solver import SolverConfig, TransientSolver, transient_solve
+from kljnsim.solver import TransientSolver
 
 TABLE1_TARGETS = {
     (20, 100.0): 0.509,
@@ -130,12 +129,9 @@ def test_criterion_5_solver_oracles():
         ),
         probes={"v": ("v", "x")},
     )
-    res = transient_solve(
-        rc, {"u": Waveform(np.ones(1000), dt)},
-        SolverConfig(internal_step_s=dt), 1000 * dt, dt,
-    )
-    t = res.probes["v"].times()
-    step_err = float(np.max(np.abs(res.probes["v"].samples - (1 - np.exp(-t / tau)))))
+    v, _ = TransientSolver(rc, dt).run(np.zeros(1), np.ones((1000, 1)))
+    t = (np.arange(1000) + 1) * dt
+    step_err = float(np.max(np.abs(v[:, 0] - rest_start_step(tau, dt, t))))
 
     # linearity and superposition on the full ladder
     net = build_distributed(1000.0, 9000.0, rg58(1000.0))
@@ -144,8 +140,8 @@ def test_criterion_5_solver_oracles():
 
     def run(sa, sb):
         solver = TransientSolver(net, 31.25e-6)
-        u = solver.assemble_inputs(len(na), {"ua": sa * na, "ub": sb * nb})
-        return solver.run(np.zeros(solver.n_states), u, record_stride=1)[0]
+        u = source_steps(solver, len(na), {"ua": sa * na, "ub": sb * nb})
+        return solver.run(np.zeros(solver.n_states), u)[0]
 
     y_a, y_b, y_ab, y_3 = run(1, 0), run(0, 1), run(1, 1), run(3, 3)
     scale = np.max(np.abs(y_ab))
@@ -154,13 +150,13 @@ def test_criterion_5_solver_oracles():
 
     # passivity after switching sources off
     solver = TransientSolver(net, 31.25e-6)
-    u = solver.assemble_inputs(len(na), {"ua": na, "ub": nb})
-    _, h = solver.run(np.zeros(solver.n_states), u, record_stride=len(na))
-    zeros = solver.assemble_inputs(1, {"ua": np.zeros(1), "ub": np.zeros(1)})
-    _, h = solver.run(h, zeros, record_stride=1)
+    u = source_steps(solver, len(na), {"ua": na, "ub": nb})
+    _, h = solver.run(np.zeros(solver.n_states), u)
+    zeros = source_steps(solver, 1, {"ua": np.zeros(1), "ub": np.zeros(1)})
+    _, h = solver.run(h, zeros)
     energies = [solver.stored_energy(h)]
     for _ in range(300):
-        _, h = solver.run(h, zeros, record_stride=1)
+        _, h = solver.run(h, zeros)
         energies.append(solver.stored_energy(h))
     e = np.array(energies)
     passive = bool(np.all(np.diff(e) <= 1e-12 * e[:-1] + 1e-30))

@@ -25,6 +25,8 @@ from kljnsim.protocol import (
 )
 from kljnsim.solver import DivergenceError, TransientSolver
 
+from conftest import source_steps
+
 
 def plain_session(builder, cfg, seed, n_bits, warmup):
     """Probes of ``KeyExchangeSession.run_bits`` by plain stepping: one
@@ -49,9 +51,8 @@ def plain_session(builder, cfg, seed, n_bits, warmup):
             for name, choice, purpose in (("ua", arrangement[0], _NOISE_ALICE),
                                           ("ub", arrangement[1], _NOISE_BOB))
         }
-        u = solver.assemble_inputs(n_units * S, noise)
-        recs, state = solver.run(np.zeros(solver.n_states) if state is None else state, u,
-                                 record_stride=1)
+        u = source_steps(solver, n_units * S, noise)
+        recs, state = solver.run(np.zeros(solver.n_states) if state is None else state, u)
         return recs[S - 1 :: S], solver.probe_names
 
     if warmup:

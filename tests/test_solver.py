@@ -14,14 +14,15 @@ from kljnsim.network import (
     build_lumped,
     rg58,
 )
-from kljnsim.noise import NoiseSpec, Waveform, generate
+from kljnsim.noise import NoiseSpec, generate
 from kljnsim.solver import (
     SingularNetworkError,
     SolverConfig,
     TransientSolver,
     frequency_response_check,
-    transient_solve,
 )
+
+from conftest import rest_start_step, source_steps
 
 
 def rc_netlist(r=900.0, c=100e-9):
@@ -69,57 +70,37 @@ class TestSolverConfig:
 
 class TestAnalyticOracles:
     def test_dc_divider(self):
-        res = transient_solve(
-            divider_netlist(),
-            {"u": Waveform(np.ones(64), 1e-6)},
-            SolverConfig(internal_step_s=1e-6),
-            duration_s=64e-6,
-            t_s=1e-6,
-        )
-        np.testing.assert_allclose(res.probes["v"].samples, 0.9, rtol=1e-12)
+        solver = TransientSolver(divider_netlist(), 1e-6)
+        y, _ = solver.run(np.zeros(0), np.ones((64, 1)))
+        np.testing.assert_allclose(y[:, 0], 0.9, rtol=1e-12)
+
+    @staticmethod
+    def step_error(net, probe, gain, tau, tau_ref):
+        """Largest deviation of ``gain`` times ``probe`` over 1000 steps
+        of tau / 100 from rest, under a unit step, from the exact response
+        of a lag with time constant ``tau_ref``."""
+        dt = tau / 100.0
+        solver = TransientSolver(net, dt)
+        y, _ = solver.run(np.zeros(1), np.ones((1000, 1)))
+        t = (np.arange(1000) + 1) * dt
+        return np.max(np.abs(gain * y[:, solver.probe_names.index(probe)]
+                             - rest_start_step(tau_ref, dt, t)))
 
     def test_rc_step_response_point1_percent(self):
         r, c = 900.0, 100e-9
         tau = r * c
-        dt = tau / 100.0
-        n = 1000
-        res = transient_solve(
-            rc_netlist(r, c),
-            {"u": Waveform(np.ones(n), dt)},
-            SolverConfig(internal_step_s=dt),
-            duration_s=n * dt,
-            t_s=dt,
-        )
-        t = res.probes["v"].times()
-        exact = 1.0 - np.exp(-t / tau)
-        assert np.max(np.abs(res.probes["v"].samples - exact)) < 1e-3
+        assert self.step_error(rc_netlist(r, c), "v", 1.0, tau, tau) < 1e-3
+        # a time constant 1 % off fails the same bound
+        assert self.step_error(rc_netlist(r, c), "v", 1.0, tau, 1.01 * tau) > 1e-3
 
     def test_rl_step_response_point1_percent(self):
         r, l = 100.0, 1e-3
         tau = l / r
-        dt = tau / 100.0
-        n = 1000
-        res = transient_solve(
-            rl_netlist(r, l),
-            {"u": Waveform(np.ones(n), dt)},
-            SolverConfig(internal_step_s=dt),
-            duration_s=n * dt,
-            t_s=dt,
-        )
-        t = res.probes["i"].times()
-        exact = 1.0 - np.exp(-t / tau)
-        assert np.max(np.abs(r * res.probes["i"].samples - exact)) < 1e-3
+        assert self.step_error(rl_netlist(r, l), "i", r, tau, tau) < 1e-3
 
     def test_all_sources_zero(self):
-        res = transient_solve(
-            rc_netlist(),
-            {"u": Waveform(np.zeros(128), 1e-6)},
-            SolverConfig(internal_step_s=1e-6),
-            duration_s=128e-6,
-            t_s=1e-6,
-        )
-        for wf in res.probes.values():
-            assert np.all(wf.samples == 0.0)
+        y, h = TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.zeros((128, 1)))
+        assert np.all(y == 0.0) and np.all(h == 0.0)
 
 
 class TestLinearity:
@@ -128,8 +109,8 @@ class TestLinearity:
         solver = TransientSolver(net, 31.25e-6)
         na = generate(NoiseSpec(250.0, 1.0, 0.02, 31.25e-6, seed=seed)).samples
         nb = generate(NoiseSpec(250.0, 3.0, 0.02, 31.25e-6, seed=seed + 1)).samples
-        u = solver.assemble_inputs(len(na), {"ua": scale_a * na, "ub": scale_b * nb})
-        return solver.run(np.zeros(solver.n_states), u, record_stride=1)[0]
+        u = source_steps(solver, len(na), {"ua": scale_a * na, "ub": scale_b * nb})
+        return solver.run(np.zeros(solver.n_states), u)[0]
 
     def test_scaling(self):
         y1 = self.ladder_run(1.0, 1.0)
@@ -150,13 +131,13 @@ class TestPassivity:
         net = build_distributed(1000.0, 9000.0, rg58(1000.0))
         solver = TransientSolver(net, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.05, 31.25e-6, seed=5)).samples
-        u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
-        _, h = solver.run(np.zeros(solver.n_states), u, record_stride=len(drive))
-        zeros = solver.assemble_inputs(1, {"ua": np.zeros(1), "ub": np.zeros(1)})
-        _, h = solver.run(h, zeros, record_stride=1)  # switch-off step
+        u = source_steps(solver, len(drive), {"ua": drive, "ub": 3.0 * drive})
+        _, h = solver.run(np.zeros(solver.n_states), u)
+        zeros = source_steps(solver, 1, {"ua": np.zeros(1), "ub": np.zeros(1)})
+        _, h = solver.run(h, zeros)  # switch-off step
         energies = [solver.stored_energy(h)]
         for _ in range(300):
-            _, h = solver.run(h, zeros, record_stride=1)
+            _, h = solver.run(h, zeros)
             energies.append(solver.stored_energy(h))
         e = np.array(energies)
         assert e[0] > 0
@@ -195,8 +176,8 @@ class TestDiscretization:
         for div, sub in ((32, 2), (64, 1)):
             solver = TransientSolver(net, t_s / div)
             src = {"ua": na[sub - 1 :: sub], "ub": nb[sub - 1 :: sub]}
-            u = solver.assemble_inputs(len(src["ua"]), src)
-            outs[div] = solver.run(np.zeros(solver.n_states), u, record_stride=div)[0]
+            u = source_steps(solver, len(src["ua"]), src)
+            outs[div] = solver.run(np.zeros(solver.n_states), u)[0][div - 1 :: div]
         skip = len(outs[64]) // 5
         u32 = outs[32][skip:, 0]
         u64 = outs[64][skip:, 0]
@@ -213,26 +194,25 @@ class TestDiscretization:
         ids=["ladder", "lumped", "killer_ladder"],
     )
     def test_block_path_matches_plain(self, build):
-        net = build()
-        a = TransientSolver(net, 31.25e-6)
-        b = TransientSolver(net, 31.25e-6)
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal((640, len(a.source_names)))
-        ya, ha = a.run(np.zeros(a.n_states), base, record_stride=1)
-        yb, hb = b.run(np.zeros(b.n_states), base, record_stride=32)
-        np.testing.assert_allclose(ya[31::32], yb, atol=1e-13)
-        np.testing.assert_allclose(ha, hb, atol=1e-13)
+        # the free response a record at a time (``propagate``, as the bit
+        # engine steps it) against plain stepping with every source at zero
+        solver = TransientSolver(build(), 31.25e-6)
+        h0 = np.random.default_rng(0).standard_normal(solver.n_states)
+        ya, ha = solver.run(h0, np.zeros((640, len(solver.source_names))))
+        yb, hb = solver.propagate(h0[None], 32, 20)
+        np.testing.assert_allclose(ya[31::32], yb[0].T, atol=1e-13)
+        np.testing.assert_allclose(ha, hb[0], atol=1e-13)
 
     def test_chunked_run_matches_single_run(self):
         net = build_distributed(1000.0, 9000.0, rg58(100.0))
         rng = np.random.default_rng(1)
         u = rng.standard_normal((320, 3))
         one = TransientSolver(net, 31.25e-6)
-        y_one, _ = one.run(np.zeros(one.n_states), u, record_stride=32)
+        y_one, _ = one.run(np.zeros(one.n_states), u)
         two = TransientSolver(net, 31.25e-6)
-        y_a, h = two.run(np.zeros(two.n_states), u[:160], record_stride=32)
-        y_0, h = two.run(h, u[:0], record_stride=32)
-        y_b, _ = two.run(h, u[160:], record_stride=32)
+        y_a, h = two.run(np.zeros(two.n_states), u[:160])
+        y_0, h = two.run(h, u[:0])
+        y_b, _ = two.run(h, u[160:])
         assert y_0.shape == (0, len(two.probe_names))
         np.testing.assert_allclose(np.vstack([y_a, y_0, y_b]), y_one, atol=1e-13)
 
@@ -246,73 +226,55 @@ def shield_lifted_ladder():
 
 class TestGroupMaps:
     """Groups of G records composed into one map (``_compose``, which
-    builds ``handoff_maps``), and the record maps, against the one-record
-    and one-step recurrences."""
+    builds ``handoff_maps``), and the record maps, against plain stepping
+    with every source at zero."""
 
     STRIDE = 32
 
-    @staticmethod
-    def record_maps(solver, stride):
-        # the cached no-input half and the input half composed for ``run``
-        return solver._block_maps(stride), solver._input_map(stride)
-
-    @staticmethod
-    def record_inputs(solver, rng, n_rec):
-        # (3, n_rec, n_in), each record's steps step-major: ua and ub draw
-        # noise, the shield holds its value, a bias row of the record map
-        u = np.tile([br.value for br in solver._sources], (3, n_rec, TestGroupMaps.STRIDE, 1))
-        cols = [solver.source_names.index(s) for s in ("ua", "ub")]
-        u[..., cols] = rng.standard_normal((3, n_rec, TestGroupMaps.STRIDE, 2))
-        return u.reshape(3, n_rec, -1)
+    @classmethod
+    def plain_records(cls, solver, h0, n_rec):
+        # the probes at the end of each record (n_rec, n_probes) and the end history
+        y, h = solver.run(h0, np.zeros((n_rec * cls.STRIDE, len(solver.source_names))))
+        return y[cls.STRIDE - 1 :: cls.STRIDE], h
 
     def test_one_record_groups_are_the_record_maps(self):
-        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
-        W_h, W_u = self.record_maps(solver, self.STRIDE)
-        W_hG, W_uG = solver._compose(W_h, W_u, 1)
-        assert np.array_equal(W_hG, W_h) and np.array_equal(W_uG, W_u)
-        assert np.array_equal(solver._compose(W_h, None, 1)[0], W_h)
+        solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
+        W_h = solver._block_maps(self.STRIDE)
+        assert np.array_equal(solver._compose(W_h, 1), W_h)
 
     @pytest.mark.parametrize("G", [2, 3, 5, 7])
+    # a source's value enters no map, so the lifted shield's maps meet the
+    # same free response
     @pytest.mark.parametrize("build", [lambda: build_distributed(1000.0, 9000.0, rg58(1000.0)),
                                        shield_lifted_ladder], ids=["ladder", "bias_row"])
     def test_groups_match_one_record_at_a_time(self, build, G):
         solver = TransientSolver(build(), 31.25e-6)
-        W_h, W_u = self.record_maps(solver, self.STRIDE)
-        W_hG, W_k = solver._compose(W_h, W_u, G)
+        W_hG = solver._compose(solver._block_maps(self.STRIDE), G)
         ny = len(solver.probe_names)
-        K = W_k[:, :ny].reshape(G, len(W_u), ny)[::-1]  # the kernel K_d in block d
-        rng = np.random.default_rng(G)
         n_rec = 6 * G
-        h0 = rng.standard_normal((3, solver.n_states))
-        u = self.record_inputs(solver, rng, n_rec)
-        y1, h1 = solver.propagate(h0, u, self.STRIDE)
+        h0 = np.random.default_rng(G).standard_normal(solver.n_states)
+        y1, h1 = self.plain_records(solver, h0, n_rec)
         yG, hG = np.empty_like(y1), h0
         for q in range(0, n_rec, G):
-            ug = u[:, q : q + G]
-            free = (hG @ W_hG[:, : ny * G]).reshape(3, ny, G)
-            for j in range(G):
-                yG[:, :, q + j] = free[:, :, j] + sum(ug[:, i] @ K[j - i] for i in range(j + 1))
-            hG = hG @ W_hG[:, ny * G :] + ug.reshape(3, -1) @ W_k[:, ny:]
+            yG[q : q + G] = (hG @ W_hG[:, : ny * G]).reshape(ny, G).T
+            hG = hG @ W_hG[:, ny * G :]
         np.testing.assert_allclose(yG, y1, rtol=0, atol=1e-12 * np.max(np.abs(y1)))
         np.testing.assert_allclose(hG, h1, rtol=0, atol=1e-12 * np.max(np.abs(h1)))
 
     def test_one_step_records_are_the_step_maps(self):
-        # so run(u, 1) is plain stepping, the oracle the record maps meet
-        solver = TransientSolver(shield_lifted_ladder(), 31.25e-6)
-        W_h, W_u = self.record_maps(solver, 1)
-        assert np.array_equal(W_h, np.vstack([solver._Yh, solver._A]).T)
-        assert np.array_equal(W_u, np.vstack([solver._Yu0, solver._B]).T)
+        # so ``run`` steps with the step maps themselves
+        solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
+        assert np.array_equal(solver._block_maps(1), np.vstack([solver._Yh, solver._A]).T)
 
     @pytest.mark.parametrize("n_rec", [7, 100])
     def test_handoff_maps_are_the_free_response(self, n_rec):
         solver = TransientSolver(build_distributed(1000.0, 9000.0, rg58(1000.0)), 31.25e-6)
-        # the free response as a session steps it: no inputs
-        h0 = np.random.default_rng(n_rec).standard_normal((3, solver.n_states))
-        y, h = solver.propagate(h0, np.zeros((3, n_rec, 0)), self.STRIDE)
+        h0 = np.random.default_rng(n_rec).standard_normal(solver.n_states)
+        y, h = self.plain_records(solver, h0, n_rec)
         A_R, O = solver.handoff_maps(self.STRIDE, n_rec)
-        np.testing.assert_allclose(np.tensordot(h0, O, 1), y, rtol=0,
+        np.testing.assert_allclose(np.tensordot(h0, O, 1), y.T, rtol=0,
                                    atol=1e-12 * np.max(np.abs(y)))
-        np.testing.assert_allclose(h0 @ A_R.T, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+        np.testing.assert_allclose(A_R @ h0, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
 
 
 SLOW_CABLE = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=2000.0,
@@ -373,9 +335,8 @@ def stepped_gain(net, probe, f_hz, source, dt, n_settle=10.0, n_fit_periods=8):
     n_skip = int(np.ceil(n_settle / (2.0 * np.pi * f_hz) / dt))
     n_total = n_skip + int(round(n_fit_periods / (f_hz * dt)))
     t = (np.arange(n_total) + 1) * dt
-    u = solver.assemble_inputs(n_total, {})
-    u[:, solver.source_names.index(source)] = np.sin(2.0 * np.pi * f_hz * t)
-    y = solver.run(np.zeros(solver.n_states), u, record_stride=1)[0][
+    u = source_steps(solver, n_total, {source: np.sin(2.0 * np.pi * f_hz * t)})
+    y = solver.run(np.zeros(solver.n_states), u)[0][
         n_skip:, solver.probe_names.index(probe)]
     wt = 2.0 * np.pi * f_hz * t[n_skip:]
     coef, *_ = np.linalg.lstsq(np.column_stack([np.sin(wt), np.cos(wt)]), y, rcond=None)
@@ -447,8 +408,8 @@ class TestCapacitorKiller:
         nl = dataclasses.replace(nl, probes=probes)
         solver = TransientSolver(nl, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.02, 31.25e-6, seed=13)).samples
-        u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
-        recs, _ = solver.run(np.zeros(solver.n_states), u, record_stride=1)
+        u = source_steps(solver, len(drive), {"ua": drive, "ub": 3.0 * drive})
+        recs, _ = solver.run(np.zeros(solver.n_states), u)
         i_cap = recs[:, solver.probe_names.index("i_cap")]
         ambient = np.sqrt(np.mean(recs[:, solver.probe_names.index("i_cha")] ** 2))
         assert np.max(np.abs(i_cap)) < 1e-9 * ambient
@@ -466,10 +427,10 @@ class TestCapacitorKiller:
         nl = dataclasses.replace(nl, probes=probes)
         solver = TransientSolver(nl, 31.25e-6)
         drive = generate(NoiseSpec(250.0, 1.0, 0.06, 31.25e-6, seed=13)).samples
-        u = solver.assemble_inputs(len(drive), {"ua": drive, "ub": 3.0 * drive})
+        u = source_steps(solver, len(drive), {"ua": drive, "ub": 3.0 * drive})
         n_settle = len(drive) // 3
-        _, h = solver.run(np.zeros(solver.n_states), u[:n_settle], record_stride=n_settle)
-        recs, _ = solver.run(h, u[n_settle:], record_stride=1)
+        _, h = solver.run(np.zeros(solver.n_states), u[:n_settle])
+        recs, _ = solver.run(h, u[n_settle:])
         i_cap = recs[:, solver.probe_names.index("i_cap")]
         ambient = np.sqrt(np.mean(recs[:, solver.probe_names.index("i_cha")] ** 2))
         assert 0 < np.sqrt(np.mean(i_cap**2)) < 0.05 * ambient
@@ -484,44 +445,21 @@ class TestErrors:
         ],
         ids=["killer_ladder", "killer_lumped"],
     )
-    def test_singular_t0_system_named(self, build):
-        # the shunt capacitor at the tap and the follower are two voltage
-        # constraints on one loop, so the t = 0 system is singular
-        dt = 31.25e-6
-        ones = Waveform(np.ones(64), dt)
-        with pytest.raises(SingularNetworkError, match=r"t = 0"):
-            transient_solve(
-                build(),
-                {"ua": ones, "ub": ones},
-                SolverConfig(internal_step_s=dt),
-                duration_s=64 * dt,
-                t_s=32 * dt,
-            )
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            killer_ladder,
-            lambda: apply_capacitor_killer(build_lumped(1000.0, 9000.0, rg58(1000.0)), "bob"),
-        ],
-        ids=["killer_ladder", "killer_lumped"],
-    )
     def test_rest_start_skips_t0_system(self, build, monkeypatch):
-        # with every source at zero at t = 0 the circuit starts from rest,
-        # so a killer netlist whose t = 0 system is singular still runs,
-        # and only its step system is ever factored
+        # a run starts from rest, h = 0, so a killer netlist, whose shunt
+        # capacitor at the tap and follower are two voltage constraints on
+        # one loop, runs without any t = 0 system: only its step system is
+        # ever factored
         factored = []
         factor = TransientSolver._factor
         monkeypatch.setattr(TransientSolver, "_factor",
-                            lambda self, M, system: factored.append(system) or factor(self, M, system))
-        dt = 31.25e-6
-        ramp = Waveform(np.arange(64) / 64.0, dt)
-        res = transient_solve(build(), {"ua": ramp, "ub": ramp},
-                              SolverConfig(internal_step_s=dt), duration_s=64 * dt, t_s=32 * dt)
-        assert all(np.all(np.isfinite(w.samples)) for w in res.probes.values())
-        solver = TransientSolver(build(), dt)
-        h = solver.initial_history(np.zeros(len(solver.source_names)))
-        assert factored == ["step system"] * 2 and not np.any(h)
+                            lambda self, M: factored.append(len(M)) or factor(self, M))
+        solver = TransientSolver(build(), 31.25e-6)
+        ramp = np.arange(64) / 64.0
+        y, h = solver.run(np.zeros(solver.n_states),
+                          source_steps(solver, 64, {"ua": ramp, "ub": ramp}))
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(h))
+        assert len(factored) == 1
 
     def test_floating_node_named(self):
         nl = Netlist(
@@ -539,40 +477,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.ones((64, 1)), 0),
-             "record_stride must be a positive integer"),
-            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.ones((64, 1)), -32),
-             "record_stride must be a positive integer"),
             # the RC netlist's one capacitor holds the only history entry
             (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(2), np.ones((64, 1))),
              "state vector has wrong length"),
-            (lambda: transient_solve(rc_netlist(), {"u": Waveform(np.ones(100), 1e-6)},
-                                     SolverConfig(internal_step_s=1e-6),
-                                     duration_s=5e-6, t_s=1e-5),
-             "duration_s"),
+            # and its one source takes one column
+            (lambda: TransientSolver(rc_netlist(), 1e-6).run(np.zeros(1), np.ones((64, 2))),
+             r"source_steps must be \(n_steps, 1\)"),
         ],
-        ids=["stride_zero", "stride_negative", "history_wrong_length", "duration_below_t_s"],
+        ids=["history_wrong_length", "source_steps_wrong_width"],
     )
     def test_invalid_input_named_before_compute(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
-
-    def test_missing_source_waveform(self):
-        with pytest.raises(ValueError, match="no waveform"):
-            transient_solve(
-                rc_netlist(),
-                {},
-                SolverConfig(internal_step_s=1e-6),
-                duration_s=1e-4,
-                t_s=1e-6,
-            )
-
-    def test_wrong_rate_waveform(self):
-        with pytest.raises(ValueError, match="internal rate"):
-            transient_solve(
-                rc_netlist(),
-                {"u": Waveform(np.ones(100), 2e-6)},
-                SolverConfig(internal_step_s=1e-6),
-                duration_s=1e-4,
-                t_s=1e-6,
-            )
