@@ -9,7 +9,8 @@ wave behaviour appears that only the ladder can represent.
 Both models are read in their stationary state: a realization is a sum
 of spectral lines (``noise.line_window``), so each record is the sum of
 the network's steady responses to those lines (``line_resolvent``), with
-no start-up transient to wait out.
+no start-up transient to wait out, and one inverse transform
+(``noise.line_records``) reads every record.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import CableSpec, Netlist, build_distributed, build_lumped, wavelength_ratio
-from .noise import NoiseSpec, _lines, line_phases, line_window, rms_for_resistor
+from .noise import NoiseSpec, _lines, line_phases, line_records, line_window, rms_for_resistor
 from .protocol import T_EFF_DEFAULT, derive_seed
 from .solver import TransientSolver, single_blas_thread
 
@@ -75,14 +76,15 @@ def stationary_records(netlist: Netlist, dt: float, n_pad: int, lines: np.ndarra
     lines z_k = e^(2 pi i k / n_pad), so that its sample at step p is
     Re sum_k a c_k z_k^p (``noise.line_window``).  Record r is
     Re sum_k (H_k,ua a c_ua,k + H_k,ub a c_ub,k) z_k^(32 r - 1), with the
-    probe gains H from ``TransientSolver.line_resolvent``.
+    probe gains H from ``TransientSolver.line_resolvent``, read for every
+    r by one transform (``noise.line_records``).
     """
     solver = TransientSolver(netlist, dt)
     k_max = lines.shape[1]
     H = solver.line_resolvent(line_phases(n_pad, k_max, 1), ("ua", "ub")).H
     w = np.einsum("ks,sk->k", H[:, solver.probe_names.index("u_cha")], lines)
-    z = line_phases(n_pad, k_max, _RECORD_STRIDE * np.arange(1, n_rec + 1) - 1)
-    return (z @ w).real
+    w *= line_phases(n_pad, k_max, _RECORD_STRIDE - 1)  # record 1 ends at step 31
+    return line_records(w, n_pad, _RECORD_STRIDE, n_rec)
 
 
 @single_blas_thread()

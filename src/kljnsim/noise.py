@@ -5,10 +5,11 @@ Johnson noise of the two resistors at a very high effective temperature.
 This module synthesizes those sources as band-limited white Gaussian
 noise with an exact brick-wall cutoff, and provides the statistical
 checks (sigma accuracy, spectral confinement, normality) used to
-validate them.  The bit engine takes its noise as the in-band spectral
-lines themselves (``line_window``, ``draw_lines``, ``line_phases``),
-never as samples: a realization is a sum of those lines, so a linear
-network's response to it is a sum of its responses to each line.
+validate them.  A realization is a sum of its in-band spectral lines
+(``line_window``, ``draw_lines``, ``line_phases``), so a linear
+network's response to it is a sum of its responses to each line; one
+inverse real transform (``line_records``) turns lines into samples, for
+``generate``, for ``compare`` and for the bit engine's long bits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class Waveform:
 
     samples: np.ndarray
     sample_interval_s: float
-    start_time_s: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -51,9 +51,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    def times(self) -> np.ndarray:
-        return self.start_time_s + np.arange(self.samples.size) * self.sample_interval_s
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,9 @@ def rms_ratio(r_low: float, r_high: float) -> float:
 
 
 def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth number 2^a 3^b 5^c not below n >= 1: the
-    real transform length ``scipy.fft.next_fast_len(n, real=True)`` gives,
-    worked out here so that the bit engine, which only needs the window,
-    does not load ``scipy.fft``."""
+    """The smallest 5-smooth number 2^a 3^b 5^c not below n >= 1, the
+    length of a synthesis window (``line_window``): the real transform length
+    ``scipy.fft.next_fast_len(n, real=True)`` gives."""
     best = 1 << (n - 1).bit_length()
     p5 = 1
     # nothing beats n itself, the usual case: a power-of-two window
@@ -132,58 +128,27 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _window(spec: NoiseSpec) -> tuple[int, int, int]:
-    """(n, n_pad, k_max): kept samples, synthesis window, in-band lines."""
-    n = spec.n_samples
-    dt = spec.sample_interval_s
-    n_pad = max(n, int(math.ceil(_MIN_INBAND_BINS / (spec.bandwidth_hz * dt))))
-    n_pad = _next_fast_len(n_pad)
-
-    # Highest retained bin: k / (n_pad * dt) <= bandwidth.
-    k_max = int(math.floor(spec.bandwidth_hz * n_pad * dt))
-    k_max = min(k_max, n_pad // 2 - 1)
-    if k_max < 1:
-        raise ValueError("window too short to hold any in-band spectral line")
-    return n, n_pad, k_max
-
-
-def _draw_lines(rng: np.random.Generator, k_max: int) -> np.ndarray:
-    return rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
-
-
 def _lines(seed: int, k_max: int) -> np.ndarray:
     """The unit complex Gaussian coefficients of bins 1..k_max."""
-    return _draw_lines(np.random.default_rng(seed), k_max)
-
-
-def _synthesize(lines: np.ndarray, rms_volts: float, n: int, n_pad: int) -> np.ndarray:
-    """The first n samples of the padded realization with these unit lines.
-    ``scipy.fft`` is imported here: the bit engine never synthesizes."""
-    from scipy import fft as sp_fft
-
-    k_max = len(lines)
-    spectrum = np.zeros(n_pad // 2 + 1, dtype=np.complex128)
-    # Per-sample variance of irfft with k_max populated bins of
-    # per-component variance s^2 is (4 / n_pad^2) * k_max * s^2.
-    spectrum[1 : k_max + 1] = lines * (rms_volts * n_pad / (2.0 * math.sqrt(k_max)))
-    return sp_fft.irfft(spectrum, n=n_pad)[:n]
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
 
 
 def generate(spec: NoiseSpec) -> Waveform:
     """Synthesize one realization of band-limited Gaussian white noise.
 
     Frequency-domain synthesis: independent complex Gaussian coefficients
-    on every FFT bin in (0, bandwidth], zero above, inverse transform.
-    The band limit is therefore an exact brick wall.  Short requests are
-    synthesized over a padded window (so that the band holds at least
-    ``_MIN_INBAND_BINS`` spectral lines) and cut to length; the cut
-    segment remains a stationary Gaussian band-limited process.
+    on every FFT bin in (0, bandwidth], zero above, inverse transform
+    (``line_records``).  The band limit is therefore an exact brick wall.
+    Short requests are synthesized over a padded window (so that the band
+    holds at least ``_MIN_INBAND_BINS`` spectral lines) and cut to length;
+    the cut segment remains a stationary Gaussian band-limited process.
 
     Deterministic for a given seed; the realization shape is independent
     of ``rms_volts`` (scaling the rms scales the samples linearly).
     """
-    n, n_pad, k_max = _window(spec)
-    samples = _synthesize(_lines(spec.seed, k_max), spec.rms_volts, n, n_pad)
+    n_pad, k_max, amplitude = line_window(spec)
+    samples = line_records(amplitude * _lines(spec.seed, k_max), n_pad, 1, spec.n_samples)
     return Waveform(samples=samples, sample_interval_s=spec.sample_interval_s)
 
 
@@ -198,7 +163,15 @@ def line_window(spec: NoiseSpec) -> tuple[int, int, float]:
     1991).  ``draw_lines`` gives the c_k of a seed and ``line_phases``
     the powers of z_k.
     """
-    _, n_pad, k_max = _window(spec)
+    dt = spec.sample_interval_s
+    n_pad = max(spec.n_samples, int(math.ceil(_MIN_INBAND_BINS / (spec.bandwidth_hz * dt))))
+    n_pad = _next_fast_len(n_pad)
+
+    # Highest retained bin: k / (n_pad * dt) <= bandwidth.
+    k_max = int(math.floor(spec.bandwidth_hz * n_pad * dt))
+    k_max = min(k_max, n_pad // 2 - 1)
+    if k_max < 1:
+        raise ValueError("window too short to hold any in-band spectral line")
     return n_pad, k_max, spec.rms_volts / math.sqrt(k_max)
 
 
@@ -210,6 +183,32 @@ def line_phases(n_pad: int, k_max: int, t) -> np.ndarray:
     return np.exp(2j * math.pi / n_pad * (np.multiply.outer(t, k) % n_pad))
 
 
+def line_records(b: np.ndarray, n_pad: int, stride: int, n: int) -> np.ndarray:
+    """Re sum_k b_k z_k^(j stride) for the records j = 0..n-1 (last axis),
+    with b_k on the lines z_k = e^(2 pi i k / n_pad), k = 1..k_max, along
+    ``b``'s last axis.
+
+    With g = gcd(stride, n_pad), the records repeat every
+    n_grid = n_pad / g, and line k turns by e^(2 pi i (k stride / g) / n_grid)
+    from one record to the next: the records are one inverse real
+    transform of length n_grid with b_k on bin k stride / g.  Every bin
+    must lie below the grid's Nyquist bin n_grid / 2, past which a line
+    would alias onto another, and n must not exceed n_grid.
+    """
+    k_max = b.shape[-1]
+    g = math.gcd(stride, n_pad)
+    n_grid, step = n_pad // g, stride // g
+    if not 2 * k_max * step < n_grid:
+        raise ValueError(f"line {k_max} at stride {stride} lands on bin {k_max * step} of a "
+                         f"{n_grid}-record grid, not below its Nyquist bin {n_grid / 2:g}")
+    if n > n_grid:
+        raise ValueError(f"{n} records exceed the {n_grid} records after which the lines "
+                         f"of a {n_pad}-point window at stride {stride} repeat")
+    spectrum = np.zeros(b.shape[:-1] + (n_grid // 2 + 1,), dtype=np.complex128)
+    spectrum[..., step : k_max * step + 1 : step] = b * (n_grid / 2)
+    return np.fft.irfft(spectrum, n=n_grid)[..., :n]
+
+
 def draw_lines(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the unit lines of one realization per PCG64 seed
     in ``words``, and return it.
@@ -219,7 +218,7 @@ def draw_lines(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` (..., 2, k_max), a C-contiguous float array, takes k_max from
     its shape and receives the real then the imaginary parts of the c_k
     that ``generate`` puts in the spectrum of ``replace(spec, seed=seed)``
-    when its window holds k_max lines, in the order ``_draw_lines`` draws
+    when its window holds k_max lines, in the order ``_lines`` draws
     them.  Both arrays are checked once, before any draw, so each stream
     hands its row to PCG64 as it is.
     """

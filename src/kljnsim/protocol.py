@@ -28,7 +28,8 @@ import numpy as np
 from . import noise as _noise
 from . import seeding
 from .network import check_integer
-from .noise import NoiseSpec, draw_lines, line_phases, line_window, rms_for_resistor
+from .noise import (NoiseSpec, draw_lines, line_phases, line_records, line_window,
+                    rms_for_resistor)
 from .solver import (DivergenceError, SolverConfig, TransientSolver, shared_solver,
                      single_blas_thread)
 
@@ -50,8 +51,8 @@ _PARTY_SOURCES = ("ua", "ub")
 
 # The step budget of a unit of work, which bounds its buffers: an
 # arrangement's bits are evaluated in batches of about this many internal
-# steps (at least one bit), and a bit's probes are read from its lines in
-# groups of records spanning at most this many (at least one record).
+# steps (at least one bit), and a longer bit reads its probes from its
+# lines by transform, not phase table (``KeyExchangeSession._maps_for``).
 _CHUNK_STEPS = 2**15
 
 
@@ -198,12 +199,12 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _record_phases(n_pad: int, k_max: int, stride: int, G: int) -> np.ndarray:
-    """E (2 k_max, G): the map from lines, as a complex array's float view
-    holds them, to G records read every ``stride`` steps: rows 2k and
+def _record_phases(n_pad: int, k_max: int, stride: int, n: int) -> np.ndarray:
+    """E (2 k_max, n): the map from lines, as a complex array's float view
+    holds them, to n records read every ``stride`` steps: rows 2k and
     2k + 1 of column j are Re and -Im of z_k^(j stride)."""
-    Z = line_phases(n_pad, k_max, np.arange(G) * stride).T
-    E = np.stack([Z.real, -Z.imag], axis=1).reshape(2 * k_max, G)
+    Z = line_phases(n_pad, k_max, np.arange(n) * stride).T
+    E = np.stack([Z.real, -Z.imag], axis=1).reshape(2 * k_max, n)
     E.setflags(write=False)  # shared by every caller through the cache
     return E
 
@@ -273,11 +274,11 @@ class KeyExchangeSession:
     so a bit's history is the steady state h_ss[t] = Re sum_k X_k a_k z_k^t
     plus a free response, X_k the arrangement's resolvent over the lines
     (``TransientSolver.window_resolvent``).  A bit's probes are
-    Re sum_k H_k a_k z_k^t, read from its lines a group of records per
-    GEMM, plus the free response d @ O to d = h0 - h_ss[0], and it ends
-    at h_ss[n] + A_R d (``TransientSolver.handoff_maps``).  h_ss[0] and h_ss[n] come from the
-    series coefficients of X and the lines' moments about each series'
-    centre, so X is never held whole.
+    Re sum_k H_k a_k z_k^t, read from its lines (``_maps_for``), plus the
+    free response d @ O to d = h0 - h_ss[0], and it ends at h_ss[n] + A_R d
+    (``TransientSolver.handoff_maps``).  h_ss[0] and h_ss[n] come from
+    the series coefficients of X and the lines' moments about each
+    series' centre, so X is never held whole.
 
     A run groups its bits by arrangement once and draws and evaluates each
     group's lines in batches of about ``_CHUNK_STEPS`` internal steps, in
@@ -356,20 +357,20 @@ class KeyExchangeSession:
     def _maps_for(self, arrangement: tuple[str, str], n_units: int) -> tuple:
         """The arrangement's solver and the maps of its bits of ``n_units``:
 
-        - P (4, n_groups, 2, k_max): the probes' gains from Alice's and
-          Bob's unit lines, turned to the first record of each group of
-          G records: H_k z_k^(q G S + S - 1) times each party's line
-          amplitude.  G = min(n_units, ``_CHUNK_STEPS`` // S), at least 1:
-          a group spans at most the internal steps of a batch of bits
-          (``_exchange``);
-        - E (2 k_max, G): the phases of a group's records
-          (``_record_phases``, cached per process for single-group bits);
+        - P (4, 2, k_max): the probes' gains from Alice's and Bob's unit
+          lines, turned to the first record: H_k z_k^(S - 1) times each
+          party's line amplitude;
+        - E, what reads a bit's records from the probes' lines P c: for a
+          bit within the step budget (n_units S <= ``_CHUNK_STEPS``), the
+          phase table (2 k_max, n_units) of ``_record_phases``, cached per
+          process; for a longer bit, ``noise.line_records`` over the
+          bit's window, one transform per probe, which holds no table;
         - M (k_max, 2J): the lines' moments about each series' centre, at
           the bit's start and, turned by z_k^(n S), at its end;
         - T (4J, m): the series coefficients for Alice's then Bob's moments,
           times the line amplitude, as real rows: Re then -Im of each, so
           that the moments' float view meets them in one real GEMM giving
-          Re(moments @ coefficients), as E meets the lines.
+          Re(moments @ coefficients), as a phase table E meets the lines.
         """
         key = (arrangement, n_units)
         maps = self._maps.get(key)
@@ -380,24 +381,14 @@ class KeyExchangeSession:
             n_pad, k_max, _ = windows[0]
             amplitude = np.array([w[2] for w in windows])
             res = solver.window_resolvent(n_pad, k_max, _PARTY_SOURCES)
-            G = min(n_units, max(1, _CHUNK_STEPS // S))
-            first = np.arange(0, n_units, G) * S + S - 1
             # contiguous, so the batch product has a contiguous last axis
-            P = (np.ascontiguousarray(res.H.transpose(1, 2, 0))[:, None] * amplitude[:, None]
-                 * line_phases(n_pad, k_max, first)[:, None])
+            P = (np.ascontiguousarray(res.H.transpose(1, 2, 0)) * amplitude[:, None]
+                 * line_phases(n_pad, k_max, S - 1))
             M = np.hstack([res.V, res.V * line_phases(n_pad, k_max, n_units * S)[:, None]])
             T = res.T.transpose(2, 0, 1) * amplitude[:, None, None]
             T = np.stack([T.real, -T.imag], axis=2).reshape(4 * len(res.T), solver.n_states)
-            if G == n_units:
-                E = _record_phases(n_pad, k_max, S, G)
-            else:
-                # a multi-group bit's E can be large (419 MB at 100000
-                # units), so it is built once per session and bit length,
-                # outside the process-wide cache, and freed with the session
-                E = next((E for (_, units), (_, _, E, _, _) in self._maps.items()
-                          if units == n_units), None)
-                if E is None:
-                    E = _record_phases.__wrapped__(n_pad, k_max, S, G)
+            E = (_record_phases(n_pad, k_max, S, n_units) if n_units * S <= _CHUNK_STEPS
+                 else functools.partial(line_records, n_pad=n_pad, stride=S, n=n_units))
             maps = (solver, P, E, M, T)
             self._maps[key] = maps
         return maps
@@ -444,31 +435,30 @@ class KeyExchangeSession:
         # One workspace for the run, sized by its largest batch and shared
         # by every arrangement: each batch writes into views of it
         # (``_view``), so no batch allocates or page-faults temporaries of
-        # its own.  The arrangements share k_max and E; M's width differs.
+        # its own.  The arrangements share k_max; M's width differs.
         # With more than one batch and more than one CPU, a worker thread
         # evaluates each batch while the caller draws the next into a
         # second ``lines`` buffer.
         per_batch = max(1, _CHUNK_STEPS // (n_units * S))
         size = min(per_batch, max(map(len, members)))
-        _, P, E, _, _ = maps[0]
-        n_groups, k_max, G = P.shape[1], P.shape[-1], E.shape[1]
+        k_max = maps[0][1].shape[-1]
         width = max(M.shape[1] for _, _, _, M, _ in maps)
         batches = [(j, idx[start : start + per_batch])
                    for j, idx in enumerate(members) for start in range(0, len(idx), per_batch)]
         threaded = len(batches) > 1 and engine_cpus() > 1
         lines = np.empty((1 + threaded, size * 4 * k_max))
         c = np.empty(size * 2 * k_max, dtype=np.complex128)
-        b = np.empty(size * len(PROBES) * n_groups * k_max, dtype=np.complex128)
+        b = np.empty(size * len(PROBES) * k_max, dtype=np.complex128)
         b_part = np.empty_like(b)
-        y_groups = np.empty(size * len(PROBES) * n_groups * G)
+        y_batch = np.empty(size * len(PROBES) * n_units)
         moments = np.empty(2 * size * width, dtype=np.complex128)
         moments_t = np.empty_like(moments)
         h_ss = np.empty(2 * size * m)
         free = np.empty(size * len(PROBES) * n_units)
 
         # Steady states, per arrangement in batches: the probes from the
-        # lines turned to each group of records, one GEMM for every bit and
-        # group, and h_ss[0], h_ss[n] from the lines' moments.
+        # lines turned to the first record, read by E for every bit, and
+        # h_ss[0], h_ss[n] from the lines' moments.
         y = np.empty((n, len(PROBES), n_units))
         ss = np.empty((n, 2, m))
 
@@ -483,14 +473,17 @@ class KeyExchangeSession:
             cr = _view(c, r, 2, k_max)
             cr.real = x[:, :, 0]
             cr.imag = x[:, :, 1]
-            br = _view(b, r, len(PROBES), n_groups, k_max)
+            br = _view(b, r, len(PROBES), k_max)
             part = _view(b_part, *br.shape)
-            np.multiply(P[:, :, 0], cr[:, None, None, 0], out=br)
-            np.multiply(P[:, :, 1], cr[:, None, None, 1], out=part)
+            np.multiply(P[:, 0], cr[:, None, 0], out=br)
+            np.multiply(P[:, 1], cr[:, None, 1], out=part)
             br += part
-            y_rows = np.matmul(br.view(np.float64).reshape(-1, 2 * k_max), E,
-                               out=_view(y_groups, r * len(PROBES) * n_groups, G))
-            y[rows] = y_rows.reshape(r, len(PROBES), -1)[:, :, :n_units]
+            if callable(E):
+                y[rows] = E(br)
+            else:
+                y[rows] = np.matmul(br.view(np.float64).reshape(-1, 2 * k_max), E,
+                                    out=_view(y_batch, r * len(PROBES), n_units)
+                                    ).reshape(r, len(PROBES), n_units)
             # the moments come as (bit, party, start/end, J); T wants
             # each bit's start, then end, moments of both parties
             mom = np.matmul(cr.reshape(2 * r, k_max), M,

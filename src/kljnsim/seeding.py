@@ -133,8 +133,8 @@ class _DerivedSeed(ISeedSequence):
 
     ``words`` must be a C-contiguous uint64 row of 4 words, the state PCG64
     asks for: it is handed over as it is, with no conversion or check, so
-    a caller seeding many streams checks their array once (``generator``
-    checks its one row; ``noise.draw_lines`` its whole batch).
+    a caller seeding many streams checks their array once
+    (``noise.draw_lines`` checks its whole batch).
     """
 
     __slots__ = ("words",)
@@ -145,10 +145,3 @@ class _DerivedSeed(ISeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
 
-
-def generator(words: np.ndarray) -> np.random.Generator:
-    """The ``default_rng(seed)`` generator, given the seed's ``pcg64_words`` row."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.shape != (4,):
-        raise ValueError(f"a PCG64 seed is 4 uint64 words, got shape {words.shape}")
-    return np.random.Generator(np.random.PCG64(_DerivedSeed(words)))

@@ -72,12 +72,11 @@ _OPENBLAS_BUILDS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
 
 
 # The resolvent series of ``line_resolvent``: it stops once a term falls
-# below _SERIES_TOL of the first, and an arc whose series has not within
-# _SERIES_TERMS terms, or whose terms grow past _SERIES_GROWTH times the
-# first, is split in two.
+# below _SERIES_TOL of the first, and an arc is split in two as soon as
+# its terms, falling at their rate so far, would not get there within
+# _SERIES_TERMS terms.
 _SERIES_TOL = 1e-17
 _SERIES_TERMS = 60
-_SERIES_GROWTH = 1e3
 
 # Solvers ``shared_solver`` keeps in the process; beyond this many
 # netlists the least recently used is dropped.  table1 runs on 2
@@ -453,8 +452,9 @@ class TransientSolver:
         X_k = sum_j ((c - z_k) / r)^j U_j with U_0 = (cI - F)^-1 B and
         U_(j+1) = r (cI - F)^-1 U_j, r the largest |c - z_k|, from one
         complex LU.  A pole of F inside the series' disc keeps it from
-        converging; then the arc is halved, down to single lines, whose
-        one-term series is a direct solve.
+        converging; as soon as its terms fall too slowly to reach
+        _SERIES_TOL within _SERIES_TERMS terms, or grow, the arc is halved,
+        down to single lines, whose one-term series is a direct solve.
         """
         cols = [self.source_names.index(name) for name in driven]
         F, B = self._A, self._B[:, cols]
@@ -474,7 +474,9 @@ class TransientSolver:
                 U.append(r * sla.lu_solve(lu, U[-1], check_finite=False))
                 term = np.max(np.abs(U[-1]))
                 done = term < _SERIES_TOL * first
-                if not term < _SERIES_GROWTH * first:
+                # (term / first)^((_SERIES_TERMS - 1) / j) < _SERIES_TOL, j = len(U) - 1,
+                # in a form that a growing series cannot overflow
+                if not term < first * _SERIES_TOL ** ((len(U) - 1) / (_SERIES_TERMS - 1)):
                     break
             if done:
                 arcs.append((lo, hi))

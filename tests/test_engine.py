@@ -158,7 +158,7 @@ def test_netlist_outside_the_contract_rejected_before_drawing(breach, match):
 def test_long_bit_matches_plain_stepping():
     # a 300-unit bit is 9600 samples, over a quarter of its 32768-point
     # noise window: with a step budget of 128 records, its 300 records are
-    # read from the lines in three groups, one bit per batch
+    # read from the lines by one transform, one bit per batch
     cfg = ProtocolConfig(bep_units=300, arrangement="random")
     cable = CableSpec(r_per_m=0.0105, l_per_m=250e-9, c_per_m=100e-12, length_m=1000.0,
                       n_segments=3)

@@ -1,10 +1,11 @@
 """A campaign loads only the scipy it computes with: ``scipy.stats``
-(``noise.gaussianity_report``), ``scipy.signal``
-(``noise.out_of_band_power_fraction``) and ``scipy.fft``
-(``noise._synthesize``, behind ``noise.generate``) are imported inside
-the functions that use them, not with ``kljnsim``; the bit engine never
-synthesizes, and the noise window's length comes from
-``noise._next_fast_len``.
+(``noise.gaussianity_report``) and ``scipy.signal``
+(``noise.out_of_band_power_fraction``) are imported inside the functions
+that use them, not with ``kljnsim``.  No kljnsim function imports
+``scipy.fft``: lines become samples through ``numpy.fft``
+(``noise.line_records``), for the bit engine, ``noise.generate`` and
+``compare.compare_models`` alike, and the noise window's length comes
+from ``noise._next_fast_len``.
 
 The test process has imported them already, so the check runs in a
 fresh interpreter.  Other scipy submodules are not pinned: what
@@ -22,7 +23,12 @@ SCRIPT = """
 import sys
 import kljnsim
 from kljnsim.scenarios import default_scenario, run_scenario
+from kljnsim.compare import compare_models
+from kljnsim.network import rg58
+from kljnsim.noise import NoiseSpec, generate
 run_scenario(default_scenario(20, 100.0, n_bits=4))
+generate(NoiseSpec(250.0, 1.0, 0.1, 1e-4, seed=3))
+compare_models(rg58(100.0), 1000.0, 9000.0, 25e3)
 loaded = [name for name in ("scipy.stats", "scipy.signal", "scipy.fft") if name in sys.modules]
 assert loaded == [], loaded
 """

@@ -209,7 +209,7 @@ class TestDrawLines:
         words = pcg64_words(seeds).reshape(-1, 1, 4)
         lines = noise.draw_lines(words, np.empty((len(seeds), 1, 2, k_max)))
         for i, seed in enumerate(seeds):
-            ref = noise._draw_lines(np.random.default_rng(seed), k_max)
+            ref = noise._lines(seed, k_max)
             assert np.array_equal(lines[i, 0, 0], ref.real)
             assert np.array_equal(lines[i, 0, 1], ref.imag)
 
@@ -279,3 +279,32 @@ class TestDrawLines:
                               noise.line_phases(32768, 256, 5))
 
 
+class TestLineRecords:
+    """One transform against the line sum it stands for."""
+
+    @pytest.mark.parametrize("n_pad, stride, k_max", [
+        (4096, 1, 2047),            # generate's samples, every line up to below Nyquist
+        (32768, 32, 256),           # the bit engine's records, gcd = stride
+        (3**4 * 5**3, 32, 79),      # gcd(32, 10125) = 1
+        (3**4 * 5**3, 6, 800),      # gcd = 3, below the stride
+    ])
+    def test_matches_direct_line_sum(self, n_pad, stride, k_max):
+        rng = np.random.default_rng(n_pad + stride)
+        b = rng.standard_normal((2, 3, k_max)) + 1j * rng.standard_normal((2, 3, k_max))
+        n = min(n_pad // np.gcd(stride, n_pad), 3000)
+        ref = (b @ noise.line_phases(n_pad, k_max, np.arange(n) * stride).T).real
+        got = noise.line_records(b, n_pad, stride, n)
+        assert got.shape == (2, 3, n)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n_pad, stride, k_max", [(32768, 32, 512), (4096, 1, 2048),
+                                                      (3**4 * 5**3, 6, 844)])
+    def test_line_on_nyquist_bin_rejected(self, n_pad, stride, k_max):
+        # one line fewer fits; this one would alias onto its mirror image
+        noise.line_records(np.ones(k_max - 1, complex), n_pad, stride, 8)
+        with pytest.raises(ValueError, match="not below its Nyquist bin"):
+            noise.line_records(np.ones(k_max, complex), n_pad, stride, 8)
+
+    def test_records_past_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="1025 records exceed the 1024"):
+            noise.line_records(np.ones(256, complex), 32768, 32, 1025)

@@ -239,47 +239,42 @@ class TestSession:
         assert choices.shape == (40, 2) and len({tuple(c) for c in choices}) == 4
 
     @pytest.mark.parametrize("bep_units", [7, 12, 21])
-    def test_record_groups_match_one_record_at_a_time(self, bep_units, monkeypatch):
-        # the probes of 7, 12 and 21 records, and of the 10-unit warmup, are
-        # read from the lines as one group against one record per group (a
-        # step budget of one record, which also runs one bit per batch)
+    def test_record_transform_matches_phase_table(self, bep_units, monkeypatch):
+        # the probes of 7, 12 and 21 records, and of the 10-unit warmup, read
+        # through a phase table against one transform (a step budget of one
+        # record, which also runs one bit per batch)
         cfg = ProtocolConfig(bep_units=bep_units, arrangement="random")
 
         def builder(ra, rb):
             return build_distributed(ra, rb, rg58(1000.0))
 
-        grouped = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
+        table = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
         monkeypatch.setattr(protocol, "_CHUNK_STEPS", protocol.DEFAULT_OVERSAMPLE)
-        single = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
-        peak = np.max(np.abs(single.probes), axis=-1, keepdims=True)
-        assert np.all(np.abs(grouped.probes - single.probes) <= 1e-12 * peak)
+        transform = KeyExchangeSession(builder, cfg, master_seed=2).run_bits(9, warmup_units=10)
+        peak = np.max(np.abs(transform.probes), axis=-1, keepdims=True)
+        assert np.all(np.abs(table.probes - transform.probes) <= 1e-12 * peak)
 
-    @pytest.mark.parametrize("bep_units, n_groups, G", [(300, 1, 300), (2000, 2, 1024)])
-    def test_record_groups_span_one_step_budget(self, bep_units, n_groups, G):
-        # a bit's records are read in groups of at most _CHUNK_STEPS // S
-        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=bep_units))
-        _, P, E, _, _ = sess._maps_for(("L", "H"), bep_units)
+    def test_bit_within_step_budget_reads_cached_phase_table(self):
+        # 300 records at S = 32 fit the 1024-record step budget
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=300))
+        _, P, E, _, _ = sess._maps_for(("L", "H"), 300)
+        n_pad, k_max, _ = noise.line_window(sess._noise_spec("L", 300))
         assert protocol._CHUNK_STEPS // sess.oversample == 1024
-        assert (P.shape[1], E.shape[1]) == (n_groups, G)
+        assert P.shape == (4, 2, k_max) and E.shape == (2 * k_max, 300)
+        assert E is protocol._record_phases(n_pad, k_max, sess.oversample, 300)
 
-    def test_multi_group_phases_kept_by_their_session_only(self, monkeypatch):
-        # a multi-group bit's E (419 MB for a 100000-unit bit) is built once
-        # per session, shared by its arrangements and freed with it; a
-        # single-group bit's E stays in the process-wide cache
-        cfg = ProtocolConfig(bep_units=12, arrangement="random")
-        before = protocol._record_phases.cache_info()
-        with monkeypatch.context() as m:
-            m.setattr(protocol, "_CHUNK_STEPS", 5 * protocol.DEFAULT_OVERSAMPLE)
-            sess = KeyExchangeSession(ideal_builder, cfg, master_seed=3)
-            bits = sess.run_bits(8)
-        phases = [E for _, _, E, _, _ in sess._maps.values()]
-        assert phases[0].shape[1] == 5 and len(phases) == len(set(bits.arrangement)) > 1
-        assert all(E is phases[0] for E in phases)
-        assert protocol._record_phases.cache_info()[:2] == before[:2]  # hits, misses
-        assert protocol._record_phases.cache_info().currsize == before.currsize
-        KeyExchangeSession(ideal_builder, cfg, master_seed=3).run_bits(8)
-        KeyExchangeSession(ideal_builder, cfg, master_seed=4).run_bits(8)
-        assert protocol._record_phases.cache_info().hits > before.hits
+    def test_long_bit_holds_no_phase_table(self, monkeypatch):
+        # 2000 records are past the step budget: they are read by one
+        # transform, and the run adds no phase table wider than the budget
+        # to the process cache
+        widths = []
+        phases = protocol._record_phases
+        monkeypatch.setattr(protocol, "_record_phases",
+                            lambda *args: widths.append(args[-1]) or phases(*args))
+        sess = KeyExchangeSession(ideal_builder, ProtocolConfig(bep_units=2000))
+        sess.run_bits(2, warmup_units=10)
+        assert not isinstance(sess._maps_for(("L", "H"), 2000)[2], np.ndarray)
+        assert widths == [10]  # the warmup's
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_handoff_maps_fetched_once_per_chunk(self, monkeypatch):

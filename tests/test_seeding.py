@@ -65,10 +65,8 @@ def test_pcg64_words_and_lines_match_default_rng(seed):
     words = seeding.pcg64_words(as_state(seed))
     np.testing.assert_array_equal(
         words[0], np.random.SeedSequence(seed).generate_state(4, np.uint64))
-    assert (np.random.PCG64(seed).state
-            == seeding.generator(words[0]).bit_generator.state)
-    np.testing.assert_array_equal(noise._draw_lines(seeding.generator(words[0]), 256),
-                                  noise._lines(seed, 256))
+    lines = noise.draw_lines(words, np.empty((1, 2, 256)))[0]
+    np.testing.assert_array_equal(lines[0] + 1j * lines[1], noise._lines(seed, 256))
 
 
 @pytest.mark.parametrize("master, columns", [
@@ -97,10 +95,3 @@ def test_non_integer_seed_rejected(seed):
     with pytest.raises(TypeError):
         derive_seed(seed, 1)
 
-
-@pytest.mark.parametrize("words", [np.zeros(3, np.uint64), np.zeros((1, 4), np.uint64)])
-def test_generator_checks_its_row(words):
-    # generator seeds one stream, so it checks its row itself; the
-    # seed object behind it hands any row over unchecked
-    with pytest.raises(ValueError, match="4 uint64 words"):
-        seeding.generator(words)
